@@ -1,5 +1,5 @@
-// Observability tour: metrics, trace spans, the session query log, and
-// ExplainAnalyze.
+// Observability tour: metrics, trace spans, the query log (the workload
+// journal's per-query records), and ExplainAnalyze.
 //
 // Runs an exploration session that exercises every instrumented subsystem —
 // cracking (split/convergence counters), the result cache (hit/miss
@@ -17,7 +17,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/random.h"
@@ -26,6 +29,7 @@
 #include "engine/query.h"
 #include "engine/session.h"
 #include "obs/http_exporter.h"
+#include "obs/journal.h"
 
 using namespace exploredb;
 
@@ -39,6 +43,9 @@ int main() {
     std::printf("live endpoint: http://127.0.0.1:%u/\n", http_port);
     std::ofstream("http_port.txt") << http_port << "\n";
   }
+  // Every query leaves one journal record; keep them in memory (a no-op when
+  // EXPLOREDB_JOURNAL or the endpoint already enabled the journal).
+  WorkloadJournal::Global().EnableMemory();
   // ---- A table with exploration-friendly structure ------------------------
   // "ts" is clustered (sorted), so zone maps prune window queries on it;
   // "user_id" is scattered, so cracking pays off across repeated windows.
@@ -112,10 +119,19 @@ int main() {
   if (!explained.ok()) return 1;
   std::printf("\n%s\n", explained.ValueOrDie().c_str());
 
-  // ---- 6. The session query log -------------------------------------------
-  std::printf("query log (%zu entries):\n", session.QueryLog().size());
-  for (const QueryLogEntry& e : session.QueryLog()) {
-    std::printf("  [%s]%s %s\n", ExecutionModeName(e.mode),
+  // ---- 6. The query log: this session's journal records -----------------
+  // The journal's in-memory tail, which /querylog also serves.
+  WorkloadJournal::Global().Flush();
+  std::vector<JournalRecord> log;
+  for (const std::string& line : WorkloadJournal::Global().Tail()) {
+    auto record = WorkloadJournal::FromJsonLine(line);
+    if (record.ok() && record.ValueOrDie().session_id == session.id()) {
+      log.push_back(std::move(record).ValueOrDie());
+    }
+  }
+  std::printf("query log (%zu entries):\n", log.size());
+  for (const JournalRecord& e : log) {
+    std::printf("  [%s]%s %s\n", ExecutionModeName(e.resolved_mode),
                 e.from_cache ? " cache" : "", e.stats.Summary().c_str());
   }
 

@@ -6,43 +6,6 @@
 
 namespace exploredb {
 
-namespace {
-
-// One-release deprecation aliases from the Prometheus naming audit: the left
-// column is the historical name, the right column the canonical one (base-
-// unit suffixes, unit before _total). Lookups through either name return the
-// same metric object, and PrometheusText() re-emits the canonical series
-// under the old name so existing scrape configs keep working for one
-// release. Delete the row (and the old name's consumers) next release.
-struct MetricAlias {
-  const char* deprecated;
-  const char* canonical;
-};
-
-constexpr MetricAlias kDeprecatedAliases[] = {
-    {"exploredb_query_latency_ns", "exploredb_query_latency_seconds"},
-    {"exploredb_threadpool_task_run_ns",
-     "exploredb_threadpool_task_run_seconds"},
-    {"exploredb_storage_bytes_raw_total",
-     "exploredb_storage_raw_bytes_total"},
-    {"exploredb_storage_bytes_compressed_total",
-     "exploredb_storage_compressed_bytes_total"},
-};
-
-// Canonical name for `name` (identity for non-deprecated names).
-const std::string& ResolveAlias(const std::string& name,
-                                std::string* storage) {
-  for (const MetricAlias& a : kDeprecatedAliases) {
-    if (name == a.deprecated) {
-      *storage = a.canonical;
-      return *storage;
-    }
-  }
-  return name;
-}
-
-}  // namespace
-
 size_t Counter::ShardIndex() {
   static std::atomic<size_t> next{0};
   thread_local const size_t index =
@@ -125,9 +88,8 @@ std::vector<int64_t> Histogram::LatencyBoundsNanos() {
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const std::string& help) {
-  std::string alias_storage;
   MutexLock lock(mu_);
-  Entry& e = metrics_[ResolveAlias(name, &alias_storage)];
+  Entry& e = metrics_[name];
   if (e.counter == nullptr) {
     CHECK(e.gauge == nullptr && e.histogram == nullptr);
     e.counter = std::make_unique<Counter>();
@@ -138,9 +100,8 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const std::string& help) {
-  std::string alias_storage;
   MutexLock lock(mu_);
-  Entry& e = metrics_[ResolveAlias(name, &alias_storage)];
+  Entry& e = metrics_[name];
   if (e.gauge == nullptr) {
     CHECK(e.counter == nullptr && e.histogram == nullptr);
     e.gauge = std::make_unique<Gauge>();
@@ -152,9 +113,8 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name,
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<int64_t> bounds,
                                          const std::string& help) {
-  std::string alias_storage;
   MutexLock lock(mu_);
-  Entry& e = metrics_[ResolveAlias(name, &alias_storage)];
+  Entry& e = metrics_[name];
   if (e.histogram == nullptr) {
     CHECK(e.counter == nullptr && e.gauge == nullptr);
     if (bounds.empty()) bounds = Histogram::LatencyBoundsNanos();
@@ -165,9 +125,8 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 }
 
 void MetricsRegistry::SetScale(const std::string& name, double scale) {
-  std::string alias_storage;
   MutexLock lock(mu_);
-  auto it = metrics_.find(ResolveAlias(name, &alias_storage));
+  auto it = metrics_.find(name);
   if (it != metrics_.end()) it->second.scale = scale;
 }
 
@@ -306,18 +265,6 @@ std::string MetricsRegistry::PrometheusText() const {
                 e->histogram.get(), e->scale, &out);
       first = false;
     }
-  }
-  // Deprecated aliases: re-emit the canonical series under the old name with
-  // scale 1.0, so the old exposition (raw nanoseconds etc.) is reproduced
-  // byte-compatibly until the alias is deleted.
-  for (const MetricAlias& a : kDeprecatedAliases) {
-    auto it = metrics_.find(a.canonical);
-    if (it == metrics_.end()) continue;
-    const Entry& e = it->second;
-    out += std::string("# HELP ") + a.deprecated + " Deprecated alias of " +
-           a.canonical + " (removed next release)\n";
-    EmitEntry(a.deprecated, "", true, e.counter.get(), e.gauge.get(),
-              e.histogram.get(), 1.0, &out);
   }
   return out;
 }

@@ -40,10 +40,7 @@ namespace exploredb {
 /// differs from the exposition unit (latencies recorded in nanoseconds,
 /// exposed in seconds) register an exposition scale (SetScale): Record()
 /// call sites keep passing raw integers and PrometheusText() multiplies on
-/// the way out. Renamed metrics stay reachable for one release through a
-/// deprecation alias table (metrics.cc): lookups by the old name resolve to
-/// the canonical metric, and the exposition re-emits the old series
-/// (unscaled, exactly as it historically appeared) next to the new one.
+/// the way out.
 
 /// Monotonic counter, sharded by thread to keep increments contention-free.
 class Counter {
@@ -168,8 +165,7 @@ class MetricsRegistry {
 
   /// Prometheus text exposition (# HELP / # TYPE + samples), metrics in
   /// name order. Histograms emit cumulative `_bucket{le=...}`, `_sum`,
-  /// `_count` series. Deprecated alias names are re-emitted after the
-  /// canonical series (see the naming note above).
+  /// `_count` series.
   std::string PrometheusText() const EXCLUDES(mu_);
 
   /// Zeroes every registered metric without invalidating pointers.

@@ -93,22 +93,6 @@ size_t UpdatableCrackerColumn::RangeCount(int64_t lo, int64_t hi) {
   return range.count() + extra.size();
 }
 
-size_t ConcurrentCrackerColumn::RangeCount(int64_t lo, int64_t hi) {
-  {
-    ReaderMutexLock lock(mutex_);
-    if (column_.CanAnswerWithoutCracking(lo, hi)) {
-      read_only_queries_.fetch_add(1, std::memory_order_relaxed);
-      // Sound under a shared lock: both bounds are pivots, so RangeSelect
-      // degenerates to two index lookups and mutates nothing.
-      CrackRange r = column_.RangeSelect(lo, hi);
-      return r.count();
-    }
-  }
-  WriterMutexLock lock(mutex_);
-  CrackRange r = column_.RangeSelect(lo, hi);
-  return r.count();
-}
-
 EpochCrackerColumn::EpochCrackerColumn(std::vector<int64_t> values)
     : column_(std::move(values)), size_(column_.size()) {}
 

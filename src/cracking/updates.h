@@ -51,33 +51,11 @@ class UpdatableCrackerColumn {
   size_t merge_threshold_;
 };
 
-/// Thread-safe wrapper exposing the read/write asymmetry of adaptive
+/// Thread-safe cracker exposing the read/write asymmetry of adaptive
 /// indexing ("Concurrency Control for Adaptive Indexing" [Graefe et al.,
-/// PVLDB'12]): a query whose bounds are already pivots is a pure read and
-/// runs under a shared lock; a query that needs to crack mutates the array
-/// and must serialize.
-class ConcurrentCrackerColumn {
- public:
-  explicit ConcurrentCrackerColumn(std::vector<int64_t> values)
-      : column_(std::move(values)) {}
-
-  /// Thread-safe range count of values in [lo, hi).
-  size_t RangeCount(int64_t lo, int64_t hi) EXCLUDES(mutex_);
-
-  /// Number of queries that were answered read-only (shared lock).
-  uint64_t read_only_queries() const { return read_only_queries_; }
-
- private:
-  SharedMutex mutex_;
-  // Read-only answers take mutex_ shared; cracking takes it exclusive. The
-  // RangeSelect on the shared path mutates nothing (both bounds are pivots).
-  CrackerColumn column_ GUARDED_BY(mutex_);
-  std::atomic<uint64_t> read_only_queries_{0};
-};
-
-/// The serving-layer generalization of ConcurrentCrackerColumn: an epoch-
-/// published cracker that many sessions read concurrently while cracking
-/// reorganizations publish new piece layouts one at a time.
+/// PVLDB'12]): an epoch-published cracker that many sessions read
+/// concurrently while cracking reorganizations publish new piece layouts one
+/// at a time.
 ///
 /// Epoch protocol (DESIGN.md §2i):
 ///  - The piece layout has a monotonically increasing *epoch* number. Readers
@@ -85,8 +63,8 @@ class ConcurrentCrackerColumn {
 ///    inside, the layout cannot change underneath it.
 ///  - A query whose bounds are already pivots is answered entirely under the
 ///    shared lock (RangeSelect degenerates to two index lookups and mutates
-///    nothing — the ConcurrentCrackerColumn invariant), so converged point
-///    lookups never block each other and never block behind long readers.
+///    nothing), so converged point lookups never block each other and never
+///    block behind long readers.
 ///  - A query that must crack takes the lock exclusive, re-checks (another
 ///    thread may have cracked the same bounds in the unlock->lock window),
 ///    reorganizes, and *publishes* epoch+1 before downgrading to copying its

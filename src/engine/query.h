@@ -117,8 +117,8 @@ struct ExecStats {
   uint32_t threads_used = 1;       ///< distinct threads that did work
   AccessPath path = AccessPath::kNone;
   /// What actually ran after mode resolution: kAuto and kBudgeted resolve to
-  /// a concrete mode, everything else passes through. Session query logs
-  /// record this next to the requested mode so planner decisions can be
+  /// a concrete mode, everything else passes through. The journal record
+  /// keeps this next to the requested mode so planner decisions can be
   /// audited.
   ExecutionMode resolved_mode = ExecutionMode::kScan;
 

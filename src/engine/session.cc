@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "common/metrics.h"
@@ -107,33 +108,74 @@ Session::Session(Database* db, SessionOptions options)
 
 Result<QueryResult> Session::Execute(const Query& query,
                                      const ExecContext& ctx) {
+  return Run(query, ctx, nullptr);
+}
+
+Result<QueryResult> Session::Execute(const QueryBuilder& builder,
+                                     const ExecContext& ctx) {
+  EXPLOREDB_ASSIGN_OR_RETURN(TableEntry * entry,
+                             db_->GetTable(builder.table()));
+  EXPLOREDB_ASSIGN_OR_RETURN(Query query, builder.Build(entry->schema()));
+  return Execute(query, ctx);
+}
+
+Result<QueryResult> Session::ExecuteProgressive(
+    const Query& query, const LatencyBudget& budget,
+    const ProgressiveCallback& callback, const ExecContext& base) {
+  ExecContext ctx = base;
+  ctx.SetBudget(budget);
+  return Run(query, ctx, &callback);
+}
+
+Result<QueryResult> Session::ExecuteProgressive(
+    const QueryBuilder& builder, const LatencyBudget& budget,
+    const ProgressiveCallback& callback, const ExecContext& base) {
+  EXPLOREDB_ASSIGN_OR_RETURN(TableEntry * entry,
+                             db_->GetTable(builder.table()));
+  EXPLOREDB_ASSIGN_OR_RETURN(Query query, builder.Build(entry->schema()));
+  return ExecuteProgressive(query, budget, callback, base);
+}
+
+Result<QueryResult> Session::Run(const Query& query, const ExecContext& ctx,
+                                 const ProgressiveCallback* progress) {
   const int64_t arrival_ns = Tracer::NowNs();
   MutexLock lock(mu_);
-  ++stats_.queries;
-  QueriesCounter()->Add();
-  if (tenant_queries_ != nullptr) tenant_queries_->Add();
+  CountQuery();
   const std::string key = query.CacheKey();
 
   // Trajectory model learns every issued query (cached or not).
-  if (!history_.empty()) trajectory_.Observe(history_.back(), key);
-  history_.push_back(key);
+  if (!last_key_.empty()) trajectory_.Observe(last_key_, key);
+  last_key_ = key;
 
-  // Only position results of exact selections are cacheable.
+  // Only position results of exact selections are cacheable (kBudgeted may
+  // degrade aggregates to approximate answers, but selections stay exact).
+  const ExecutionMode mode = ctx.options().mode;
   const bool cacheable =
       !query.aggregate().has_value() && !query.group_by().has_value() &&
-      ctx.options().mode != ExecutionMode::kSampled &&
-      ctx.options().mode != ExecutionMode::kOnline;
+      mode != ExecutionMode::kSampled && mode != ExecutionMode::kOnline;
+  std::optional<std::vector<uint32_t>> cached;
+  if (cacheable) cached = cache_->Get(key);
 
-  if (cacheable) {
-    if (auto cached = cache_->Get(key)) {
-      return ServeFromCache(query, ctx, std::move(*cached), arrival_ns);
-    }
-  }
-
-  EXPLOREDB_ASSIGN_OR_RETURN(QueryResult result,
-                             executor_.Execute(query, ctx));
+  Result<QueryResult> served =
+      cached.has_value()
+          ? ServeFromCache(query, ctx, std::move(*cached))
+          : (progress != nullptr
+                 ? executor_.ExecuteProgressive(query, ctx, *progress)
+                 : executor_.Execute(query, ctx));
+  EXPLOREDB_ASSIGN_OR_RETURN(QueryResult result, std::move(served));
   result.exec_stats.queue_nanos = ctx.queue_nanos();
-  if (cacheable) cache_->Put(key, result.positions);
+  if (result.from_cache) {
+    if (progress != nullptr && *progress) {
+      // A cache hit is exact and final: one single-shot delivery, like the
+      // executor's exact plans.
+      ProgressiveUpdate update;
+      update.stats = result.exec_stats;
+      update.final = true;
+      (*progress)(update);
+    }
+  } else if (cacheable) {
+    cache_->Put(key, result.positions);
+  }
   last_table_ = query.table();
   last_predicate_ = query.where();
 
@@ -147,18 +189,15 @@ Result<QueryResult> Session::Execute(const Query& query,
   return result;
 }
 
-Result<QueryResult> Session::Execute(const QueryBuilder& builder,
-                                     const ExecContext& ctx) {
-  EXPLOREDB_ASSIGN_OR_RETURN(TableEntry * entry,
-                             db_->GetTable(builder.table()));
-  EXPLOREDB_ASSIGN_OR_RETURN(Query query, builder.Build(entry->schema()));
-  return Execute(query, ctx);
+void Session::CountQuery() {
+  ++stats_.queries;
+  QueriesCounter()->Add();
+  if (tenant_queries_ != nullptr) tenant_queries_->Add();
 }
 
 Result<QueryResult> Session::ServeFromCache(const Query& query,
                                             const ExecContext& ctx,
-                                            std::vector<uint32_t> positions,
-                                            int64_t arrival_ns) {
+                                            std::vector<uint32_t> positions) {
   ++stats_.cache_hits;
   CacheHitsCounter()->Add();
   if (tenant_cache_hits_ != nullptr) tenant_cache_hits_->Add();
@@ -166,7 +205,6 @@ Result<QueryResult> Session::ServeFromCache(const Query& query,
   QueryResult result;
   result.positions = std::move(positions);
   result.from_cache = true;
-  result.exec_stats.queue_nanos = ctx.queue_nanos();
   result.exec_stats.path = AccessPath::kCache;
   result.exec_stats.resolved_mode = ctx.options().mode;
   if (ctx.options().mode == ExecutionMode::kBudgeted) {
@@ -179,7 +217,9 @@ Result<QueryResult> Session::ServeFromCache(const Query& query,
     PlannerBudgetMetCounter()->Add();
   }
   // The cache hit is still a (cheap) execution: the span doubles as the
-  // total-time stopwatch and shows up in traces next to real queries.
+  // total-time stopwatch and shows up in traces next to real queries. It
+  // stops here, so — as for an executor run — the speculation the hit
+  // triggers afterwards is not part of total_nanos.
   TraceSpan hit_span("cache_hit", tracing, &result.exec_stats.total_nanos);
   {
     // Re-project rows from the cached positions (cheap gather).
@@ -207,80 +247,8 @@ Result<QueryResult> Session::ServeFromCache(const Query& query,
     }
     result.rows = std::move(projected);
   }
-  if (options_.speculate) {
-    SpeculateAround(query, ctx);
-    size_t ran = speculator_.RunIdle(options_.idle_budget);
-    stats_.speculative_queries += ran;
-    SpeculativeCounter()->Add(ran);
-  }
-  last_table_ = query.table();
-  last_predicate_ = query.where();
   hit_span.Stop();
-  LogQuery(query, ctx, result, arrival_ns);
   return result;
-}
-
-Result<QueryResult> Session::ExecuteProgressive(
-    const Query& query, const LatencyBudget& budget,
-    const ProgressiveCallback& callback, const ExecContext& base) {
-  const int64_t arrival_ns = Tracer::NowNs();
-  MutexLock lock(mu_);
-  ++stats_.queries;
-  QueriesCounter()->Add();
-  if (tenant_queries_ != nullptr) tenant_queries_->Add();
-  ExecContext ctx = base;
-  ctx.SetBudget(budget);
-  const std::string key = query.CacheKey();
-
-  if (!history_.empty()) trajectory_.Observe(history_.back(), key);
-  history_.push_back(key);
-
-  // Only position results of exact selections are cacheable (kBudgeted may
-  // degrade aggregates to approximate answers, but selections stay exact).
-  const bool cacheable =
-      !query.aggregate().has_value() && !query.group_by().has_value();
-
-  if (cacheable) {
-    if (auto cached = cache_->Get(key)) {
-      EXPLOREDB_ASSIGN_OR_RETURN(
-          QueryResult result,
-          ServeFromCache(query, ctx, std::move(*cached), arrival_ns));
-      if (callback) {
-        ProgressiveUpdate update;
-        if (result.scalar.has_value()) update.estimate = *result.scalar;
-        update.stats = result.exec_stats;
-        update.sequence = 0;
-        update.final = true;
-        callback(update);
-      }
-      return result;
-    }
-  }
-
-  EXPLOREDB_ASSIGN_OR_RETURN(QueryResult result,
-                             executor_.ExecuteProgressive(query, ctx, callback));
-  result.exec_stats.queue_nanos = ctx.queue_nanos();
-  if (cacheable) cache_->Put(key, result.positions);
-  last_table_ = query.table();
-  last_predicate_ = query.where();
-
-  if (options_.speculate) {
-    SpeculateAround(query, ctx);
-    size_t ran = speculator_.RunIdle(options_.idle_budget);
-    stats_.speculative_queries += ran;
-    SpeculativeCounter()->Add(ran);
-  }
-  LogQuery(query, ctx, result, arrival_ns);
-  return result;
-}
-
-Result<QueryResult> Session::ExecuteProgressive(
-    const QueryBuilder& builder, const LatencyBudget& budget,
-    const ProgressiveCallback& callback, const ExecContext& base) {
-  EXPLOREDB_ASSIGN_OR_RETURN(TableEntry * entry,
-                             db_->GetTable(builder.table()));
-  EXPLOREDB_ASSIGN_OR_RETURN(Query query, builder.Build(entry->schema()));
-  return ExecuteProgressive(query, budget, callback, base);
 }
 
 void Session::LogQuery(const Query& query, const ExecContext& ctx,
@@ -291,10 +259,10 @@ void Session::LogQuery(const Query& query, const ExecContext& ctx,
   const int64_t budget_ns = requested == ExecutionMode::kBudgeted
                                 ? ctx.options().budget.latency.count()
                                 : 0;
-  // The SLO monitor sees every query (alloc-free, independent of logging
-  // capacity or journal state). Queue wait is part of the user-visible
-  // latency: a query that executed fast but sat in the scheduler's fair
-  // queue still missed its interaction budget.
+  // The SLO monitor sees every query (alloc-free, independent of journal
+  // state). Queue wait is part of the user-visible latency: a query that
+  // executed fast but sat in the scheduler's fair queue still missed its
+  // interaction budget.
   const QueryClass slo_class = SloMonitor::Classify(requested, analytic);
   const int64_t user_latency_ns =
       result.exec_stats.total_nanos + result.exec_stats.queue_nanos;
@@ -339,20 +307,6 @@ void Session::LogQuery(const Query& query, const ExecContext& ctx,
   }
   ++journal_seq_;
   last_finish_ns_ = Tracer::NowNs();
-
-  if (options_.query_log_capacity == 0) return;
-  QueryLogEntry entry;
-  entry.query = query.CacheKey();
-  entry.mode = result.exec_stats.resolved_mode;
-  entry.requested_mode = ctx.options().mode;
-  entry.from_cache = result.from_cache;
-  entry.approximate = result.approximate;
-  entry.stats = result.exec_stats;
-  entry.wall_time = std::chrono::system_clock::now();
-  query_log_.push_back(std::move(entry));
-  while (query_log_.size() > options_.query_log_capacity) {
-    query_log_.pop_front();
-  }
 }
 
 Result<std::string> Session::ExplainAnalyze(const Query& query,
@@ -371,9 +325,7 @@ Result<std::string> Session::ExplainAnalyze(const Query& query,
                              executor_.Execute(query, traced));
   std::vector<TraceEvent> events = Tracer::SnapshotSince(t0);
 
-  ++stats_.queries;
-  QueriesCounter()->Add();
-  if (tenant_queries_ != nullptr) tenant_queries_->Add();
+  CountQuery();
   LogQuery(query, traced, result, arrival_ns);
 
   std::string out;
@@ -508,8 +460,8 @@ void Session::SpeculateAround(const Query& query, const ExecContext& ctx) {
     if (cache_->Contains(key)) continue;
     // Prefer the direction the trajectory model has seen before.
     double utility = 0.5 + static_cast<double>(dir) * 0.01;
-    if (!history_.empty()) {
-      utility = trajectory_.TransitionProbability(history_.back(), key);
+    if (!last_key_.empty()) {
+      utility = trajectory_.TransitionProbability(last_key_, key);
     }
     ExecContext spec_ctx = ctx;
     speculator_.Enqueue(key, utility, [this, shifted, spec_ctx, key]() {
@@ -535,8 +487,8 @@ Result<SeeDbReport> Session::RecommendViews(const std::vector<ViewSpec>& views,
 
 std::vector<std::string> Session::PredictNextQueries(size_t k) const {
   MutexLock lock(mu_);
-  if (history_.empty()) return {};
-  return trajectory_.PredictNext(history_.back(), k);
+  if (last_key_.empty()) return {};
+  return trajectory_.PredictNext(last_key_, k);
 }
 
 }  // namespace exploredb

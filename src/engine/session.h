@@ -1,9 +1,7 @@
 #ifndef EXPLOREDB_ENGINE_SESSION_H_
 #define EXPLOREDB_ENGINE_SESSION_H_
 
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,8 +27,6 @@ struct SessionOptions {
   size_t idle_budget = 2;
   /// Enable momentum-based speculation of shifted range windows.
   bool speculate = true;
-  /// Ring-buffer capacity of the per-session query log (0 disables logging).
-  size_t query_log_capacity = 256;
   /// Tenant this session belongs to: the label on its observability series
   /// (`exploredb_session_*{tenant=...}`), journal records, and the fair-queue
   /// key in the SessionScheduler. Empty means unlabeled (plain series).
@@ -49,31 +45,16 @@ struct SessionStats {
   uint64_t speculative_queries = 0;
 };
 
-/// One entry of the session query log: everything needed to replay or audit
-/// an exploration trajectory (the per-interaction latency record IDEBench
-/// asks for, and the raw material of session-level workload analysis).
-struct QueryLogEntry {
-  std::string query;  ///< Query::CacheKey — the canonical query text
-  /// The *resolved* execution mode — what the planner / kAuto actually chose
-  /// to run (cache hits keep the requested mode; stats.path says kCache).
-  /// Auditing planner decisions means comparing this against
-  /// `requested_mode`.
-  ExecutionMode mode = ExecutionMode::kScan;
-  ExecutionMode requested_mode = ExecutionMode::kScan;  ///< what was asked for
-  bool from_cache = false;
-  bool approximate = false;
-  ExecStats stats;  ///< path, rows, morsels, planner provenance, phase nanos
-  std::chrono::system_clock::time_point wall_time;  ///< arrival time
-};
-
 /// An interactive exploration session: the integration point of the
 /// tutorial's three layers. Every query flows through
 ///   result cache (middleware) -> executor (engine; cracking / AQP modes)
 /// and feeds the trajectory model that drives speculative prefetching of the
 /// user's likely next window. Recommendation entry points (SeeDB views)
-/// consume the session's current focus.
+/// consume the session's current focus. Execute and ExecuteProgressive share
+/// one query path, and every query leaves exactly one record: the workload
+/// journal's JournalRecord (obs/journal.h), tagged with id() and tenant().
 ///
-/// Thread safety: the session's mutable state (history, trajectory model,
+/// Thread safety: the session's mutable state (last query, trajectory model,
 /// focus, counters) is guarded by mu_; Execute holds it for the query's
 /// duration, so a session processes one query at a time — matching the
 /// one-user-one-session model — while the Database and cache stay shareable
@@ -113,9 +94,10 @@ class Session {
 
   /// Executes `query` with trace-span recording forced on and returns an
   /// annotated per-phase / per-morsel breakdown (plus the result's ExecStats
-  /// summary). Runs on the executor directly — no cache, no speculation — so
-  /// the report reflects one clean execution. Works whether or not
-  /// process-wide tracing (EXPLOREDB_TRACE) is enabled.
+  /// summary). Runs on the executor directly — no cache, no trajectory
+  /// update, no speculation — so the report reflects one clean execution; it
+  /// is still counted and journaled like any other query. Works whether or
+  /// not process-wide tracing (EXPLOREDB_TRACE) is enabled.
   Result<std::string> ExplainAnalyze(const Query& query,
                                      const ExecContext& ctx = {})
       EXCLUDES(mu_);
@@ -130,22 +112,12 @@ class Session {
   /// Most likely next query keys given the trajectory so far.
   std::vector<std::string> PredictNextQueries(size_t k) const EXCLUDES(mu_);
 
-  /// Counter snapshots / history copy (the session keeps mutating them).
+  /// Counter snapshot (the session keeps mutating them).
   SessionStats stats() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return stats_;
   }
   CacheStats cache_stats() const { return cache_->stats(); }
-  std::vector<std::string> history() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return history_;
-  }
-  /// Chronological copy of the query log ring (oldest first; at most
-  /// SessionOptions::query_log_capacity entries).
-  std::vector<QueryLogEntry> QueryLog() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return {query_log_.begin(), query_log_.end()};
-  }
   Database* db() const { return db_; }
 
   /// Process-unique session number — the `sid` of this session's workload
@@ -156,14 +128,21 @@ class Session {
   const std::string& tenant() const { return options_.tenant; }
 
  private:
-  /// Serves a cached position list: re-projects rows, stamps cache
-  /// provenance (and planner provenance when the query ran budgeted), runs
-  /// speculation, and logs the query. `arrival_ns` is the Tracer::NowNs()
-  /// timestamp captured when the user's call entered the session (think-time
-  /// accounting).
+  /// The one query path behind Execute and ExecuteProgressive: counting,
+  /// trajectory update, cache probe, execution (progressive when `progress`
+  /// is set), speculation and logging. `ctx` carries the requested mode.
+  Result<QueryResult> Run(const Query& query, const ExecContext& ctx,
+                          const ProgressiveCallback* progress) EXCLUDES(mu_);
+
+  /// Counts one query on stats_ and the plain and tenant session series.
+  void CountQuery() REQUIRES(mu_);
+
+  /// Serves a cached position list: re-projects rows and stamps cache
+  /// provenance (and planner provenance when the query ran budgeted). Its
+  /// total_nanos covers only this, like an executor run's.
   Result<QueryResult> ServeFromCache(const Query& query, const ExecContext& ctx,
-                                     std::vector<uint32_t> positions,
-                                     int64_t arrival_ns) REQUIRES(mu_);
+                                     std::vector<uint32_t> positions)
+      REQUIRES(mu_);
 
   /// Enqueues shifted copies of a single-column range query (pan left/right)
   /// into the speculator.
@@ -171,9 +150,9 @@ class Session {
       REQUIRES(mu_);
 
   /// The single emission point for everything that observes finished
-  /// queries: the SLO monitor and workload journal (always), then the
-  /// ring-buffered query log (when enabled). `arrival_ns` — see
-  /// ServeFromCache.
+  /// queries: the SLO monitor and the workload journal. `arrival_ns` is the
+  /// Tracer::NowNs() timestamp captured when the user's call entered the
+  /// session (think-time accounting).
   void LogQuery(const Query& query, const ExecContext& ctx,
                 const QueryResult& result, int64_t arrival_ns) REQUIRES(mu_);
 
@@ -200,8 +179,8 @@ class Session {
   mutable Mutex mu_;
   Speculator speculator_ GUARDED_BY(mu_);
   MarkovPredictor trajectory_ GUARDED_BY(mu_);
-  std::vector<std::string> history_ GUARDED_BY(mu_);
-  std::deque<QueryLogEntry> query_log_ GUARDED_BY(mu_);
+  /// Query::CacheKey of the latest query; empty before the first.
+  std::string last_key_ GUARDED_BY(mu_);
   std::string last_table_ GUARDED_BY(mu_);
   Predicate last_predicate_ GUARDED_BY(mu_);
   SessionStats stats_ GUARDED_BY(mu_);

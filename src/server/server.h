@@ -21,8 +21,9 @@ namespace exploredb {
 class ExplorationServer;
 
 /// A tenant's handle into the serving layer: a Session (private trajectory
-/// model, speculation, query log) wired to the server's *shared* result cache
-/// and admitted through the server's fair-queue scheduler. Submit enqueues;
+/// model, speculation, journal records under its id()) wired to the server's
+/// *shared* result cache and admitted through the server's fair-queue
+/// scheduler. Submit enqueues;
 /// Execute blocks. Concurrent submissions against one ServerSession are safe
 /// — the underlying Session serializes them — but sessions model one user, so
 /// the natural shape is many sessions, each fed by its own client.
@@ -43,9 +44,9 @@ class ServerSession {
   Result<QueryResult> Execute(const QueryBuilder& builder,
                               const ExecContext& ctx = {});
 
-  /// The wrapped Session, for stats / history / query-log access. Direct
-  /// Session::Execute calls bypass admission control — fine for inspection,
-  /// wrong for serving.
+  /// The wrapped Session, for its stats and id() (the `sid` of its journal
+  /// records). Direct Session::Execute calls bypass admission control — fine
+  /// for inspection, wrong for serving.
   Session& session() { return session_; }
   const std::string& tenant() const { return session_.tenant(); }
 
@@ -93,7 +94,7 @@ class ExplorationServer {
 
   /// Opens a session for `tenant`. `options.tenant` and
   /// `options.shared_cache` are overwritten with the server's wiring; the
-  /// rest (speculation, idle budget, query log) pass through. The returned
+  /// rest (speculation, idle budget) pass through. The returned
   /// pointer stays valid for the server's lifetime.
   ServerSession* OpenSession(const std::string& tenant,
                              SessionOptions options = {}) EXCLUDES(mu_);

@@ -394,9 +394,9 @@ TEST(CompressedColumnTest, BuildDispatchesByTypeAndCachesOnEntry) {
 TEST(CompressedColumnTest, BuildMetricsAccumulate) {
   Counter* blocks = Metrics().GetCounter(
       "exploredb_storage_compressed_blocks_total");
-  Counter* raw = Metrics().GetCounter("exploredb_storage_bytes_raw_total");
+  Counter* raw = Metrics().GetCounter("exploredb_storage_raw_bytes_total");
   Counter* comp = Metrics().GetCounter(
-      "exploredb_storage_bytes_compressed_total");
+      "exploredb_storage_compressed_bytes_total");
   const uint64_t blocks0 = blocks->Value();
   const uint64_t raw0 = raw->Value();
   const uint64_t comp0 = comp->Value();

@@ -283,7 +283,7 @@ TEST(UpdatableCrackerTest, ExtraRowIdsReportedForPending) {
 TEST(ConcurrentCrackerTest, ParallelQueriesAgreeWithScan) {
   std::vector<int64_t> v = RandomValues(20000, 5000, 61);
   ScanSelector scan(v);
-  ConcurrentCrackerColumn col(v);
+  EpochCrackerColumn col(v);
   constexpr int kThreads = 4;
   constexpr int kQueriesPerThread = 100;
   std::vector<std::thread> threads;
@@ -291,12 +291,13 @@ TEST(ConcurrentCrackerTest, ParallelQueriesAgreeWithScan) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
       Random rng(100 + t);
+      std::vector<uint32_t> rows;
       for (int q = 0; q < kQueriesPerThread; ++q) {
         int64_t lo = rng.UniformInt(0, 4500);
         int64_t hi = lo + rng.UniformInt(1, 400);
-        if (col.RangeCount(lo, hi) != scan.RangeCount(lo, hi)) {
-          ++failures[t];
-        }
+        rows.clear();
+        col.RangeSelectInto(lo, hi, &rows);
+        if (rows.size() != scan.RangeCount(lo, hi)) ++failures[t];
       }
     });
   }
@@ -305,12 +306,13 @@ TEST(ConcurrentCrackerTest, ParallelQueriesAgreeWithScan) {
 }
 
 TEST(ConcurrentCrackerTest, RepeatedQueriesGoReadOnly) {
-  ConcurrentCrackerColumn col(RandomValues(1000, 100, 63));
-  col.RangeCount(10, 20);
-  uint64_t before = col.read_only_queries();
-  col.RangeCount(10, 20);
-  col.RangeCount(10, 20);
-  EXPECT_EQ(col.read_only_queries(), before + 2);
+  EpochCrackerColumn col(RandomValues(1000, 100, 63));
+  std::vector<uint32_t> rows;
+  col.RangeSelectInto(10, 20, &rows);
+  const uint64_t before = col.shared_reads();
+  EXPECT_TRUE(col.RangeSelectInto(10, 20, &rows).shared_path);
+  EXPECT_TRUE(col.RangeSelectInto(10, 20, &rows).shared_path);
+  EXPECT_EQ(col.shared_reads(), before + 2);
 }
 
 // ---------------------------------------------------------------- validate

@@ -20,7 +20,11 @@ Schema WideSchema() {
 class LoadingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/exploredb_loading_test.csv";
+    // Unique per test: ctest -j runs each case as its own process, and a
+    // shared path lets one case's TearDown unlink the file mid-read.
+    path_ = ::testing::TempDir() + "/exploredb_loading_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
     std::ofstream out(path_);
     out << "a,b,c,d\n";
     for (int i = 0; i < 100; ++i) {

@@ -1,8 +1,9 @@
 // End-to-end observability: real queries populate the metrics registry
 // (cracker splits, zone-map pruning, cache hits, latency histogram), the
-// session query log behaves as a ring buffer, ExplainAnalyze has the
-// documented shape, ExecStats::Summary stays consistent across access paths,
-// and a traced query's Chrome-trace spans nest phases over morsel tasks.
+// query log (the journal's in-memory tail) behaves as a ring buffer,
+// ExplainAnalyze has the documented shape, ExecStats::Summary stays
+// consistent across access paths, and a traced query's Chrome-trace spans
+// nest phases over morsel tasks.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "engine/executor.h"
 #include "engine/query.h"
 #include "engine/session.h"
+#include "journal_records.h"
 #include "obs/http_exporter.h"
 #include "obs/journal.h"
 
@@ -83,8 +85,8 @@ TEST(ObservabilityTest, RealQueriesPopulatePrometheusSeries) {
       Metrics().GetCounter("exploredb_zonemap_morsels_pruned_total")->Value(),
       0u);
   EXPECT_GT(Metrics().GetCounter("exploredb_cache_hits_total")->Value(), 0u);
-  EXPECT_GT(Metrics().GetHistogram("exploredb_query_latency_ns")->Count(),
-            0u);
+  EXPECT_GT(
+      Metrics().GetHistogram("exploredb_query_latency_seconds")->Count(), 0u);
 
   // The exposition carries all four acceptance series.
   std::string text = Metrics().PrometheusText();
@@ -92,31 +94,42 @@ TEST(ObservabilityTest, RealQueriesPopulatePrometheusSeries) {
   EXPECT_NE(text.find("exploredb_zonemap_morsels_pruned_total"),
             std::string::npos);
   EXPECT_NE(text.find("exploredb_cache_hits_total"), std::string::npos);
-  EXPECT_NE(text.find("exploredb_query_latency_ns_bucket{le=\""),
+  EXPECT_NE(text.find("exploredb_query_latency_seconds_bucket{le=\""),
             std::string::npos);
-  EXPECT_NE(text.find("exploredb_query_latency_ns_count"),
+  EXPECT_NE(text.find("exploredb_query_latency_seconds_count"),
             std::string::npos);
 }
 
 TEST(ObservabilityTest, QueryLogIsARingBuffer) {
+  // The query log is the journal's in-memory tail (what /querylog serves):
+  // bounded at kTailCapacity lines, oldest dropped, newest last.
+  ScopedMemoryJournal journal;
   SessionOptions options;
-  options.query_log_capacity = 3;
   options.speculate = false;
   Session session(TestDb(), options);
 
-  for (int64_t lo = 0; lo < 5'000; lo += 1'000) {
-    ASSERT_TRUE(session.Execute(Window(lo, lo + 1'000)).ok());
+  const size_t queries = WorkloadJournal::kTailCapacity + 2;
+  for (size_t i = 0; i + 1 < queries; ++i) {
+    ASSERT_TRUE(session.Execute(Window(0, 1'000)).ok());  // hits after the 1st
+    // Drain as we go so the per-thread ring never fills and drops records.
+    if (i % 256 == 255) WorkloadJournal::Global().Flush();
   }
-  std::vector<QueryLogEntry> log = session.QueryLog();
-  ASSERT_EQ(log.size(), 3u);  // capacity enforced, oldest dropped
+  ASSERT_TRUE(session.Execute(Window(4'000, 5'000)).ok());
+  std::vector<JournalRecord> log = SessionJournal(session.id());
+  ASSERT_FALSE(log.empty());
+  EXPECT_LE(log.size(), WorkloadJournal::kTailCapacity);  // capacity enforced
+  EXPECT_GE(log.front().session_seq, 2u);                  // oldest dropped
+  EXPECT_EQ(log.back().session_seq - log.front().session_seq + 1, log.size());
   // Newest-last: the final entry is the lo=4000 window.
-  EXPECT_NE(log.back().query.find("4000"), std::string::npos);
-  EXPECT_EQ(log.back().mode, ExecutionMode::kScan);
+  EXPECT_EQ(log.back().session_seq, queries - 1);
+  EXPECT_NE(log.back().query_text.find("4000"), std::string::npos);
+  EXPECT_EQ(log.back().resolved_mode, ExecutionMode::kScan);
   EXPECT_FALSE(log.back().from_cache);
   EXPECT_GT(log.back().stats.total_nanos, 0);
 }
 
 TEST(ObservabilityTest, QueryLogRecordsCacheHitsAndModes) {
+  ScopedMemoryJournal journal;
   SessionOptions options;
   options.speculate = false;
   Session session(TestDb(), options);
@@ -128,15 +141,16 @@ TEST(ObservabilityTest, QueryLogRecordsCacheHitsAndModes) {
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit.ValueOrDie().from_cache);
 
-  std::vector<QueryLogEntry> log = session.QueryLog();
+  std::vector<JournalRecord> log = SessionJournal(session.id());
   ASSERT_EQ(log.size(), 2u);
   EXPECT_FALSE(log[0].from_cache);
   EXPECT_TRUE(log[1].from_cache);
-  EXPECT_EQ(log[1].mode, ExecutionMode::kCracking);
+  EXPECT_EQ(log[1].resolved_mode, ExecutionMode::kCracking);
   EXPECT_EQ(log[1].stats.path, AccessPath::kCache);
 }
 
 TEST(ObservabilityTest, QueryLogRecordsResolvedVsRequestedMode) {
+  ScopedMemoryJournal journal;
   SessionOptions options;
   options.speculate = false;
   Session session(TestDb(), options);
@@ -146,19 +160,10 @@ TEST(ObservabilityTest, QueryLogRecordsResolvedVsRequestedMode) {
   // kAuto resolves to cracking for predicated queries; the log keeps both
   // what was asked for and what actually ran.
   ASSERT_TRUE(session.Execute(Window(9'000, 10'000), aut).ok());
-  std::vector<QueryLogEntry> log = session.QueryLog();
+  std::vector<JournalRecord> log = SessionJournal(session.id());
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0].requested_mode, ExecutionMode::kAuto);
-  EXPECT_EQ(log[0].mode, ExecutionMode::kCracking);
-}
-
-TEST(ObservabilityTest, ZeroCapacityDisablesQueryLog) {
-  SessionOptions options;
-  options.query_log_capacity = 0;
-  options.speculate = false;
-  Session session(TestDb(), options);
-  ASSERT_TRUE(session.Execute(Window(0, 1'000)).ok());
-  EXPECT_TRUE(session.QueryLog().empty());
+  EXPECT_EQ(log[0].resolved_mode, ExecutionMode::kCracking);
 }
 
 TEST(ObservabilityTest, SummaryConsistentAcrossAccessPaths) {
@@ -214,6 +219,7 @@ TEST(ObservabilityTest, SummaryConsistentAcrossAccessPaths) {
 }
 
 TEST(ObservabilityTest, ExplainAnalyzeGoldenShape) {
+  ScopedMemoryJournal journal;
   const bool was_enabled = Tracer::enabled();
   Tracer::SetEnabled(false);  // the per-query switch must suffice
   SessionOptions options;
@@ -237,7 +243,7 @@ TEST(ObservabilityTest, ExplainAnalyzeGoldenShape) {
   EXPECT_NE(text.find("project"), std::string::npos);
 
   // ExplainAnalyze runs land in the query log too.
-  std::vector<QueryLogEntry> log = session.QueryLog();
+  std::vector<JournalRecord> log = SessionJournal(session.id());
   ASSERT_EQ(log.size(), 1u);
   EXPECT_GT(log[0].stats.total_nanos, 0);
 }
@@ -299,30 +305,6 @@ TEST(ObservabilityTest, SessionCountersTrackActivity) {
       1u);
   EXPECT_EQ(session.stats().queries, 2u);
   EXPECT_EQ(session.stats().cache_hits, 1u);
-}
-
-TEST(ObservabilityTest, DeprecatedMetricNamesAliasTheCanonicalSeries) {
-  // One-release deprecation: old names resolve to the same object as the
-  // canonical name, and the exposition re-emits the old series (raw units)
-  // next to the new scaled one so existing dashboards keep working.
-  EXPECT_EQ(Metrics().GetHistogram("exploredb_query_latency_ns"),
-            Metrics().GetHistogram("exploredb_query_latency_seconds"));
-  EXPECT_EQ(Metrics().GetHistogram("exploredb_threadpool_task_run_ns"),
-            Metrics().GetHistogram("exploredb_threadpool_task_run_seconds"));
-  EXPECT_EQ(Metrics().GetCounter("exploredb_storage_bytes_raw_total"),
-            Metrics().GetCounter("exploredb_storage_raw_bytes_total"));
-  EXPECT_EQ(Metrics().GetCounter("exploredb_storage_bytes_compressed_total"),
-            Metrics().GetCounter("exploredb_storage_compressed_bytes_total"));
-
-  Session session(TestDb());
-  ASSERT_TRUE(session.Execute(Window(13'000, 14'000)).ok());
-  const std::string text = Metrics().PrometheusText();
-  EXPECT_NE(text.find("exploredb_query_latency_seconds_bucket{le=\""),
-            std::string::npos);
-  EXPECT_NE(text.find("exploredb_query_latency_ns_bucket{le=\""),
-            std::string::npos);
-  EXPECT_NE(text.find("Deprecated alias of exploredb_query_latency_seconds"),
-            std::string::npos);
 }
 
 TEST(ObservabilityTest, ExplainAnalyzeReportsCompressionBreakdown) {

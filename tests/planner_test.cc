@@ -22,6 +22,7 @@
 #include "engine/planner.h"
 #include "engine/query.h"
 #include "engine/session.h"
+#include "journal_records.h"
 
 namespace exploredb {
 namespace {
@@ -75,6 +76,7 @@ Query Window(int64_t lo, int64_t hi) {
 // ---- (a) cache hit always wins when fresh ---------------------------------
 
 TEST(PlannerTest, FreshCacheHitAlwaysChosen) {
+  ScopedMemoryJournal journal;
   Session session(TestDb(), {.speculate = false});
   ExecContext budgeted;
   budgeted.SetBudget({.latency = seconds(1)});
@@ -92,8 +94,8 @@ TEST(PlannerTest, FreshCacheHitAlwaysChosen) {
   EXPECT_EQ(hit.stats().path, AccessPath::kCache);
   EXPECT_EQ(hit.positions, first.ValueOrDie().positions);
 
-  // The query log records both what was asked for and what ran.
-  std::vector<QueryLogEntry> log = session.QueryLog();
+  // The journal records both what was asked for and what ran.
+  std::vector<JournalRecord> log = SessionJournal(session.id());
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[1].requested_mode, ExecutionMode::kBudgeted);
   EXPECT_TRUE(log[1].from_cache);

@@ -37,7 +37,11 @@ class CsvRobustness : public ::testing::Test {
     return ReadCsv(path_, schema, options);
   }
 
-  std::string path_ = ::testing::TempDir() + "/exploredb_robustness.csv";
+  // Unique per test: ctest -j runs each case as its own process, and a
+  // shared path lets one case's TearDown unlink the file mid-read.
+  std::string path_ =
+      ::testing::TempDir() + "/exploredb_robustness_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
 };
 
 TEST_F(CsvRobustness, MalformedInputsFailCleanly) {

@@ -231,7 +231,11 @@ TEST(PredicateTest, ToStringReadable) {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/exploredb_csv_test.csv";
+  // Unique per test: ctest -j runs each case as its own process, and a
+  // shared path lets one case's TearDown unlink the file mid-read.
+  std::string path_ =
+      ::testing::TempDir() + "/exploredb_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
 };
 
 TEST_F(CsvTest, RoundTrip) {
