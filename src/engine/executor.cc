@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <unordered_map>
@@ -889,6 +890,12 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
   }
   const AggregateExpr& agg = *query.aggregate();
   const QueryOptions& options = ctx.options();
+  if (mode == ExecutionMode::kSampled &&
+      !(std::isfinite(options.sample_fraction) &&
+        options.sample_fraction > 0.0)) {
+    return Status::InvalidArgument(
+        "sample_fraction must be finite and positive");
+  }
   EXPLOREDB_ASSIGN_OR_RETURN(size_t n, entry->NumRows());
 
   // Resolve the measure column (COUNT may omit it), plus its compressed
@@ -959,20 +966,20 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
         ++acc.count;
         if (measure != nullptr) acc.values.push_back(measure->GetDouble(row));
       }
+      // A fraction above 1 keeps every row once, so it scales like 1.
+      const double fraction = std::min(1.0, options.sample_fraction);
       for (auto& [key, acc] : groups) {
         Estimate e;
         e.confidence = options.confidence;
         e.sample_size = acc.count;
         switch (agg.kind) {
           case AggKind::kCount:
-            e.value = static_cast<double>(acc.count);
-            if (options.sample_fraction > 0) e.value /= options.sample_fraction;
+            e.value = static_cast<double>(acc.count) / fraction;
             break;
           case AggKind::kSum: {
             double s = 0;
             for (double v : acc.values) s += v;
-            e.value = s;
-            if (options.sample_fraction > 0) e.value /= options.sample_fraction;
+            e.value = s / fraction;
             break;
           }
           case AggKind::kAvg:

@@ -114,9 +114,13 @@ void RecordEngineQueryMetrics(const ExecStats& stats) {
 }
 
 /// Relative error of an estimate: CI half-width over |value|, with a floor
-/// on the denominator so zero-valued answers don't divide by zero.
+/// on the denominator so near-zero answers stay finite. A zero estimate with
+/// a positive width (a sample that held no matching rows) has no finite
+/// ratio; it is off by exactly 100% from any nonzero true value, so it
+/// reports 1.
 double RelativeError(const Estimate& e) {
   if (e.ci_half_width == 0.0) return 0.0;
+  if (e.value == 0.0) return 1.0;
   return e.ci_half_width / std::max(std::abs(e.value), 1e-12);
 }
 
@@ -208,14 +212,19 @@ void CostModel::ObserveOnline(uint64_t rows, uint64_t consumed,
       EwmaUpdate(online_ns_per_row_, online_ns_per_row_ * scale, kAlpha);
 }
 
-void CostModel::ObserveRelativeError(double relative_error,
-                                     uint64_t sample_rows, double confidence) {
-  if (sample_rows == 0 || relative_error <= 0) return;
+void CostModel::ObserveRelativeError(const Estimate& estimate,
+                                     double confidence) {
+  // A zero estimate's relative error is the fixed 1 of RelativeError, not a
+  // measurement of the cv.
+  if (estimate.sample_size == 0 || estimate.value == 0.0) return;
+  const double relative_error = RelativeError(estimate);
+  if (relative_error <= 0) return;
   double z = ZScore(confidence);
   if (z <= 0) return;
   MutexLock lock(mu_);
   double observed_cv =
-      relative_error * std::sqrt(static_cast<double>(sample_rows)) / z;
+      relative_error * std::sqrt(static_cast<double>(estimate.sample_size)) /
+      z;
   cv_ = EwmaUpdate(cv_, observed_cv, kAlpha);
 }
 
@@ -334,8 +343,10 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     double sample_promise = 1.0;
     if ((scalar_agg || grouped) && n > 0) {
       ++plans;
-      const double affordable =
-          budget_ns * kBudgetHeadroom / cost_model_.SampleCostNs(1);
+      // An expired deadline makes this negative; clamp it so the query
+      // takes the minimum-sample path below.
+      const double affordable = std::max(
+          0.0, budget_ns * kBudgetHeadroom / cost_model_.SampleCostNs(1));
       sample_rows = static_cast<uint64_t>(
           std::min(affordable, static_cast<double>(n) / 2.0));
       sample_fraction =
@@ -392,7 +403,8 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
         sample_rows = std::min<uint64_t>(std::max(n / 2, uint64_t{1}),
                                          kMinSampleRows);
         sample_fraction =
-            static_cast<double>(sample_rows) / static_cast<double>(n);
+            n == 0 ? 1.0
+                   : static_cast<double>(sample_rows) / static_cast<double>(n);
         promised = cost_model_.PredictRelativeError(
             static_cast<uint64_t>(std::max(
                 1.0, static_cast<double>(sample_rows) * scan.selectivity)),
@@ -474,9 +486,8 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
             n, progressive.exec_stats.rows_scanned,
             progressive.exec_stats.total_nanos - planner_nanos);
         if (progressive.scalar.has_value()) {
-          cost_model_.ObserveRelativeError(
-              progressive.exec_stats.achieved_error,
-              progressive.scalar->sample_size, budget.confidence);
+          cost_model_.ObserveRelativeError(*progressive.scalar,
+                                           budget.confidence);
         }
         return progressive;
       }
@@ -497,9 +508,7 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     if (result.scalar.has_value()) {
       stats.achieved_error = RelativeError(*result.scalar);
       if (result.approximate) {
-        cost_model_.ObserveRelativeError(stats.achieved_error,
-                                         result.scalar->sample_size,
-                                         budget.confidence);
+        cost_model_.ObserveRelativeError(*result.scalar, budget.confidence);
       }
     } else if (!result.groups.empty()) {
       // Grouped answers promise their worst group.

@@ -31,7 +31,8 @@ class CostModel {
   double ExactCostNs(uint64_t rows, bool compressed = false) const
       EXCLUDES(mu_);
   /// Predicted wall cost of the row-at-a-time uniform-sample path over
-  /// `rows` sampled rows.
+  /// `rows` sampled rows (drawing the sample is O(rows), so the whole path
+  /// is priced per sampled row).
   double SampleCostNs(uint64_t rows) const EXCLUDES(mu_);
   /// Predicted wall cost of materializing online-aggregation input (mask +
   /// widened measure) over `rows` rows, plus consuming `consumed` of them.
@@ -54,10 +55,11 @@ class CostModel {
   void ObserveSample(uint64_t rows, int64_t nanos) EXCLUDES(mu_);
   void ObserveOnline(uint64_t rows, uint64_t consumed, int64_t nanos)
       EXCLUDES(mu_);
-  /// Feeds a realized (relative CI, sample size) pair back into the cv
-  /// estimate.
-  void ObserveRelativeError(double relative_error, uint64_t sample_rows,
-                            double confidence) EXCLUDES(mu_);
+  /// Feeds an approximate scalar answer's realized relative CI and sample
+  /// size back into the cv estimate. A zero estimate is skipped: its
+  /// relative error is a fixed 1, not a measurement of the cv.
+  void ObserveRelativeError(const Estimate& estimate, double confidence)
+      EXCLUDES(mu_);
 
   // -- Test hooks ----------------------------------------------------------
   /// Pins the exact-scan rates (raw and compressed), e.g. absurdly high to

@@ -125,7 +125,8 @@ struct ExecStats {
   // -- Budgeted-planner provenance (kNone/zeros unless the query ran under
   // ExecutionMode::kBudgeted). `promised_error` is the relative CI half-width
   // the chosen plan was predicted to reach; `achieved_error` the relative CI
-  // half-width it actually delivered (0 for exact answers). Together with
+  // half-width it actually delivered (0 for exact answers, 1 for a zero
+  // estimate with a positive width). Together with
   // `plans_considered` they answer "why was this plan picked, and did it keep
   // its promise" without a debugger.
   PlannerChoice planner_choice = PlannerChoice::kNone;

@@ -15,6 +15,9 @@ namespace {
 constexpr int64_t kDefaultInteractiveBudgetNs = 100'000'000;   // 100ms
 constexpr int64_t kDefaultBudgetedFallbackNs = 100'000'000;    // 100ms
 constexpr int64_t kDefaultBatchBudgetNs = 10'000'000'000;      // 10s
+/// Largest relative error one query adds to a slot's err_micros sum: 64
+/// slots of a million such queries each still fit in int64 micros.
+constexpr double kMaxRecordedError = 1e5;
 
 int64_t NowSeconds() { return Tracer::NowNs() / 1'000'000'000; }
 
@@ -161,7 +164,11 @@ void SloMonitor::Observe(QueryClass c, int64_t latency_ns, int64_t budget_ns,
   if (within) slot.within.fetch_add(1, std::memory_order_relaxed);
   if (approximate) {
     slot.approximate.fetch_add(1, std::memory_order_relaxed);
-    slot.err_micros.fetch_add(static_cast<int64_t>(achieved_error * 1e6),
+    // Near-zero estimates can report enormous (or infinite) relative errors;
+    // clamp so the fixed-point sum stays representable. NaN records as 0.
+    const double err =
+        achieved_error > 0 ? std::min(achieved_error, kMaxRecordedError) : 0.0;
+    slot.err_micros.fetch_add(static_cast<int64_t>(err * 1e6),
                               std::memory_order_relaxed);
   }
   size_t b = 0;

@@ -96,15 +96,27 @@ Estimate EstimateCount(size_t matches, size_t sample_size,
   Estimate e;
   e.confidence = confidence;
   e.sample_size = sample_size;
-  if (sample_size == 0) return e;
-  const double n = static_cast<double>(sample_size);
   const double N = static_cast<double>(population_size);
+  if (sample_size == 0) {
+    // No evidence: the count may be anything in [0, N].
+    e.ci_half_width = N;
+    return e;
+  }
+  const double n = static_cast<double>(sample_size);
   const double p = static_cast<double>(matches) / n;
   e.value = p * N;
-  double se = std::sqrt(p * (1 - p) / n);
+  // Wilson score interval. Unlike the normal-approximation interval
+  // z*sqrt(p(1-p)/n), it keeps a positive width when the sample holds no
+  // matching rows or only matching rows. Its bounds sit asymmetrically
+  // around p, so the symmetric half-width is the distance to the farther one.
+  const double z = ZScore(confidence);
+  const double z2n = z * z / n;
+  const double center = (p + z2n / 2) / (1 + z2n);
+  const double spread =
+      z / (1 + z2n) * std::sqrt(p * (1 - p) / n + z2n / (4 * n));
   double fpc =
       (population_size > 1 && n < N) ? std::sqrt((N - n) / (N - 1)) : 0.0;
-  e.ci_half_width = ZScore(confidence) * se * N * fpc;
+  e.ci_half_width = (std::abs(p - center) + spread) * N * fpc;
   return e;
 }
 

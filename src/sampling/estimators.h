@@ -35,7 +35,9 @@ Estimate EstimateSum(const std::vector<double>& sample,
                      size_t population_size, double confidence);
 
 /// Count of predicate matches in a population of `population_size`, given
-/// `matches` hits in a uniform sample of `sample_size` (binomial CI).
+/// `matches` hits in a uniform sample of `sample_size` (Wilson score CI with
+/// finite-population correction; zero width only when the sample is the
+/// whole population).
 Estimate EstimateCount(size_t matches, size_t sample_size,
                        size_t population_size, double confidence);
 

@@ -1,6 +1,7 @@
 #include "sampling/sampler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 namespace exploredb {
@@ -46,15 +47,27 @@ std::vector<uint32_t> SamplePositions(size_t n, size_t k, Random* rng) {
 
 std::vector<uint32_t> BernoulliSample(size_t n, double fraction, Random* rng) {
   std::vector<uint32_t> out;
-  if (fraction <= 0.0) return out;
+  if (!(fraction > 0.0)) return out;  // also NaN
   if (fraction >= 1.0) {
     out.resize(n);
     for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint32_t>(i);
     return out;
   }
+  // Skip sampling: the gap before the next kept row is Geometric(fraction),
+  // drawn by inversion, so the cost is one draw per kept row rather than one
+  // per table row, and every row is still kept independently with
+  // probability `fraction`.
   out.reserve(static_cast<size_t>(n * fraction * 1.2) + 16);
-  for (size_t i = 0; i < n; ++i) {
-    if (rng->NextDouble() < fraction) out.push_back(static_cast<uint32_t>(i));
+  const double log_skip = std::log1p(-fraction);
+  size_t next = 0;
+  while (true) {
+    const double gap = std::floor(std::log1p(-rng->NextDouble()) / log_skip);
+    // Comparing in double first keeps an infinite or oversized gap (a
+    // denormal fraction) away from the integer cast.
+    if (!(gap < static_cast<double>(n - next))) break;
+    next += static_cast<size_t>(gap);
+    out.push_back(static_cast<uint32_t>(next));
+    ++next;
   }
   return out;
 }

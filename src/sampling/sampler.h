@@ -35,7 +35,9 @@ class ReservoirSampler {
 std::vector<uint32_t> SamplePositions(size_t n, size_t k, Random* rng);
 
 /// Bernoulli sample: includes each position independently with probability
-/// `fraction`. Sorted ascending.
+/// `fraction`. Sorted ascending. Costs O(n * fraction): gaps between kept
+/// positions are drawn from a geometric distribution. A NaN or non-positive
+/// fraction gives an empty sample; a fraction >= 1 gives every position.
 std::vector<uint32_t> BernoulliSample(size_t n, double fraction, Random* rng);
 
 }  // namespace exploredb

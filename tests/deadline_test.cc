@@ -141,6 +141,24 @@ TEST(DeadlineTest, BudgetedAggregateNeverFailsOnDeadline) {
   EXPECT_GT(r.ValueOrDie().scalar->sample_size, 0u);
 }
 
+TEST(DeadlineTest, BudgetedCountOnEmptyTableNeverFailsOnDeadline) {
+  // No plan fits an expired deadline even on an empty table; the minimum
+  // sample of nothing must still answer 0, not reject its own fraction.
+  Database db;
+  ASSERT_TRUE(
+      db.CreateTable("empty", Table(Schema({{"x", DataType::kInt64}}))).ok());
+  Executor executor(&db);
+  ExecContext ctx;
+  ctx.SetBudget({.latency = microseconds(1)});
+  ctx.SetDeadline(steady_clock::now() - milliseconds(1));
+  auto r = executor.Execute(Query::On("empty").Aggregate(AggKind::kCount), ctx);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.ValueOrDie().approximate);
+  ASSERT_TRUE(r.ValueOrDie().scalar.has_value());
+  EXPECT_EQ(r.ValueOrDie().scalar->value, 0.0);
+  EXPECT_EQ(r.ValueOrDie().scalar->ci_half_width, 0.0);
+}
+
 TEST(DeadlineTest, BudgetedGroupByDegradesInsteadOfFailing) {
   Executor executor(TestDb());
   executor.planner().cost_model().SetExactNsPerRowForTest(1e9);

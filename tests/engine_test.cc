@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "common/random.h"
 #include "engine/database.h"
@@ -229,6 +230,71 @@ TEST_F(EngineTest, SampledCountScalesUp) {
   EXPECT_NEAR(approx.ValueOrDie().scalar->value,
               exact.ValueOrDie().scalar->value,
               exact.ValueOrDie().scalar->value * 0.15);
+}
+
+TEST_F(EngineTest, SampledRejectsNonPositiveOrNonFiniteFraction) {
+  Executor exec(&db_);
+  const Query scalar = Query::On("events").Aggregate(AggKind::kCount);
+  const Query grouped =
+      Query::On("events").Aggregate(AggKind::kCount).GroupBy("kind");
+  const double kBad[] = {0.0,
+                         -0.25,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (double f : kBad) {
+    SCOPED_TRACE(f);
+    ExecContext sampled;
+    sampled.options().mode = ExecutionMode::kSampled;
+    sampled.options().sample_fraction = f;
+    EXPECT_EQ(exec.Execute(scalar, sampled).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(exec.Execute(grouped, sampled).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(EngineTest, SampledFractionAtOrAboveOneIsExact) {
+  Executor exec(&db_);
+  const Query scalar = Query::On("events").Aggregate(AggKind::kCount);
+  const Query grouped =
+      Query::On("events").Aggregate(AggKind::kCount).GroupBy("kind");
+  auto exact = exec.Execute(grouped);
+  ASSERT_TRUE(exact.ok());
+  for (double f : {1.0, 2.0}) {
+    SCOPED_TRACE(f);
+    ExecContext sampled;
+    sampled.options().mode = ExecutionMode::kSampled;
+    sampled.options().sample_fraction = f;
+    auto s = exec.Execute(scalar, sampled);
+    ASSERT_TRUE(s.ok());
+    EXPECT_DOUBLE_EQ(s.ValueOrDie().scalar->value, 20000.0);
+    EXPECT_DOUBLE_EQ(s.ValueOrDie().scalar->ci_half_width, 0.0);
+    auto g = exec.Execute(grouped, sampled);
+    ASSERT_TRUE(g.ok());
+    ASSERT_EQ(g.ValueOrDie().groups.size(), exact.ValueOrDie().groups.size());
+    for (size_t i = 0; i < g.ValueOrDie().groups.size(); ++i) {
+      EXPECT_EQ(g.ValueOrDie().groups[i].key,
+                exact.ValueOrDie().groups[i].key);
+      EXPECT_DOUBLE_EQ(g.ValueOrDie().groups[i].value.value,
+                       exact.ValueOrDie().groups[i].value.value);
+    }
+  }
+}
+
+TEST_F(EngineTest, SampledDenormalFractionAnswersFromEmptySample) {
+  Executor exec(&db_);
+  ExecContext sampled;
+  sampled.options().mode = ExecutionMode::kSampled;
+  sampled.options().sample_fraction =
+      std::numeric_limits<double>::denorm_min();
+  auto r =
+      exec.Execute(Query::On("events").Aggregate(AggKind::kCount), sampled);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.ValueOrDie().approximate);
+  EXPECT_EQ(r.ValueOrDie().scalar->sample_size, 0u);
+  // No evidence, so the interval spans every possible count.
+  EXPECT_GE(r.ValueOrDie().scalar->ci_half_width, 20000.0);
 }
 
 TEST_F(EngineTest, OnlineAggregateStopsAtBudget) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -79,8 +80,109 @@ TEST(BernoulliTest, FractionRoughlyHonored) {
 
 TEST(BernoulliTest, EdgeFractions) {
   Random rng(7);
-  EXPECT_TRUE(BernoulliSample(100, 0.0, &rng).empty());
-  EXPECT_EQ(BernoulliSample(100, 1.0, &rng).size(), 100u);
+  const double kEmpty[] = {0.0,
+                           -0.0,
+                           -0.5,
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (double f : kEmpty) {
+    SCOPED_TRACE(f);
+    EXPECT_TRUE(BernoulliSample(100, f, &rng).empty());
+  }
+  const double kAll[] = {1.0, 2.0, std::numeric_limits<double>::infinity()};
+  for (double f : kAll) {
+    SCOPED_TRACE(f);
+    std::vector<uint32_t> all = BernoulliSample(100, f, &rng);
+    ASSERT_EQ(all.size(), 100u);
+    for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(all[i], i);
+  }
+  // A denormal fraction keeps (almost surely) nothing, and its huge gaps
+  // must not overflow the position arithmetic.
+  EXPECT_TRUE(
+      BernoulliSample(1'000'000, std::numeric_limits<double>::denorm_min(),
+                      &rng)
+          .empty());
+  EXPECT_TRUE(BernoulliSample(0, 0.5, &rng).empty());
+}
+
+// Positions are strictly increasing (so sorted and distinct) and in [0, n).
+void ExpectSortedDistinctInRange(const std::vector<uint32_t>& s, size_t n) {
+  for (size_t i = 1; i < s.size(); ++i) {
+    ASSERT_LT(s[i - 1], s[i]);
+  }
+  if (!s.empty()) {
+    EXPECT_LT(s.back(), n);
+  }
+}
+
+TEST(BernoulliTest, SortedInRangeAndBinomialSize) {
+  struct Case {
+    size_t n;
+    double p;
+  };
+  // The last case does no work per row: 2^32 - 1 rows at p = 1e-6 keep
+  // ~4.3k positions and must finish at once.
+  const Case kCases[] = {{1'000, 0.5},         {50'000, 0.3},
+                         {50'000, 0.999},      {100'000, 0.001},
+                         {1'000'000, 0.05},    {1'000'000, 0.95},
+                         {size_t{0xFFFFFFFF}, 1e-6}};
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(::testing::Message() << "n=" << c.n << " p=" << c.p);
+    Random rng(23);
+    std::vector<uint32_t> s = BernoulliSample(c.n, c.p, &rng);
+    const double mean = static_cast<double>(c.n) * c.p;
+    const double sd = std::sqrt(mean * (1 - c.p));
+    EXPECT_NEAR(static_cast<double>(s.size()), mean, 5 * sd);
+    ExpectSortedDistinctInRange(s, c.n);
+    // O(sample) work: one draw per kept row, plus the one that overshoots
+    // the end.
+    Random replay(23);
+    for (size_t i = 0; i <= s.size(); ++i) replay.Next();
+    EXPECT_EQ(rng.Next(), replay.Next());
+  }
+}
+
+TEST(BernoulliTest, EndPositionsKeptAtRateP) {
+  // An off-by-one in the first or last gap shows up as position 0 or n-1
+  // kept at a rate far from p.
+  constexpr size_t kN = 1'000;
+  constexpr double kP = 0.1;
+  constexpr int kSeeds = 20'000;
+  int first = 0, last = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    Random rng(seed);
+    std::vector<uint32_t> s = BernoulliSample(kN, kP, &rng);
+    first += !s.empty() && s.front() == 0;
+    last += !s.empty() && s.back() == kN - 1;
+  }
+  const double mean = kSeeds * kP;
+  const double sd = std::sqrt(mean * (1 - kP));
+  EXPECT_NEAR(first, mean, 5 * sd);
+  EXPECT_NEAR(last, mean, 5 * sd);
+}
+
+TEST(BernoulliTest, MeanGapIsGeometric) {
+  for (double p : {0.01, 0.5}) {
+    SCOPED_TRACE(p);
+    Random rng(31);
+    std::vector<uint32_t> s = BernoulliSample(2'000'000, p, &rng);
+    ASSERT_GT(s.size(), 1000u);
+    // Rows skipped between consecutive kept rows ~ Geometric(p), mean
+    // (1-p)/p and standard deviation sqrt(1-p)/p.
+    const double gaps = static_cast<double>(s.back() - s.front()) -
+                        static_cast<double>(s.size() - 1);
+    const double mean_gap = gaps / static_cast<double>(s.size() - 1);
+    const double sd_of_mean =
+        std::sqrt(1 - p) / p / std::sqrt(static_cast<double>(s.size() - 1));
+    EXPECT_NEAR(mean_gap, (1 - p) / p, 5 * sd_of_mean);
+  }
+}
+
+TEST(BernoulliTest, SameSeedSameSample) {
+  Random a(99), b(99), c(100);
+  std::vector<uint32_t> sa = BernoulliSample(100'000, 0.02, &a);
+  EXPECT_EQ(sa, BernoulliSample(100'000, 0.02, &b));
+  EXPECT_NE(sa, BernoulliSample(100'000, 0.02, &c));
 }
 
 // ---------------------------------------------------------------- estimators
@@ -151,6 +253,50 @@ TEST(EstimatorsTest, CountEstimateBinomial) {
   EXPECT_DOUBLE_EQ(e.value, 10000.0);
   EXPECT_GT(e.ci_half_width, 0.0);
   EXPECT_LT(e.ci_half_width, 4000.0);
+}
+
+TEST(EstimatorsTest, CountEstimateKeepsWidthWhenSampleIsAllOrNothing) {
+  // A strict subset with no matching rows, or only matching rows, is not
+  // proof of the population: the interval must keep a positive width.
+  Estimate none = EstimateCount(0, 10'000, 5'000'000, 0.95);
+  EXPECT_DOUBLE_EQ(none.value, 0.0);
+  EXPECT_GT(none.ci_half_width, 0.0);
+  Estimate all = EstimateCount(10'000, 10'000, 5'000'000, 0.95);
+  EXPECT_DOUBLE_EQ(all.value, 5'000'000.0);
+  EXPECT_GT(all.ci_half_width, 0.0);
+  // ~z^2/n of the population (Wilson), not a vacuous bound.
+  EXPECT_LT(none.ci_half_width, 5'000'000.0 * 0.001);
+  EXPECT_NEAR(none.ci_half_width, all.ci_half_width, 1e-6);
+  // No sample at all: anything in [0, N].
+  EXPECT_DOUBLE_EQ(EstimateCount(0, 0, 1'000, 0.95).ci_half_width, 1'000.0);
+}
+
+TEST(EstimatorsTest, CountEstimateOfWholePopulationIsExact) {
+  for (size_t matches : {size_t{0}, size_t{37}, size_t{100}}) {
+    Estimate e = EstimateCount(matches, 100, 100, 0.95);
+    EXPECT_DOUBLE_EQ(e.value, static_cast<double>(matches));
+    EXPECT_DOUBLE_EQ(e.ci_half_width, 0.0);
+  }
+}
+
+// Property: the count interval covers the population count at about the
+// stated rate, including when matches are rare enough that many samples
+// hold none.
+TEST(EstimatorsTest, CountIntervalCoversRareMatches) {
+  constexpr size_t kN = 200'000;
+  constexpr size_t kMatches = 60;  // 3e-4 of the population
+  constexpr int kTrials = 400;
+  int covered = 0;
+  for (int t = 0; t < kTrials; ++t) {
+    Random rng(500 + t);
+    std::vector<uint32_t> s = SamplePositions(kN, 2'000, &rng);
+    // Rows [0, kMatches) match.
+    size_t hits = std::lower_bound(s.begin(), s.end(), kMatches) - s.begin();
+    Estimate e = EstimateCount(hits, s.size(), kN, 0.95);
+    covered += std::abs(e.value - static_cast<double>(kMatches)) <=
+               e.ci_half_width;
+  }
+  EXPECT_GT(static_cast<double>(covered) / kTrials, 0.90);
 }
 
 TEST(EstimatorsTest, HoeffdingShrinksWithSamples) {

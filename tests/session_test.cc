@@ -3,7 +3,9 @@
 // window leave the same journal records through each of them and count once
 // per call. ExplainAnalyze is counted and journaled but touches neither the
 // cache nor the trajectory model. A cache hit's total_nanos excludes the
-// speculation it triggers, as a miss's does.
+// speculation it triggers, as a miss's does. A sampled COUNT whose sample
+// holds no matching row reports a bounded relative error to the SLO monitor
+// and leaves the planner's cv alone.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "engine/session.h"
 #include "journal_records.h"
 #include "obs/journal.h"
+#include "obs/slo.h"
 #include "prefetch/query_cache.h"
 #include "server/server.h"
 
@@ -184,6 +187,56 @@ TEST(SessionPathTest, CacheHitTotalExcludesTheSpeculationItTriggers) {
   const int64_t hit_ns = hit.ValueOrDie().stats().total_nanos;
   EXPECT_GT(hit_ns, 0);
   EXPECT_LT(hit_ns * 4, miss.ValueOrDie().stats().total_nanos);
+}
+
+TEST(SessionPathTest, ZeroMatchSampleReportsBoundedErrorAndKeepsCv) {
+  // Even values in [0, 2 * kRows): the odd `v == kRows + 1` matches no row,
+  // yet sits inside every zone's [min, max], so zone maps cannot prune it
+  // and no sample holds a match.
+  Table t(Schema({{"v", DataType::kInt64}}));
+  Random rng(5);
+  constexpr int64_t kRows = 256 * 1024;
+  t.Reserve(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    t.mutable_column(0)->AppendInt64(2 * rng.UniformInt(0, kRows - 1));
+  }
+  Database db;
+  ASSERT_TRUE(db.CreateTable("evens", std::move(t)).ok());
+  SloMonitor::Global().ResetForTest();
+  SessionOptions options;
+  options.speculate = false;
+  Session session(&db, options);
+  // A 1 us budget fits no plan, so the planner answers from its minimum
+  // sample.
+  ExecContext ctx;
+  ctx.SetBudget({.latency = std::chrono::microseconds(1)});
+  const Query count =
+      Query::On("evens")
+          .Where(Predicate({{0, CompareOp::kEq, Value(kRows + 1)}}))
+          .Aggregate(AggKind::kCount);
+
+  std::vector<ExecStats> runs;
+  for (int i = 0; i < 2; ++i) {
+    Result<QueryResult> r = session.Execute(count, ctx);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const QueryResult& result = r.ValueOrDie();
+    ASSERT_EQ(result.stats().planner_choice, PlannerChoice::kSample);
+    ASSERT_TRUE(result.scalar.has_value());
+    EXPECT_EQ(result.scalar->value, 0.0);
+    EXPECT_GT(result.scalar->ci_half_width, 0.0);
+    // A zero estimate is off by 100% from any nonzero truth.
+    EXPECT_EQ(result.stats().achieved_error, 1.0);
+    runs.push_back(result.stats());
+  }
+  // promised_error is the cost model's z * cv / sqrt(m) for the same m both
+  // times: the zero estimate must not have moved the cv.
+  EXPECT_GT(runs[0].promised_error, 0.0);
+  EXPECT_EQ(runs[1].promised_error, runs[0].promised_error);
+
+  const SloClassSnapshot slo = SloMonitor::Global().Snapshot().classes
+      [static_cast<size_t>(QueryClass::kBudgeted)];
+  EXPECT_EQ(slo.approximate, 2u);
+  EXPECT_DOUBLE_EQ(slo.mean_achieved_error, 1.0);
 }
 
 }  // namespace
