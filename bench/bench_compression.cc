@@ -6,7 +6,9 @@
 // kernels, as count(*) (pure filter) and sum (filter + gather). Throughput
 // is reported as effective GB/s over the RAW bytes the predicate covers —
 // the number that shows compressed scans beating raw when blocks/runs are
-// skipped.
+// skipped. A second sweep adds a range on a raw double column to the ts
+// bound — the crossfilter chart's mixed conjunction, where the compressed
+// seed is refined by a conjunct that has no compressed form.
 
 #include <cstdio>
 #include <vector>
@@ -50,16 +52,36 @@ void Run() {
   ReportRatio("full_range", full_range);
 
   // -- Scan throughput: compressed vs raw, by selectivity ------------------
-  Schema schema({{"ts", DataType::kInt64}, {"val", DataType::kInt64}});
+  Schema schema({{"ts", DataType::kInt64},
+                 {"val", DataType::kInt64},
+                 {"delay", DataType::kDouble}});
   Table t(schema);
   t.Reserve(rows);
+  Random delay_rng(59);
   for (size_t i = 0; i < rows; ++i) {
     t.mutable_column(0)->AppendInt64(clustered[i]);
     t.mutable_column(1)->AppendInt64(small_domain[i]);
+    t.mutable_column(2)->AppendDouble(delay_rng.NextDouble() * 100);
   }
   Database db;
   if (!db.CreateTable("data", std::move(t)).ok()) return;
   Executor exec(&db);
+
+  // Mean ms per query over `reps` runs: ms[0] raw, ms[1] compressed. One
+  // untimed run first warms zone maps and compressed representations.
+  auto time_both = [&](const Query& q, int reps, double ms[2]) {
+    for (int compressed = 0; compressed < 2; ++compressed) {
+      ExecContext ctx;
+      ctx.options().use_compression = compressed != 0;
+      if (!exec.Execute(q, ctx).ok()) return false;
+      Stopwatch sw;
+      for (int r = 0; r < reps; ++r) {
+        if (!exec.Execute(q, ctx).ok()) return false;
+      }
+      ms[compressed] = sw.ElapsedSeconds() * 1e3 / reps;
+    }
+    return true;
+  };
 
   const int64_t ts_max = clustered.back() + 1;
   const double raw_gb = static_cast<double>(rows) * sizeof(int64_t) / 1e9;
@@ -77,16 +99,7 @@ void Run() {
                                     {0, CompareOp::kLt, Value(hi)}}))
                   .Aggregate(AggKind::kCount);
     double ms[2] = {0, 0};  // [raw, compressed]
-    for (int compressed = 0; compressed < 2; ++compressed) {
-      ExecContext ctx;
-      ctx.options().use_compression = compressed != 0;
-      if (!exec.Execute(q, ctx).ok()) return;  // warm zone maps / reps
-      Stopwatch sw;
-      for (int r = 0; r < reps; ++r) {
-        if (!exec.Execute(q, ctx).ok()) return;
-      }
-      ms[compressed] = sw.ElapsedSeconds() * 1e3 / reps;
-    }
+    if (!time_both(q, reps, ms)) return;
     Row("count_rle", sel, ms[0], ms[1], raw_gb / (ms[0] / 1e3),
         raw_gb / (ms[1] / 1e3));
     bench::ReportJson("scan_count_rle_sel" + std::to_string(sel), reps,
@@ -105,16 +118,7 @@ void Run() {
                    .Where(Predicate({{0, CompareOp::kGe, Value(int64_t{0})},
                                      {0, CompareOp::kLt, Value(hi)}}))
                    .Aggregate(AggKind::kSum, "val");
-    for (int compressed = 0; compressed < 2; ++compressed) {
-      ExecContext ctx;
-      ctx.options().use_compression = compressed != 0;
-      if (!exec.Execute(qs, ctx).ok()) return;
-      Stopwatch sw;
-      for (int r = 0; r < reps; ++r) {
-        if (!exec.Execute(qs, ctx).ok()) return;
-      }
-      ms[compressed] = sw.ElapsedSeconds() * 1e3 / reps;
-    }
+    if (!time_both(qs, reps, ms)) return;
     Row("sum_window", sel, ms[0], ms[1], 2 * raw_gb / (ms[0] / 1e3),
         2 * raw_gb / (ms[1] / 1e3));
     bench::ReportJson("scan_sum_window_sel" + std::to_string(sel), reps,
@@ -124,6 +128,38 @@ void Run() {
                        {"compressed_ms", ms[1]},
                        {"raw_gbps", 2 * raw_gb / (ms[0] / 1e3)},
                        {"compressed_gbps", 2 * raw_gb / (ms[1] / 1e3)}});
+  }
+
+  // -- Mixed conjunction: compressed ts bound AND a raw double range --------
+  // The slider keeps the latest `sel` of ts; the delay brush keeps 80% of
+  // the rows it sees. The compressed plan seeds from ts run headers and
+  // refines the survivors on the raw delay column.
+  Row("query", "selectivity", "raw_ms", "compressed_ms");
+  for (double sel : {0.01, 0.1, 0.5, 1.0}) {
+    const int reps = sel <= 0.01 ? 200 : sel <= 0.1 ? 50 : 10;
+    const auto since =
+        static_cast<int64_t>((1.0 - sel) * static_cast<double>(ts_max));
+    const Predicate mixed({{0, CompareOp::kGe, Value(since)},
+                           {2, CompareOp::kGe, Value(10.0)},
+                           {2, CompareOp::kLt, Value(90.0)}});
+    for (AggKind kind : {AggKind::kCount, AggKind::kSum}) {
+      Query q = Query::On("data").Where(mixed);
+      if (kind == AggKind::kCount) {
+        q.Aggregate(AggKind::kCount);
+      } else {
+        q.Aggregate(AggKind::kSum, "val");
+      }
+      double ms[2] = {0, 0};  // [raw, compressed]
+      if (!time_both(q, reps, ms)) return;
+      const std::string name =
+          kind == AggKind::kCount ? "count_mixed" : "sum_mixed";
+      Row(name, sel, ms[0], ms[1]);
+      bench::ReportJson("scan_" + name + "_sel" + std::to_string(sel), reps,
+                        ms[1] * 1e6,
+                        {{"selectivity", sel},
+                         {"raw_ms", ms[0]},
+                         {"compressed_ms", ms[1]}});
+    }
   }
 }
 

@@ -102,15 +102,6 @@ void RecordQueryMetrics(const ExecStats& stats) {
   SimdPathCounter(stats.simd_path)->Add();
 }
 
-/// Evaluates `conditions` on one row, columns supplied in parallel order.
-bool MatchesAll(const std::vector<Condition>& conditions,
-                const std::vector<const ColumnVector*>& cols, size_t row) {
-  for (size_t i = 0; i < conditions.size(); ++i) {
-    if (!conditions[i].MatchesColumn(*cols[i], row)) return false;
-  }
-  return true;
-}
-
 /// Fetches the column each condition references.
 Result<std::vector<const ColumnVector*>> FetchConditionColumns(
     TableEntry* entry, const std::vector<Condition>& conditions) {
@@ -134,22 +125,29 @@ struct CondInputs {
   bool any_compressed = false;
 };
 
+/// How many rows of a column a selection touches. A morsel scan is dense. A
+/// sparse selection (index candidates, a sample) would decode a whole 128-row
+/// sub-block of a compressed int64 column for each row it touches, which
+/// costs more than the raw compare, so it uses dictionary codes only.
+enum class Density { kDense, kSparse };
+
 /// Fetches raw columns plus compressed representations. A condition is
 /// compressed-servable when it is an int64 comparison against an int64
-/// constant (FOR/RLE filters) or a string (in)equality (dictionary codes);
-/// anything else — double columns, widened double constants, string ordering
-/// — keeps comp null and runs raw.
+/// constant (FOR/RLE filters, dense selections only) or a string
+/// (in)equality (dictionary codes); anything else — double columns, widened
+/// double constants, string ordering — keeps comp null and runs raw.
 Result<CondInputs> FetchCondInputs(TableEntry* entry,
                                    const std::vector<Condition>& conds,
-                                   const ExecContext& ctx) {
+                                   const ExecContext& ctx, Density density) {
   CondInputs in;
   EXPLOREDB_ASSIGN_OR_RETURN(in.cols, FetchConditionColumns(entry, conds));
   in.comp.assign(conds.size(), nullptr);
   if (!ctx.options().use_compression) return in;
   for (size_t i = 0; i < conds.size(); ++i) {
     const Condition& c = conds[i];
-    const bool int64_cmp =
-        in.cols[i]->type() == DataType::kInt64 && c.constant.is_int64();
+    const bool int64_cmp = density == Density::kDense &&
+                           in.cols[i]->type() == DataType::kInt64 &&
+                           c.constant.is_int64();
     const bool string_eq =
         in.cols[i]->type() == DataType::kString && c.constant.is_string() &&
         (c.op == CompareOp::kEq || c.op == CompareOp::kNe);
@@ -165,28 +163,8 @@ Result<CondInputs> FetchCondInputs(TableEntry* entry,
   return in;
 }
 
-/// `v op k` on a decoded int64 — the same comparison the raw scan kernels
-/// perform, applied to values gathered out of compressed blocks.
-bool MatchesI64(int64_t v, CompareOp op, int64_t k) {
-  switch (op) {
-    case CompareOp::kLt:
-      return v < k;
-    case CompareOp::kLe:
-      return v <= k;
-    case CompareOp::kGt:
-      return v > k;
-    case CompareOp::kGe:
-      return v >= k;
-    case CompareOp::kEq:
-      return v == k;
-    case CompareOp::kNe:
-      return v != k;
-  }
-  return false;
-}
-
-/// Reusable per-thread decode buffer for values gathered out of compressed
-/// blocks (refinement and measure aggregation).
+/// Reusable per-thread decode buffer for measure values gathered out of
+/// compressed blocks.
 std::vector<int64_t>& MorselValueScratch() {
   thread_local std::vector<int64_t> scratch;
   return scratch;
@@ -203,108 +181,6 @@ const std::vector<uint32_t>& IotaScratch(uint32_t n) {
     iota.push_back(static_cast<uint32_t>(iota.size()));
   }
   return iota;
-}
-
-/// Morsel filter over mixed raw/compressed condition inputs. Seeds the
-/// selection vector from a compressed conjunct — predicates run on packed
-/// FOR words, RLE run headers, or dictionary codes, so rows of
-/// non-qualifying blocks are never decoded — then refines survivors with the
-/// remaining conjuncts: compressed int64 conjuncts gather just the surviving
-/// rows (128-row sub-block decode, timed as "decompress"), string conjuncts
-/// compare dictionary codes, everything else tests the raw column row by
-/// row. Appends exactly the rows Predicate::FilterRange would, in the same
-/// ascending order.
-void FilterRangeMixed(const std::vector<Condition>& conds,
-                      const CondInputs& in, uint32_t begin, uint32_t end,
-                      bool tracing, int64_t* decompress_nanos,
-                      std::vector<uint32_t>* out) {
-  const size_t base = out->size();
-  size_t seed = conds.size();
-
-  // The exploration-window idiom lo <= col < hi collapses into one
-  // compressed range filter (both conjuncts consumed by the seed).
-  bool fused = false;
-  if (conds.size() == 2 && in.comp[0] != nullptr && in.comp[0] == in.comp[1] &&
-      in.comp[0]->i64() != nullptr) {
-    const Condition* ge = nullptr;
-    const Condition* lt = nullptr;
-    for (const Condition& c : conds) {
-      if (c.op == CompareOp::kGe) ge = &c;
-      if (c.op == CompareOp::kLt) lt = &c;
-    }
-    if (ge != nullptr && lt != nullptr) {
-      in.comp[0]->i64()->FilterRange(begin, end, ge->constant.int64(),
-                                     lt->constant.int64(), out);
-      fused = true;
-    }
-  }
-
-  if (!fused) {
-    for (size_t i = 0; i < conds.size(); ++i) {
-      if (in.comp[i] != nullptr) {
-        seed = i;
-        break;
-      }
-    }
-    const CompressedColumn* cc = in.comp[seed];
-    if (cc->i64() != nullptr) {
-      cc->i64()->FilterCmp(begin, end, conds[seed].op,
-                           conds[seed].constant.int64(), out);
-    } else {
-      const CompressedStringColumn* sc = cc->str();
-      const bool negate = conds[seed].op == CompareOp::kNe;
-      std::optional<uint32_t> code = sc->CodeOf(conds[seed].constant.str());
-      if (!code.has_value()) {
-        // A constant absent from the dictionary: == matches nothing,
-        // != matches every row.
-        if (negate) {
-          for (uint32_t r = begin; r < end; ++r) out->push_back(r);
-        }
-      } else {
-        sc->FilterEqCode(begin, end, *code, negate, out);
-      }
-    }
-  }
-
-  // Refine survivors with every conjunct the seed did not consume.
-  for (size_t j = 0; j < conds.size(); ++j) {
-    if (fused || j == seed) {
-      continue;
-    }
-    uint32_t* sel = out->data() + base;
-    const auto cnt = static_cast<uint32_t>(out->size() - base);
-    if (cnt == 0) return;
-    size_t kept = 0;
-    const CompressedColumn* cc = in.comp[j];
-    if (cc != nullptr && cc->i64() != nullptr) {
-      std::vector<int64_t>& vals = MorselValueScratch();
-      vals.resize(cnt);
-      {
-        TraceSpan dspan("decompress", tracing, decompress_nanos);
-        cc->i64()->Gather(sel, cnt, vals.data());
-      }
-      const int64_t k = conds[j].constant.int64();
-      for (uint32_t i = 0; i < cnt; ++i) {
-        if (MatchesI64(vals[i], conds[j].op, k)) sel[kept++] = sel[i];
-      }
-    } else if (cc != nullptr && cc->str() != nullptr) {
-      const std::vector<uint32_t>& codes = cc->str()->dict().codes;
-      const bool negate = conds[j].op == CompareOp::kNe;
-      std::optional<uint32_t> code = cc->str()->CodeOf(conds[j].constant.str());
-      if (!code.has_value()) {
-        kept = negate ? cnt : 0;
-      } else {
-        for (uint32_t i = 0; i < cnt; ++i) {
-          if ((codes[sel[i]] == *code) != negate) sel[kept++] = sel[i];
-        }
-      }
-    } else {
-      for (uint32_t i = 0; i < cnt; ++i) {
-        if (conds[j].MatchesColumn(*in.cols[j], sel[i])) sel[kept++] = sel[i];
-      }
-    }
-    out->resize(base + kept);
-  }
 }
 
 /// The error a query stopped by its ExecContext reports.
@@ -504,22 +380,19 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
       std::sort(candidates.begin(), candidates.end());
       if (plan->residual.empty()) return candidates;
       EXPLOREDB_ASSIGN_OR_RETURN(
-          std::vector<const ColumnVector*> cols,
-          FetchConditionColumns(entry, plan->residual));
-      std::vector<uint32_t> out;
-      for (uint32_t row : candidates) {
-        ++stats->rows_scanned;
-        if (MatchesAll(plan->residual, cols, row)) out.push_back(row);
-      }
-      return out;
+          CondInputs in,
+          FetchCondInputs(entry, plan->residual, ctx, Density::kSparse));
+      stats->rows_scanned += candidates.size();
+      Predicate::Refine(plan->residual, in.cols, &candidates, {&in.comp});
+      return candidates;
     }
     // No indexable range: fall through to a scan.
   }
 
   stats->path = AccessPath::kScan;
   const std::vector<Condition>& conds = pred.conjuncts();
-  EXPLOREDB_ASSIGN_OR_RETURN(CondInputs in,
-                             FetchCondInputs(entry, conds, ctx));
+  EXPLOREDB_ASSIGN_OR_RETURN(
+      CondInputs in, FetchCondInputs(entry, conds, ctx, Density::kDense));
   const size_t morsel = std::max<size_t>(1, ctx.morsel_size());
   ThreadPool* pool = ctx.thread_pool();
   EXPLOREDB_ASSIGN_OR_RETURN(MorselPlan plan,
@@ -535,11 +408,8 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
     const uint32_t begin = static_cast<uint32_t>(m * morsel);
     const uint32_t end =
         static_cast<uint32_t>(std::min(n, m * morsel + morsel));
-    if (in.any_compressed) {
-      FilterRangeMixed(conds, in, begin, end, tracing, decompress, buf);
-    } else {
-      Predicate::FilterRange(conds, in.cols, begin, end, buf);
-    }
+    Predicate::FilterRange(conds, in.cols, begin, end, buf,
+                           {&in.comp, tracing, decompress});
   };
 
   // Serial kernel: one pass appending straight into the output, pre-sized
@@ -669,8 +539,8 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
   TraceSpan select_span("select", tracing, &stats->select_nanos);
   EXPLOREDB_ASSIGN_OR_RETURN(size_t n, entry->NumRows());
   const std::vector<Condition>& conds = pred.conjuncts();
-  EXPLOREDB_ASSIGN_OR_RETURN(CondInputs in,
-                             FetchCondInputs(entry, conds, ctx));
+  EXPLOREDB_ASSIGN_OR_RETURN(
+      CondInputs in, FetchCondInputs(entry, conds, ctx, Density::kDense));
   const size_t morsel = std::max<size_t>(1, ctx.morsel_size());
   EXPLOREDB_ASSIGN_OR_RETURN(MorselPlan plan,
                              PlanMorsels(entry, conds, in, n, morsel, ctx));
@@ -711,12 +581,8 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
         static_cast<uint32_t>(std::min(n, m * morsel + morsel));
     std::vector<uint32_t>& sel = MorselScratch();
     sel.clear();
-    if (in.any_compressed) {
-      FilterRangeMixed(conds, in, begin, end, tracing,
-                       &partials[i].decompress_nanos, &sel);
-    } else {
-      Predicate::FilterRange(conds, in.cols, begin, end, &sel);
-    }
+    Predicate::FilterRange(conds, in.cols, begin, end, &sel,
+                           {&in.comp, tracing, &partials[i].decompress_nanos});
     partials[i].count = sel.size();
     if (kind != AggKind::kCount && !sel.empty()) {
       const auto cnt = static_cast<uint32_t>(sel.size());
@@ -935,17 +801,13 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
       TraceSpan select_span("select", tracing, &stats->select_nanos);
       stats->path = AccessPath::kSample;
       Random rng(42);
-      std::vector<uint32_t> sample = BernoulliSample(
-          n, options.sample_fraction, &rng);
+      positions = BernoulliSample(n, options.sample_fraction, &rng);
       EXPLOREDB_ASSIGN_OR_RETURN(
-          std::vector<const ColumnVector*> cols,
-          FetchConditionColumns(entry, query.where().conjuncts()));
-      for (uint32_t row : sample) {
-        ++stats->rows_scanned;
-        if (MatchesAll(query.where().conjuncts(), cols, row)) {
-          positions.push_back(row);
-        }
-      }
+          CondInputs in, FetchCondInputs(entry, query.where().conjuncts(), ctx,
+                                         Density::kSparse));
+      stats->rows_scanned += positions.size();
+      Predicate::Refine(query.where().conjuncts(), in.cols, &positions,
+                        {&in.comp});
       result.approximate = true;
     } else {
       EXPLOREDB_ASSIGN_OR_RETURN(
@@ -1014,42 +876,46 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
     case ExecutionMode::kSampled: {
       stats->path = AccessPath::kSample;
       Random rng(42);
-      std::vector<double> matched;
-      std::vector<double> contributions;  // 0 for non-matching rows
-      size_t matches = 0;
-      size_t sample_size = 0;
+      std::vector<uint32_t> sample;
+      std::vector<uint32_t> hits;
       {
         TraceSpan select_span("select", tracing, &stats->select_nanos);
-        std::vector<uint32_t> sample =
-            BernoulliSample(n, options.sample_fraction, &rng);
-        sample_size = sample.size();
+        sample = BernoulliSample(n, options.sample_fraction, &rng);
         EXPLOREDB_ASSIGN_OR_RETURN(
-            std::vector<const ColumnVector*> cols,
-            FetchConditionColumns(entry, query.where().conjuncts()));
-        for (uint32_t row : sample) {
-          ++stats->rows_scanned;
-          bool hit = MatchesAll(query.where().conjuncts(), cols, row);
-          matches += hit;
-          double v =
-              (measure != nullptr && hit) ? measure->GetDouble(row) : 0.0;
-          contributions.push_back(hit ? v : 0.0);
-          if (hit && measure != nullptr) matched.push_back(v);
-        }
+            CondInputs in, FetchCondInputs(entry, query.where().conjuncts(),
+                                           ctx, Density::kSparse));
+        stats->rows_scanned += sample.size();
+        hits = sample;
+        Predicate::Refine(query.where().conjuncts(), in.cols, &hits,
+                          {&in.comp});
         result.approximate = true;
       }
       TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
       switch (agg.kind) {
         case AggKind::kCount:
-          result.scalar = EstimateCount(matches, sample_size, n,
+          result.scalar = EstimateCount(hits.size(), sample.size(), n,
                                         options.confidence);
           break;
-        case AggKind::kSum:
-          result.scalar =
-              EstimateSum(contributions, n, options.confidence);
+        case AggKind::kSum: {
+          // Every sampled row contributes: its value if it matched, else 0.
+          std::vector<double> contributions;
+          contributions.reserve(sample.size());
+          size_t h = 0;
+          for (uint32_t row : sample) {
+            const bool hit = h < hits.size() && hits[h] == row;
+            contributions.push_back(hit ? measure->GetDouble(row) : 0.0);
+            h += hit;
+          }
+          result.scalar = EstimateSum(contributions, n, options.confidence);
           break;
-        case AggKind::kAvg:
+        }
+        case AggKind::kAvg: {
+          std::vector<double> matched;
+          matched.reserve(hits.size());
+          for (uint32_t row : hits) matched.push_back(measure->GetDouble(row));
           result.scalar = EstimateMean(matched, options.confidence);
           break;
+        }
       }
       return result;
     }

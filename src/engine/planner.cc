@@ -218,7 +218,9 @@ void CostModel::ObserveRelativeError(const Estimate& estimate,
   // measurement of the cv.
   if (estimate.sample_size == 0 || estimate.value == 0.0) return;
   const double relative_error = RelativeError(estimate);
-  if (relative_error <= 0) return;
+  // An infinite interval (an online AVG before two rows match) measures
+  // nothing either, and the EWMA would carry it forever: inf, then NaN.
+  if (!std::isfinite(relative_error) || relative_error <= 0) return;
   double z = ZScore(confidence);
   if (z <= 0) return;
   MutexLock lock(mu_);

@@ -57,7 +57,8 @@ class CostModel {
       EXCLUDES(mu_);
   /// Feeds an approximate scalar answer's realized relative CI and sample
   /// size back into the cv estimate. A zero estimate is skipped: its
-  /// relative error is a fixed 1, not a measurement of the cv.
+  /// relative error is a fixed 1, not a measurement of the cv. So is a
+  /// non-finite relative error, which the EWMA would never forget.
   void ObserveRelativeError(const Estimate& estimate, double confidence)
       EXCLUDES(mu_);
 

@@ -1,6 +1,11 @@
 #include "storage/predicate.h"
 
+#include <numeric>
+#include <optional>
 #include <sstream>
+
+#include "common/trace.h"
+#include "storage/compression/compressed_column.h"
 
 namespace exploredb {
 
@@ -119,10 +124,10 @@ std::vector<uint32_t> Predicate::SelectPositions(const Table& table) const {
 
 namespace {
 
-/// Which dispatched kernel family evaluates a condition, if any. Mirrors
-/// the typed branches of Condition::MatchesColumn: int64 columns compared
-/// against a double constant are evaluated in double precision, which no
-/// int64 kernel reproduces, so they stay on the row-at-a-time path.
+/// Which dispatched kernel family evaluates a condition on its raw column,
+/// if any. Mirrors the typed branches of Condition::MatchesColumn: int64
+/// columns compared against a double constant are evaluated in double
+/// precision, which no int64 kernel reproduces, so they stay row-at-a-time.
 enum class KernelKind { kNone, kI64, kF64 };
 
 KernelKind KernelKindFor(const Condition& c, const ColumnVector& col) {
@@ -135,94 +140,181 @@ KernelKind KernelKindFor(const Condition& c, const ColumnVector& col) {
   return KernelKind::kNone;
 }
 
+const CompressedColumn* CompressedFor(const CompressedInputs& compressed,
+                                      size_t i) {
+  return compressed.comp != nullptr ? (*compressed.comp)[i] : nullptr;
+}
+
+/// Appends every row id in [begin, end).
+void AppendAll(uint32_t begin, uint32_t end, std::vector<uint32_t>* out) {
+  const size_t old = out->size();
+  out->resize(old + (end - begin));
+  std::iota(out->begin() + static_cast<ptrdiff_t>(old), out->end(), begin);
+}
+
+/// Reusable per-thread buffer for int64 values gathered out of compressed
+/// blocks.
+std::vector<int64_t>& GatherScratch() {
+  thread_local std::vector<int64_t> scratch;
+  return scratch;
+}
+
+/// The refine step: narrows the ascending selection vector sel[0, n) in
+/// place to the rows satisfying `c` and returns how many survive. `comp`,
+/// when non-null, is the compressed representation serving `c`.
+uint32_t RefineStep(const Condition& c, const ColumnVector& col,
+                    const CompressedColumn* comp,
+                    const CompressedInputs& compressed, uint32_t* sel,
+                    uint32_t n) {
+  if (n == 0) return 0;
+  uint32_t kept = 0;
+  if (comp != nullptr && comp->i64() != nullptr) {
+    // Decode just the surviving rows (128-row sub-blocks), then compare.
+    std::vector<int64_t>& vals = GatherScratch();
+    vals.resize(n);
+    {
+      TraceSpan span("decompress", compressed.tracing,
+                     compressed.decompress_nanos);
+      comp->i64()->Gather(sel, n, vals.data());
+    }
+    const int64_t k = c.constant.int64();
+    for (uint32_t i = 0; i < n; ++i) {
+      if (Compare(vals[i], c.op, k)) sel[kept++] = sel[i];
+    }
+    return kept;
+  }
+  if (comp != nullptr && comp->str() != nullptr) {
+    const bool negate = c.op == CompareOp::kNe;
+    std::optional<uint32_t> code = comp->str()->CodeOf(c.constant.str());
+    // A constant absent from the dictionary: == matches nothing, != matches
+    // every row.
+    if (!code.has_value()) return negate ? n : 0;
+    const std::vector<uint32_t>& codes = comp->str()->dict().codes;
+    for (uint32_t i = 0; i < n; ++i) {
+      if ((codes[sel[i]] == *code) != negate) sel[kept++] = sel[i];
+    }
+    return kept;
+  }
+  const simd::KernelTable& kt = simd::ActiveKernels();
+  switch (KernelKindFor(c, col)) {
+    case KernelKind::kI64:
+      return kt.refine_i64_cmp(col.int64_data().data(), sel, n,
+                               ToSimdCmp(c.op), c.constant.int64(), sel);
+    case KernelKind::kF64:
+      return kt.refine_f64_cmp(col.double_data().data(), sel, n,
+                               ToSimdCmp(c.op), c.constant.AsDouble(), sel);
+    case KernelKind::kNone:
+      break;
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    if (c.MatchesColumn(col, sel[i])) sel[kept++] = sel[i];
+  }
+  return kept;
+}
+
 }  // namespace
 
 void Predicate::FilterRange(const std::vector<Condition>& conditions,
                             const std::vector<const ColumnVector*>& cols,
                             uint32_t begin, uint32_t end,
-                            std::vector<uint32_t>* out) {
+                            std::vector<uint32_t>* out,
+                            const CompressedInputs& compressed) {
   if (begin >= end) return;
   const size_t old = out->size();
-  const uint32_t range = end - begin;
   const simd::KernelTable& kt = simd::ActiveKernels();
 
-  // Fused kernel for the sliding-window idiom `lo <= col < hi` on int64.
+  // The exploration-window idiom lo <= col < hi on one int64 column is one
+  // fused range filter that consumes both conditions: on run headers and
+  // packed words when compressed, else with the dispatched window kernel.
   if (conditions.size() == 2 && cols[0] == cols[1] &&
       cols[0]->type() == DataType::kInt64 &&
-      conditions[0].op == CompareOp::kGe && conditions[1].op == CompareOp::kLt &&
       conditions[0].constant.is_int64() && conditions[1].constant.is_int64()) {
-    out->resize(old + range);
-    const uint32_t n = kt.filter_i64_range(
-        cols[0]->int64_data().data(), begin, end,
-        conditions[0].constant.int64(), conditions[1].constant.int64(),
-        out->data() + old);
-    out->resize(old + n);
-    return;
+    const Condition* ge = nullptr;
+    const Condition* lt = nullptr;
+    for (const Condition& c : conditions) {
+      if (c.op == CompareOp::kGe) ge = &c;
+      if (c.op == CompareOp::kLt) lt = &c;
+    }
+    if (ge != nullptr && lt != nullptr) {
+      const int64_t lo = ge->constant.int64();
+      const int64_t hi = lt->constant.int64();
+      if (const CompressedColumn* cc = CompressedFor(compressed, 0)) {
+        cc->i64()->FilterRange(begin, end, lo, hi, out);
+      } else {
+        out->resize(old + (end - begin));
+        const uint32_t n = kt.filter_i64_range(
+            cols[0]->int64_data().data(), begin, end, lo, hi,
+            out->data() + old);
+        out->resize(old + n);
+      }
+      return;
+    }
   }
 
-  // Kernel pipeline: seed the selection vector with the first typed
-  // condition's filter kernel, then narrow it in place — typed conditions
-  // through refine kernels, anything else row-at-a-time over the survivors.
+  // Seed the selection vector from the first compressed condition (run
+  // headers, packed words or dictionary codes, so rows of non-qualifying
+  // blocks are never decoded); else from the first condition a filter kernel
+  // serves; else with every row.
   size_t seed = conditions.size();
   for (size_t i = 0; i < conditions.size(); ++i) {
-    if (KernelKindFor(conditions[i], *cols[i]) != KernelKind::kNone) {
+    if (CompressedFor(compressed, i) != nullptr) {
       seed = i;
       break;
     }
   }
-  if (seed != conditions.size()) {
-    out->resize(old + range);
-    uint32_t* base = out->data() + old;
-    uint32_t n = 0;
-    {
-      const Condition& c = conditions[seed];
-      const ColumnVector& col = *cols[seed];
-      n = KernelKindFor(c, col) == KernelKind::kI64
-              ? kt.filter_i64_cmp(col.int64_data().data(), begin, end,
-                                  ToSimdCmp(c.op), c.constant.int64(), base)
-              : kt.filter_f64_cmp(col.double_data().data(), begin, end,
-                                  ToSimdCmp(c.op), c.constant.AsDouble(),
-                                  base);
-    }
-    for (size_t i = 0; i < conditions.size() && n > 0; ++i) {
-      if (i == seed) continue;
-      const Condition& c = conditions[i];
-      const ColumnVector& col = *cols[i];
-      switch (KernelKindFor(c, col)) {
-        case KernelKind::kI64:
-          n = kt.refine_i64_cmp(col.int64_data().data(), base, n,
-                                ToSimdCmp(c.op), c.constant.int64(), base);
-          break;
-        case KernelKind::kF64:
-          n = kt.refine_f64_cmp(col.double_data().data(), base, n,
-                                ToSimdCmp(c.op), c.constant.AsDouble(), base);
-          break;
-        case KernelKind::kNone: {
-          uint32_t kept = 0;
-          for (uint32_t j = 0; j < n; ++j) {
-            if (c.MatchesColumn(col, base[j])) base[kept++] = base[j];
-          }
-          n = kept;
-          break;
-        }
+  for (size_t i = 0; i < conditions.size() && seed == conditions.size();
+       ++i) {
+    if (KernelKindFor(conditions[i], *cols[i]) != KernelKind::kNone) seed = i;
+  }
+  if (seed == conditions.size()) {
+    AppendAll(begin, end, out);
+  } else if (const CompressedColumn* cc = CompressedFor(compressed, seed)) {
+    const Condition& c = conditions[seed];
+    if (cc->i64() != nullptr) {
+      cc->i64()->FilterCmp(begin, end, c.op, c.constant.int64(), out);
+    } else {
+      const bool negate = c.op == CompareOp::kNe;
+      std::optional<uint32_t> code = cc->str()->CodeOf(c.constant.str());
+      if (code.has_value()) {
+        cc->str()->FilterEqCode(begin, end, *code, negate, out);
+      } else if (negate) {
+        AppendAll(begin, end, out);  // absent from the dictionary
       }
     }
+  } else {
+    const Condition& c = conditions[seed];
+    const ColumnVector& col = *cols[seed];
+    out->resize(old + (end - begin));
+    const uint32_t n =
+        KernelKindFor(c, col) == KernelKind::kI64
+            ? kt.filter_i64_cmp(col.int64_data().data(), begin, end,
+                                ToSimdCmp(c.op), c.constant.int64(),
+                                out->data() + old)
+            : kt.filter_f64_cmp(col.double_data().data(), begin, end,
+                                ToSimdCmp(c.op), c.constant.AsDouble(),
+                                out->data() + old);
     out->resize(old + n);
-    return;
   }
 
-  // No typed condition (string predicates, int64-vs-double comparisons,
-  // empty predicates): row-at-a-time conjunction.
-  for (uint32_t r = begin; r < end; ++r) {
-    bool hit = true;
-    for (size_t i = 0; i < conditions.size(); ++i) {
-      if (!conditions[i].MatchesColumn(*cols[i], r)) {
-        hit = false;
-        break;
-      }
-    }
-    if (hit) out->push_back(r);
+  auto n = static_cast<uint32_t>(out->size() - old);
+  for (size_t i = 0; i < conditions.size(); ++i) {
+    if (i == seed) continue;
+    n = RefineStep(conditions[i], *cols[i], CompressedFor(compressed, i),
+                   compressed, out->data() + old, n);
   }
+  out->resize(old + n);
+}
+
+void Predicate::Refine(const std::vector<Condition>& conditions,
+                       const std::vector<const ColumnVector*>& cols,
+                       std::vector<uint32_t>* sel,
+                       const CompressedInputs& compressed) {
+  auto n = static_cast<uint32_t>(sel->size());
+  for (size_t i = 0; i < conditions.size(); ++i) {
+    n = RefineStep(conditions[i], *cols[i], CompressedFor(compressed, i),
+                   compressed, sel->data(), n);
+  }
+  sel->resize(n);
 }
 
 std::string Predicate::CacheKey() const {

@@ -11,6 +11,8 @@
 
 namespace exploredb {
 
+class CompressedColumn;
+
 /// Comparison operators for single-column conditions.
 enum class CompareOp { kLt, kLe, kGt, kGe, kEq, kNe };
 
@@ -33,6 +35,20 @@ struct Condition {
   bool MatchesColumn(const ColumnVector& col, size_t row) const;
 
   std::string ToString(const Schema& schema) const;
+};
+
+/// Compressed inputs of a conjunction, for Predicate::FilterRange and
+/// Predicate::Refine. `comp`, when non-null, runs parallel to the
+/// conditions: a non-null comp[i] is a representation that serves
+/// conditions[i] — an int64 one for an int64 constant, or a dictionary for a
+/// string (in)equality — and nullptr leaves that condition on its raw
+/// column. Values gathered out of compressed int64 blocks are timed into
+/// *decompress_nanos (when non-null) and traced as "decompress" spans when
+/// `tracing`.
+struct CompressedInputs {
+  const std::vector<const CompressedColumn*>* comp = nullptr;
+  bool tracing = false;
+  int64_t* decompress_nanos = nullptr;
 };
 
 /// Conjunction of conditions — the predicate language of exploratory range
@@ -64,12 +80,31 @@ class Predicate {
   /// in `conditions` (`cols` holds each condition's column, in parallel
   /// order). This is the morsel kernel of the parallel executor: every morsel
   /// appends into its own buffer, and the buffers concatenated in morsel
-  /// order are exactly the serial scan's output. Typed fast paths cover the
-  /// dominant exploration shapes (single comparison, int64 range window).
+  /// order are exactly the serial scan's output.
+  ///
+  /// One seed, then one refine step per remaining condition. The seed is the
+  /// fused `lo <= col < hi` int64 window if the conjunction is one, else the
+  /// first compressed condition (packed words, run headers or dictionary
+  /// codes), else the first condition a dispatched filter kernel serves,
+  /// else every row. Each other condition then narrows the selection vector
+  /// in place, as Refine does.
   static void FilterRange(const std::vector<Condition>& conditions,
                           const std::vector<const ColumnVector*>& cols,
                           uint32_t begin, uint32_t end,
-                          std::vector<uint32_t>* out);
+                          std::vector<uint32_t>* out,
+                          const CompressedInputs& compressed = {});
+
+  /// Narrows the ascending selection vector *sel to the rows satisfying
+  /// every condition, keeping their order. Per condition, the refine step
+  /// uses a compressed int64 gather and compare, dictionary codes, or the
+  /// dispatched refine_i64_cmp/refine_f64_cmp kernels. Conditions none of
+  /// these reproduce (an int64 column against a double constant, string
+  /// comparisons without a dictionary) test the raw column row by row with
+  /// Condition::MatchesColumn.
+  static void Refine(const std::vector<Condition>& conditions,
+                     const std::vector<const ColumnVector*>& cols,
+                     std::vector<uint32_t>* sel,
+                     const CompressedInputs& compressed = {});
 
   /// Canonical key for caching (column/op/constant triples).
   std::string CacheKey() const;

@@ -233,7 +233,8 @@ double UniformSelectivityFraction(double mn, double mx, CompareOp op,
   const auto frac_lt = [&](bool inclusive) {
     if (k < mn || (k == mn && !inclusive)) return 0.0;
     if (k > mx || (k == mx && inclusive)) return 1.0;
-    return width > 0 ? (k - mn) / width : 0.5;
+    // An infinite bound makes the width infinite, and inf / inf is NaN.
+    return width > 0 && std::isfinite(width) ? (k - mn) / width : 0.5;
   };
   const auto frac_eq = [&] {
     if (k < mn || k > mx) return 0.0;

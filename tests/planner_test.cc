@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/random.h"
@@ -310,6 +312,29 @@ TEST(PlannerTest, CostModelCalibratesFromExecutions) {
               model.exact_compressed_ns_per_row() != seeded_compressed);
   EXPECT_GT(model.exact_ns_per_row(), 0.0);
   EXPECT_GT(model.exact_compressed_ns_per_row(), 0.0);
+}
+
+TEST(PlannerTest, CostModelSkipsInfiniteIntervals) {
+  // An online AVG that has matched one row reports an infinite interval
+  // around a nonzero value.
+  Estimate unbounded;
+  unbounded.value = 42.0;
+  unbounded.ci_half_width = std::numeric_limits<double>::infinity();
+  unbounded.sample_size = 1;
+  Estimate finite;
+  finite.value = 42.0;
+  finite.ci_half_width = 2.0;
+  finite.sample_size = 400;
+
+  CostModel finite_only;
+  finite_only.ObserveRelativeError(finite, 0.95);
+  CostModel model;
+  model.ObserveRelativeError(unbounded, 0.95);
+  model.ObserveRelativeError(finite, 0.95);
+
+  const double predicted = model.PredictRelativeError(100, 0.95);
+  EXPECT_TRUE(std::isfinite(predicted)) << predicted;
+  EXPECT_EQ(predicted, finite_only.PredictRelativeError(100, 0.95));
 }
 
 }  // namespace

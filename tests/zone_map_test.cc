@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/random.h"
@@ -105,6 +106,22 @@ TEST(ZoneMapTest, DoubleColumnBounds) {
   EXPECT_FALSE(zm.MayMatch(lt, 0, 3));
   Condition gt{0, CompareOp::kGt, Value(3.0)};
   EXPECT_TRUE(zm.MayMatch(gt, 0, 3));
+}
+
+TEST(ZoneMapTest, SelectivityOverInfiniteBoundsStaysInUnitRange) {
+  // The estimate sizes selection vectors; a NaN here reaches a size_t cast.
+  const double inf = std::numeric_limits<double>::infinity();
+  ColumnVector col(DataType::kDouble);
+  *col.mutable_double_data() = {-inf, 0.0, inf};
+  ZoneMap zm = ZoneMap::Build(col, 8);
+  for (CompareOp op : {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+                       CompareOp::kGe, CompareOp::kEq, CompareOp::kNe}) {
+    for (double k : {0.0, -inf, inf, 1e300}) {
+      const double s = zm.EstimateSelectivity({0, op, Value(k)});
+      EXPECT_GE(s, 0.0) << CompareOpName(op) << " " << k;
+      EXPECT_LE(s, 1.0) << CompareOpName(op) << " " << k;
+    }
+  }
 }
 
 // ---- pruned-scan correctness through the executor --------------------------
