@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -136,6 +137,60 @@ void BM_ParallelFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelFullScan)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+/// Projection of a map-window selection through Executor::Project: two int64
+/// columns and one double of a 5M-row table at 4.8K sorted random positions,
+/// the shape of a panned window's rows. Iterations cycle through 256 such
+/// selections, whose ~240 MB of touched cache lines exceed the last-level
+/// cache, so loads miss cache and TLB as a live window's do. Arg =
+/// worker-thread count (0 = no pool, the serial path).
+void BM_ProjectGather(benchmark::State& state) {
+  static Database* db = [] {
+    const size_t n = bench::ScaledRows(5'000'000);
+    Table t(Schema({{"lon", DataType::kInt64},
+                    {"air_time", DataType::kInt64},
+                    {"dep_delay", DataType::kDouble}}));
+    *t.mutable_column(0)->mutable_int64_data() =
+        bench::RandomInts(n, 1'000'000, 21);
+    *t.mutable_column(1)->mutable_int64_data() = bench::RandomInts(n, 600, 22);
+    Random rng(23);
+    std::vector<double> delay(n);
+    for (double& d : delay) d = rng.NextDouble() * 120 - 20;
+    *t.mutable_column(2)->mutable_double_data() = std::move(delay);
+    auto* d = new Database();
+    if (!d->CreateTable("flights", std::move(t)).ok()) std::abort();
+    return d;
+  }();
+  static const std::vector<std::vector<uint32_t>> windows = [] {
+    const size_t n = bench::ScaledRows(5'000'000);
+    Random rng(24);
+    std::vector<std::vector<uint32_t>> w(256);
+    for (std::vector<uint32_t>& p : w) {
+      p.resize(std::min<size_t>(4'800, n));
+      for (uint32_t& x : p) x = static_cast<uint32_t>(rng.Uniform(n));
+      std::sort(p.begin(), p.end());
+    }
+    return w;
+  }();
+  TableEntry* entry = db->GetTable("flights").ValueOrDie();
+  const std::vector<std::string> select = {"lon", "air_time", "dep_delay"};
+  const int threads = static_cast<int>(state.range(0));
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  ExecContext ctx;
+  ctx.SetThreadPool(pool.get());
+  size_t next = 0;
+  for (auto _ : state) {
+    const std::vector<uint32_t>& positions = windows[next++ % windows.size()];
+    auto rows = Executor::Project(entry, select, positions, ctx);
+    if (!rows.ok()) std::abort();
+    benchmark::DoNotOptimize(rows.ValueOrDie().column(2).double_data().data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(windows[0].size()) * 3);
+}
+BENCHMARK(BM_ProjectGather)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 /// Zone-map pruned selective scan: a clustered (sorted) int64 column where
 /// the predicate window selects ~1% of rows, so nearly every morsel's

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -23,8 +24,9 @@ class Planner;
 /// Full-column predicate scans and exact aggregation run morsel-parallel
 /// over the ExecContext's thread pool: columns split into fixed-size morsels
 /// evaluated into per-morsel buffers that are merged in morsel order, so the
-/// result is identical to the serial path for any thread count. Every query
-/// returns an ExecStats breakdown inside its QueryResult.
+/// result is identical to the serial path for any thread count. Projection
+/// gathers in parallel grains into pre-sized columns. Every query returns an
+/// ExecStats breakdown inside its QueryResult.
 class Executor {
  public:
   explicit Executor(Database* db);
@@ -52,6 +54,17 @@ class Executor {
   Result<QueryResult> ExecuteProgressive(const Query& query,
                                          const ExecContext& ctx,
                                          const ProgressiveCallback& callback);
+
+  /// Gathers the `select` columns of `entry` (every column when empty) at
+  /// `positions` into a new table: the projection of a selection, whether
+  /// it was just executed or served from a result cache. The gather runs in
+  /// fixed grains of positions over ctx's thread pool (serially without one,
+  /// or when the selection fits in one grain); each grain writes only its
+  /// own output slots, so the rows are identical for any worker count.
+  static Result<Table> Project(TableEntry* entry,
+                               const std::vector<std::string>& select,
+                               const std::vector<uint32_t>& positions,
+                               const ExecContext& ctx);
 
   /// The budgeted planner (exposed for calibration inspection and tests).
   Planner& planner() { return *planner_; }

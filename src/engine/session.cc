@@ -222,30 +222,14 @@ Result<QueryResult> Session::ServeFromCache(const Query& query,
   // triggers afterwards is not part of total_nanos.
   TraceSpan hit_span("cache_hit", tracing, &result.exec_stats.total_nanos);
   {
-    // Re-project rows from the cached positions (cheap gather).
+    // Re-project rows from the cached positions.
     TraceSpan project_span("project", tracing,
                            &result.exec_stats.project_nanos);
     EXPLOREDB_ASSIGN_OR_RETURN(TableEntry * entry,
                                db_->GetTable(query.table()));
-    std::vector<size_t> cols;
-    if (query.select().empty()) {
-      for (size_t c = 0; c < entry->schema().num_fields(); ++c) {
-        cols.push_back(c);
-      }
-    } else {
-      for (const std::string& name : query.select()) {
-        EXPLOREDB_ASSIGN_OR_RETURN(size_t idx,
-                                   entry->schema().FieldIndex(name));
-        cols.push_back(idx);
-      }
-    }
-    Table projected(entry->schema().Select(cols));
-    for (size_t i = 0; i < cols.size(); ++i) {
-      EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col,
-                                 entry->GetColumn(cols[i]));
-      *projected.mutable_column(i) = col->Gather(result.positions);
-    }
-    result.rows = std::move(projected);
+    EXPLOREDB_ASSIGN_OR_RETURN(
+        result.rows,
+        Executor::Project(entry, query.select(), result.positions, ctx));
   }
   hit_span.Stop();
   return result;

@@ -82,24 +82,48 @@ void ColumnVector::Reserve(size_t n) {
   }
 }
 
+void ColumnVector::Resize(size_t n) {
+  switch (type_) {
+    case DataType::kInt64:
+      int64_data_.resize(n);
+      break;
+    case DataType::kDouble:
+      double_data_.resize(n);
+      break;
+    case DataType::kString:
+      string_data_.resize(n);
+      break;
+  }
+}
+
 ColumnVector ColumnVector::Gather(
     const std::vector<uint32_t>& positions) const {
   ColumnVector out(type_);
-  out.Reserve(positions.size());
+  out.Resize(positions.size());
+  GatherRange(positions, 0, positions.size(), &out);
+  return out;
+}
+
+void ColumnVector::GatherRange(const std::vector<uint32_t>& positions,
+                               size_t begin, size_t end,
+                               ColumnVector* out) const {
   switch (type_) {
     case DataType::kInt64:
-      for (uint32_t p : positions) out.int64_data_.push_back(int64_data_[p]);
+      for (size_t i = begin; i < end; ++i) {
+        out->int64_data_[i] = int64_data_[positions[i]];
+      }
       break;
     case DataType::kDouble:
-      for (uint32_t p : positions) out.double_data_.push_back(double_data_[p]);
+      for (size_t i = begin; i < end; ++i) {
+        out->double_data_[i] = double_data_[positions[i]];
+      }
       break;
     case DataType::kString:
-      for (uint32_t p : positions) {
-        out.string_data_.push_back(string_data_[p]);
+      for (size_t i = begin; i < end; ++i) {
+        out->string_data_[i] = string_data_[positions[i]];
       }
       break;
   }
-  return out;
 }
 
 }  // namespace exploredb

@@ -43,8 +43,17 @@ class ColumnVector {
 
   void Reserve(size_t n);
 
+  /// Resizes to `n` cells (new cells are zero or empty).
+  void Resize(size_t n);
+
   /// New column containing rows at `positions`, in order.
   ColumnVector Gather(const std::vector<uint32_t>& positions) const;
+
+  /// Writes rows at positions[begin, end) into `out`'s slots [begin, end).
+  /// `out` must have this column's type and at least `end` cells. Only those
+  /// slots are written, so disjoint ranges may be gathered concurrently.
+  void GatherRange(const std::vector<uint32_t>& positions, size_t begin,
+                   size_t end, ColumnVector* out) const;
 
  private:
   DataType type_;

@@ -675,22 +675,6 @@ class FilterOracleTest : public ::testing::Test {
     };
   }
 
-  /// Executor::ExtractRange turns `> k`, `<= k` and `== k` on an int64
-  /// column into half-open index bounds through k + 1, which overflows at
-  /// INT64_MAX and then serves the wrong range (a known defect of the index
-  /// paths, not of the filter). Such conjunctions skip the cracking run.
-  static bool NeedsBoundPastMax(const std::vector<Condition>& conds) {
-    for (const Condition& c : conds) {
-      if (c.constant.is_int64() &&
-          c.constant.int64() == std::numeric_limits<int64_t>::max() &&
-          (c.op == CompareOp::kGt || c.op == CompareOp::kLe ||
-           c.op == CompareOp::kEq)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   void SetUp() override {
     table_ = BuildTable();
     ASSERT_TRUE(db_.CreateTable("t", BuildTable()).ok());
@@ -776,17 +760,15 @@ TEST_F(FilterOracleTest, EveryPathMatchesRowAtATimeOracle) {
                     static_cast<double>(want[k].size()))
               << at;
 
-          if (!NeedsBoundPastMax(conjunctions[k])) {
-            std::vector<Condition> conds = conjunctions[k];
-            conds.insert(conds.end(), window.begin(), window.end());
-            ctx.options().mode = ExecutionMode::kCracking;
-            auto cracked =
-                exec.Execute(Query::On("t").Where(Predicate(conds)), ctx);
-            ASSERT_TRUE(cracked.ok()) << at;
-            EXPECT_EQ(cracked.ValueOrDie().stats().path, AccessPath::kCracker)
-                << at;
-            EXPECT_EQ(cracked.ValueOrDie().positions, want_cracked[k]) << at;
-          }
+          std::vector<Condition> conds = conjunctions[k];
+          conds.insert(conds.end(), window.begin(), window.end());
+          ctx.options().mode = ExecutionMode::kCracking;
+          auto cracked =
+              exec.Execute(Query::On("t").Where(Predicate(conds)), ctx);
+          ASSERT_TRUE(cracked.ok()) << at;
+          EXPECT_EQ(cracked.ValueOrDie().stats().path, AccessPath::kCracker)
+              << at;
+          EXPECT_EQ(cracked.ValueOrDie().positions, want_cracked[k]) << at;
 
           // A sample_fraction of 1 keeps every row, so the sampled paths
           // must count exactly.

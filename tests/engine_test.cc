@@ -138,6 +138,37 @@ TEST_F(EngineTest, CrackingWithResidualPredicate) {
   EXPECT_EQ(g, w);
 }
 
+// `> v`, `<= v` and `== v` bound an index range through v + 1, which does
+// not exist at INT64_MAX: the index paths must leave such conjuncts in the
+// residual and agree with the scan.
+TEST_F(EngineTest, IndexPathsAgreeWithScanAtInt64Max) {
+  Executor exec(&db_);
+  const Value max64(std::numeric_limits<int64_t>::max());
+  for (CompareOp op : {CompareOp::kGt, CompareOp::kLe, CompareOp::kEq}) {
+    Query q = Query::On("events").Where(
+        Predicate({{0, CompareOp::kGe, Value(int64_t{10})},
+                   {0, CompareOp::kLt, Value(int64_t{50000})},
+                   {0, op, max64}}));
+    ExecContext scan;
+    scan.options().mode = ExecutionMode::kScan;
+    auto want = exec.Execute(q, scan);
+    ASSERT_TRUE(want.ok());
+    for (auto [mode, path] :
+         {std::pair{ExecutionMode::kCracking, AccessPath::kCracker},
+          std::pair{ExecutionMode::kFullIndex, AccessPath::kSorted}}) {
+      ExecContext ctx;
+      ctx.options().mode = mode;
+      auto got = exec.Execute(q, ctx);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.ValueOrDie().stats().path, path);
+      EXPECT_EQ(got.ValueOrDie().positions.size(),
+                want.ValueOrDie().positions.size())
+          << "op=" << CompareOpName(op)
+          << " mode=" << ExecutionModeName(mode);
+    }
+  }
+}
+
 TEST_F(EngineTest, CrackingScansLessOnRepeats) {
   Executor exec(&db_);
   Query q = Query::On("events").Where(

@@ -1,13 +1,15 @@
 // Serial-vs-parallel equivalence of the morsel-driven executor, plus the
-// ExecContext/ExecStats API surface: identical results for any thread count,
-// morsel-boundary edge cases, access-path and phase-time reporting, deadline
-// and cancellation behavior, and the ThreadPool primitive itself.
+// ExecContext/ExecStats API surface: identical results for any thread count
+// (projected rows and cache hits included), morsel-boundary edge cases,
+// access-path and phase-time reporting, deadline and cancellation behavior,
+// and the ThreadPool primitive itself.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "engine/query.h"
+#include "engine/session.h"
 #include "sampling/online_agg.h"
 
 namespace exploredb {
@@ -365,6 +368,113 @@ TEST_F(ParallelExecutorTest, BuilderCoercesAndValidatesTypes) {
       exec.Execute(Query::From("events").Where("kind", CompareOp::kEq,
                                                int64_t{1}))
           .ok());
+}
+
+// ---- projection ------------------------------------------------------------
+
+/// Same columns, names and cells (doubles compared bitwise via ==; the
+/// events table holds no NaN).
+void ExpectSameRows(const Table& got, const Table& want,
+                    const std::string& at) {
+  ASSERT_EQ(got.num_columns(), want.num_columns()) << at;
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    EXPECT_EQ(got.schema().field(c).name, want.schema().field(c).name) << at;
+    ASSERT_EQ(got.column(c).type(), want.column(c).type()) << at;
+    EXPECT_EQ(got.column(c).int64_data(), want.column(c).int64_data()) << at;
+    EXPECT_EQ(got.column(c).double_data(), want.column(c).double_data())
+        << at;
+    EXPECT_EQ(got.column(c).string_data(), want.column(c).string_data())
+        << at;
+  }
+}
+
+TEST_F(ParallelExecutorTest, ProjectIdenticalAcrossThreadCounts) {
+  TableEntry* entry = db_.GetTable("events").ValueOrDie();
+  Random rng(9);
+  std::vector<uint32_t> grains;  // three full 1024-position grains + a part
+  for (int i = 0; i < 3 * 1024 + 517; ++i) {
+    grains.push_back(static_cast<uint32_t>(rng.Uniform(50000)));
+  }
+  std::vector<uint32_t> duplicates;  // repeats within and across grains
+  for (uint32_t i = 0; i < 2 * 1024 + 3; ++i) {
+    duplicates.push_back((i * 7) % 600);
+  }
+  const std::vector<std::vector<uint32_t>> selections = {
+      {}, {49999}, grains, duplicates};
+  const std::vector<std::vector<std::string>> selects = {
+      {}, {"kind", "value"}, {"ts"}};
+
+  for (size_t s = 0; s < selections.size(); ++s) {
+    const std::vector<uint32_t>& positions = selections[s];
+    for (const std::vector<std::string>& select : selects) {
+      const std::string at = "selection=" + std::to_string(s) +
+                             " columns=" + std::to_string(select.size());
+      ExecContext serial;
+      serial.SetThreadPool(nullptr);
+      auto want = Executor::Project(entry, select, positions, serial);
+      ASSERT_TRUE(want.ok()) << at;
+      const Table& rows = want.ValueOrDie();
+      ASSERT_EQ(rows.num_columns(), select.empty() ? 3u : select.size())
+          << at;
+      // The serial rows are the source cells, in selection order.
+      for (size_t c = 0; c < rows.num_columns(); ++c) {
+        const size_t src =
+            entry->schema().FieldIndex(rows.schema().field(c).name)
+                .ValueOrDie();
+        const ColumnVector* col = entry->GetColumn(src).ValueOrDie();
+        ASSERT_EQ(rows.column(c).size(), positions.size()) << at;
+        for (size_t i = 0; i < positions.size(); ++i) {
+          ASSERT_EQ(rows.GetValue(i, c), col->GetValue(positions[i]))
+              << at << " column=" << c << " i=" << i;
+        }
+      }
+      for (size_t threads : {1u, 2u, 8u}) {
+        ThreadPool pool(threads);
+        auto got = Executor::Project(entry, select, positions,
+                                     ParallelCtx(&pool));
+        ASSERT_TRUE(got.ok()) << at;
+        ExpectSameRows(got.ValueOrDie(), rows,
+                       at + " threads=" + std::to_string(threads));
+      }
+    }
+  }
+  ExecContext serial;
+  serial.SetThreadPool(nullptr);
+  EXPECT_FALSE(Executor::Project(entry, {"bogus"}, grains, serial).ok());
+}
+
+TEST_F(ParallelExecutorTest, CacheHitRowsEqualMissRows) {
+  // ~5K matching rows: five projection grains.
+  for (const std::vector<std::string>& select :
+       std::vector<std::vector<std::string>>{{}, {"value", "kind"}}) {
+    Query q = WindowQuery(20000, 30000);
+    q.Select(select);
+    ExecContext serial;
+    serial.SetThreadPool(nullptr);
+    auto want = Executor(&db_).Execute(q, serial);
+    ASSERT_TRUE(want.ok());
+    ASSERT_GT(want.ValueOrDie().positions.size(), 4096u);
+    for (size_t threads : {0u, 1u, 2u, 8u}) {
+      const std::string at = "columns=" + std::to_string(select.size()) +
+                             " threads=" + std::to_string(threads);
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      ExecContext ctx = ParallelCtx(pool.get());
+      SessionOptions opts;  // private cache
+      opts.speculate = false;
+      Session session(&db_, opts);
+      auto miss = session.Execute(q, ctx);
+      auto hit = session.Execute(q, ctx);
+      ASSERT_TRUE(miss.ok()) << at;
+      ASSERT_TRUE(hit.ok()) << at;
+      ASSERT_FALSE(miss.ValueOrDie().from_cache) << at;
+      ASSERT_TRUE(hit.ValueOrDie().from_cache) << at;
+      ASSERT_TRUE(miss.ValueOrDie().rows.has_value()) << at;
+      ASSERT_TRUE(hit.ValueOrDie().rows.has_value()) << at;
+      ExpectSameRows(*hit.ValueOrDie().rows, *miss.ValueOrDie().rows, at);
+      ExpectSameRows(*miss.ValueOrDie().rows, *want.ValueOrDie().rows, at);
+    }
+  }
 }
 
 // ---- ThreadPool primitive --------------------------------------------------
