@@ -34,155 +34,92 @@ Result<size_t> TableEntry::NumRows() {
   return table_.num_rows();
 }
 
-Result<const ColumnVector*> TableEntry::GetColumnLocked(size_t idx) {
-  if (idx >= schema().num_fields()) {
-    return Status::OutOfRange("column " + std::to_string(idx));
-  }
+Result<const ColumnVector*> TableEntry::GetColumn(size_t idx) {
+  EXPLOREDB_RETURN_NOT_OK(ColumnType(idx).status());
+  MutexLock lock(mu_);
   if (raw_.has_value()) return raw_->GetColumn(idx);
   return &table_.column(idx);
 }
 
-Result<const ColumnVector*> TableEntry::GetColumn(size_t idx) {
-  MutexLock lock(mu_);
-  return GetColumnLocked(idx);
-}
-
-TableEntry::BuildSlot* TableEntry::GetBuildSlotLocked(SlotKind kind,
-                                                      size_t idx) {
-  auto key = std::make_pair(static_cast<int>(kind), idx);
-  auto it = build_slots_.find(key);
-  if (it == build_slots_.end()) {
-    it = build_slots_.emplace(key, std::make_unique<BuildSlot>()).first;
+Result<DataType> TableEntry::ColumnType(size_t idx) const {
+  if (idx >= schema().num_fields()) {
+    return Status::OutOfRange("column " + std::to_string(idx));
   }
-  return it->second.get();
+  return schema().field(idx).type;
 }
 
-// The build-once/publish pattern all four accessors below follow:
-//   1. Under mu_: published? return it (hit). Else resolve the base column
-//      and the (kind, column) build slot, and release mu_.
-//   2. Take the slot mutex (serializes builders of this one structure),
-//      re-check under mu_ — a racer may have published while we waited.
-//   3. Build outside every table-wide lock (this is the expensive part:
-//      copying/sorting/encoding an O(n) column).
-//   4. Under mu_: publish. Waiters on the slot find it at their re-check.
+Status TableEntry::WrongType(size_t idx, const std::string& requirement) const {
+  const Field& field = schema().field(idx);
+  return Status::InvalidArgument(requirement + ", '" + field.name + "' is " +
+                                 DataTypeName(field.type));
+}
+
+// The one build-once/publish sequence every adaptive structure goes through:
+//   1. Acquire-load the slot's flag: published? return it (a hit).
+//   2. Take the slot mutex (serializes builders of this one structure) and
+//      re-check — a racer may have published while we waited.
+//   3. Build outside every table-wide lock (the expensive part: copying,
+//      sorting or encoding an O(n) column).
+//   4. Publish: set the value, then release-store the flag. The release
+//      store is what makes the built structure visible, complete, to every
+//      lock-free reader whose acquire load sees the flag.
 // The base-column pointer stays valid across step 3: columns are never
-// removed while the entry lives (Materialized() invalidation is the
-// documented pre-existing exception and is never raced with queries).
+// removed while the entry lives (Materialized() replaces a raw table's
+// columns, and is never raced with queries).
+template <typename T, typename Build>
+Result<T*> TableEntry::GetOrBuild(BuildOnce<T>& slot, size_t idx,
+                                  Build build) {
+  if (slot.built.load(std::memory_order_acquire)) {
+    SynopsisHitsCounter()->Add();
+    return slot.value.get();
+  }
+  MutexLock lock(slot.mu);
+  if (slot.built.load(std::memory_order_acquire)) {
+    SynopsisHitsCounter()->Add();
+    return slot.value.get();
+  }
+  EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumn(idx));
+  slot.value = build(*col);
+  slot.built.store(true, std::memory_order_release);
+  SynopsisBuildsCounter()->Add();
+  return slot.value.get();
+}
 
 Result<EpochCrackerColumn*> TableEntry::GetCracker(size_t idx) {
-  const ColumnVector* col = nullptr;
-  BuildSlot* slot = nullptr;
-  {
-    MutexLock lock(mu_);
-    auto it = crackers_.find(idx);
-    if (it != crackers_.end()) {
-      SynopsisHitsCounter()->Add();
-      return it->second.get();
-    }
-    EXPLOREDB_ASSIGN_OR_RETURN(col, GetColumnLocked(idx));
-    if (col->type() != DataType::kInt64) {
-      return Status::InvalidArgument(
-          "cracking requires an int64 column, '" + schema().field(idx).name +
-          "' is " + DataTypeName(col->type()));
-    }
-    slot = GetBuildSlotLocked(SlotKind::kCracker, idx);
+  EXPLOREDB_ASSIGN_OR_RETURN(DataType type, ColumnType(idx));
+  if (type != DataType::kInt64) {
+    return WrongType(idx, "cracking requires an int64 column");
   }
-  MutexLock build(slot->mu);
-  {
-    MutexLock lock(mu_);
-    auto it = crackers_.find(idx);
-    if (it != crackers_.end()) {
-      SynopsisHitsCounter()->Add();
-      return it->second.get();
-    }
-  }
-  auto cracker = std::make_unique<EpochCrackerColumn>(col->int64_data());
-  EpochCrackerColumn* ptr = cracker.get();
-  MutexLock lock(mu_);
-  crackers_.emplace(idx, std::move(cracker));
-  SynopsisBuildsCounter()->Add();
-  return ptr;
+  return GetOrBuild(slots_[idx].cracker, idx, [](const ColumnVector& col) {
+    return std::make_unique<EpochCrackerColumn>(col.int64_data());
+  });
 }
 
 Result<const SortedIndex*> TableEntry::GetSortedIndex(size_t idx) {
-  const ColumnVector* col = nullptr;
-  BuildSlot* slot = nullptr;
-  {
-    MutexLock lock(mu_);
-    auto it = indexes_.find(idx);
-    if (it != indexes_.end()) {
-      SynopsisHitsCounter()->Add();
-      return it->second.get();
-    }
-    EXPLOREDB_ASSIGN_OR_RETURN(col, GetColumnLocked(idx));
-    if (col->type() != DataType::kInt64) {
-      return Status::InvalidArgument(
-          "sorted index requires an int64 column, '" +
-          schema().field(idx).name + "' is " + DataTypeName(col->type()));
-    }
-    slot = GetBuildSlotLocked(SlotKind::kSortedIndex, idx);
+  EXPLOREDB_ASSIGN_OR_RETURN(DataType type, ColumnType(idx));
+  if (type != DataType::kInt64) {
+    return WrongType(idx, "sorted index requires an int64 column");
   }
-  MutexLock build(slot->mu);
-  {
-    MutexLock lock(mu_);
-    auto it = indexes_.find(idx);
-    if (it != indexes_.end()) {
-      SynopsisHitsCounter()->Add();
-      return it->second.get();
-    }
-  }
-  auto index = std::make_unique<SortedIndex>(col->int64_data());
-  const SortedIndex* ptr = index.get();
-  MutexLock lock(mu_);
-  indexes_.emplace(idx, std::move(index));
-  SynopsisBuildsCounter()->Add();
-  return ptr;
+  return GetOrBuild(slots_[idx].sorted_index, idx,
+                    [](const ColumnVector& col) {
+                      return std::make_unique<SortedIndex>(col.int64_data());
+                    });
 }
 
 Result<const ZoneMap*> TableEntry::GetZoneMap(size_t idx) {
-  const ColumnVector* col = nullptr;
-  BuildSlot* slot = nullptr;
-  {
-    MutexLock lock(mu_);
-    auto it = zone_maps_.find(idx);
-    if (it != zone_maps_.end()) {
-      SynopsisHitsCounter()->Add();
-      return it->second.get();
-    }
-    EXPLOREDB_ASSIGN_OR_RETURN(col, GetColumnLocked(idx));
-    if (col->type() == DataType::kString) {
-      return Status::InvalidArgument(
-          "zone map requires a numeric column, '" + schema().field(idx).name +
-          "' is string");
-    }
-    slot = GetBuildSlotLocked(SlotKind::kZoneMap, idx);
+  EXPLOREDB_ASSIGN_OR_RETURN(DataType type, ColumnType(idx));
+  if (type == DataType::kString) {
+    return WrongType(idx, "zone map requires a numeric column");
   }
-  MutexLock build(slot->mu);
-  {
-    MutexLock lock(mu_);
-    auto it = zone_maps_.find(idx);
-    if (it != zone_maps_.end()) {
-      SynopsisHitsCounter()->Add();
-      return it->second.get();
-    }
-  }
-  auto zm = std::make_unique<ZoneMap>(ZoneMap::Build(*col));
-  const ZoneMap* ptr = zm.get();
-  MutexLock lock(mu_);
-  zone_maps_.emplace(idx, std::move(zm));
-  SynopsisBuildsCounter()->Add();
-  return ptr;
+  return GetOrBuild(slots_[idx].zone_map, idx, [](const ColumnVector& col) {
+    return std::make_unique<ZoneMap>(ZoneMap::Build(col));
+  });
 }
 
 Result<const DictEncoded*> TableEntry::GetDict(size_t idx) {
-  {
-    MutexLock lock(mu_);
-    EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumnLocked(idx));
-    if (col->type() != DataType::kString) {
-      return Status::InvalidArgument(
-          "dictionary requires a string column, '" + schema().field(idx).name +
-          "' is " + DataTypeName(col->type()));
-    }
+  EXPLOREDB_ASSIGN_OR_RETURN(DataType type, ColumnType(idx));
+  if (type != DataType::kString) {
+    return WrongType(idx, "dictionary requires a string column");
   }
   EXPLOREDB_ASSIGN_OR_RETURN(const CompressedColumn* comp,
                              GetCompressed(idx));
@@ -196,33 +133,11 @@ Result<const DictEncoded*> TableEntry::GetDict(size_t idx) {
 }
 
 Result<const CompressedColumn*> TableEntry::GetCompressed(size_t idx) {
-  const ColumnVector* col = nullptr;
-  BuildSlot* slot = nullptr;
-  {
-    MutexLock lock(mu_);
-    auto it = compressed_.find(idx);
-    if (it != compressed_.end()) {
-      SynopsisHitsCounter()->Add();
-      return it->second.get();  // may be nullptr: cached verdict
-    }
-    EXPLOREDB_ASSIGN_OR_RETURN(col, GetColumnLocked(idx));
-    slot = GetBuildSlotLocked(SlotKind::kCompressed, idx);
-  }
-  MutexLock build(slot->mu);
-  {
-    MutexLock lock(mu_);
-    auto it = compressed_.find(idx);
-    if (it != compressed_.end()) {
-      SynopsisHitsCounter()->Add();
-      return it->second.get();
-    }
-  }
-  std::unique_ptr<CompressedColumn> built = CompressedColumn::Build(*col);
-  const CompressedColumn* ptr = built.get();  // may be nullptr: cached miss
-  MutexLock lock(mu_);
-  compressed_.emplace(idx, std::move(built));
-  SynopsisBuildsCounter()->Add();
-  return ptr;
+  EXPLOREDB_RETURN_NOT_OK(ColumnType(idx).status());
+  // Build() may return nullptr: published as the "incompressible" verdict.
+  return GetOrBuild(slots_[idx].compressed, idx, [](const ColumnVector& col) {
+    return CompressedColumn::Build(col);
+  });
 }
 
 Result<const Table*> TableEntry::Materialized() {
@@ -240,31 +155,35 @@ Result<const Table*> TableEntry::Materialized() {
 }
 
 Status TableEntry::ValidateAdaptiveState() {
-  MutexLock lock(mu_);
-  for (const auto& [idx, cracker] : crackers_) {
-    EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumnLocked(idx));
-    EXPLOREDB_RETURN_NOT_OK(cracker->Validate(&col->int64_data()));
-  }
-  for (const auto& [idx, index] : indexes_) {
-    const std::vector<int64_t>& sorted = index->sorted_values();
-    if (!std::is_sorted(sorted.begin(), sorted.end())) {
-      return Status::Internal("sorted index over column " +
-                              std::to_string(idx) + " is not sorted");
+  for (size_t idx = 0; idx < slots_.size(); ++idx) {
+    const ColumnSlots& slots = slots_[idx];
+    const EpochCrackerColumn* cracker = slots.cracker.Published();
+    const SortedIndex* index = slots.sorted_index.Published();
+    const ZoneMap* zm = slots.zone_map.Published();
+    // nullptr also when published as the "incompressible" verdict.
+    const CompressedColumn* comp = slots.compressed.Published();
+    if (cracker == nullptr && index == nullptr && zm == nullptr &&
+        comp == nullptr) {
+      continue;  // nothing built over this column; do not load it
     }
-    EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumnLocked(idx));
-    if (sorted.size() != col->int64_data().size()) {
-      return Status::Internal("sorted index over column " +
-                              std::to_string(idx) + " has wrong cardinality");
+    EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumn(idx));
+    if (cracker != nullptr) {
+      EXPLOREDB_RETURN_NOT_OK(cracker->Validate(&col->int64_data()));
     }
-  }
-  for (const auto& [idx, zm] : zone_maps_) {
-    EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumnLocked(idx));
-    EXPLOREDB_RETURN_NOT_OK(zm->Validate(col));
-  }
-  for (const auto& [idx, comp] : compressed_) {
-    if (comp == nullptr) continue;  // cached "incompressible" verdict
-    EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumnLocked(idx));
-    EXPLOREDB_RETURN_NOT_OK(comp->Validate(*col));
+    if (index != nullptr) {
+      const std::vector<int64_t>& sorted = index->sorted_values();
+      if (!std::is_sorted(sorted.begin(), sorted.end())) {
+        return Status::Internal("sorted index over column " +
+                                std::to_string(idx) + " is not sorted");
+      }
+      if (sorted.size() != col->int64_data().size()) {
+        return Status::Internal("sorted index over column " +
+                                std::to_string(idx) +
+                                " has wrong cardinality");
+      }
+    }
+    if (zm != nullptr) EXPLOREDB_RETURN_NOT_OK(zm->Validate(col));
+    if (comp != nullptr) EXPLOREDB_RETURN_NOT_OK(comp->Validate(*col));
   }
   return Status::OK();
 }

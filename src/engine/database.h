@@ -1,8 +1,10 @@
 #ifndef EXPLOREDB_ENGINE_DATABASE_H_
 #define EXPLOREDB_ENGINE_DATABASE_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,27 +23,29 @@
 namespace exploredb {
 
 /// A named table plus the adaptive infrastructure the engine grows around it
-/// while queries run: per-column crackers and sorted indexes, created lazily
-/// on first use (the "index as a side effect of querying" principle).
+/// while queries run: per-column crackers, sorted indexes, zone maps and
+/// compressed columns, created lazily on first use (the "index as a side
+/// effect of querying" principle).
 ///
 /// Thread safety (the serving-layer contract, DESIGN.md §2i): every adaptive
-/// structure is built once and *published* — the table mutex mu_ only guards
-/// the lookup maps, never an expensive build. A miss resolves a per-
-/// (structure, column) build slot, releases mu_, serializes builders on the
-/// slot's mutex (double-checked: late arrivals find the published instance
-/// and return it), builds outside any table-wide lock, then re-takes mu_ to
-/// publish. Concurrent sessions racing to create the same zone map /
-/// dictionary / index get one instance, with no thundering-herd rebuilds and
-/// no reader stalled behind another column's build. Published pointers are
-/// stable for the entry's lifetime. Crackers are EpochCrackerColumn — they
-/// serialize their own reorganizations internally, so no caller-side
-/// serialization is needed.
+/// structure is built once and *published* through its own build-once slot,
+/// one per (structure, column), allocated up front from the immutable schema
+/// (see GetOrBuild). A lookup of a published structure is one acquire load,
+/// with no map and no lock. A miss serializes builders on that slot's mutex
+/// (late arrivals re-check and adopt the published instance), builds outside
+/// every table-wide lock, and publishes with a release store. Concurrent
+/// sessions racing to create the same zone map / dictionary / index get one
+/// instance, with no thundering-herd rebuilds and no reader stalled behind
+/// another column's build. Published structures live as long as the entry.
+/// Crackers are EpochCrackerColumn — they serialize their own
+/// reorganizations internally, so no caller-side serialization is needed.
+/// The table mutex mu_ guards only the base data.
 class TableEntry {
  public:
   explicit TableEntry(Table table)
-      : schema_(table.schema()), table_(std::move(table)) {}
+      : TableEntry(std::move(table), std::nullopt) {}
   TableEntry(Schema schema, RawTable raw)
-      : schema_(schema), table_(Table(std::move(schema))), raw_(std::move(raw)) {}
+      : TableEntry(Table(std::move(schema)), std::move(raw)) {}
 
   /// Immutable after construction, so readable without the lock.
   const Schema& schema() const { return schema_; }
@@ -84,39 +88,65 @@ class TableEntry {
     return raw_.has_value();
   }
 
-  /// Deep-validates every adaptive structure this entry has built so far
-  /// (crackers, zone maps, dictionaries) against the base column data.
-  /// O(rows x structures); run from tests and, behind EXPLOREDB_VALIDATE=1,
-  /// after every query (see Executor::Execute).
+  /// Deep-validates every adaptive structure this entry has published so far
+  /// (crackers, sorted indexes, zone maps, compressed columns) against the
+  /// base column data. O(rows x structures), with no table-wide lock held
+  /// across the pass; run from tests and, behind EXPLOREDB_VALIDATE=1, after
+  /// every query (see Executor::Execute).
   Status ValidateAdaptiveState() EXCLUDES(mu_);
 
  private:
-  /// Which adaptive structure a build slot serializes construction of.
-  enum class SlotKind { kCracker, kSortedIndex, kZoneMap, kCompressed };
-  /// One mutex per (structure kind, column): builders of the same structure
-  /// serialize here, *outside* mu_, so the table stays readable during an
-  /// expensive build and late racers wait for the publish instead of
-  /// rebuilding. Slots are never removed; pointers stay valid.
-  struct BuildSlot {
+  /// Build-once cell for one (structure, column). Builders serialize on
+  /// `mu`; the winner sets `value`, then release-stores `built`. Readers
+  /// acquire-load `built` and touch `value` only once it is true, so a
+  /// published structure is read without any lock. A null `value` is a valid
+  /// published verdict ("this column has none").
+  template <typename T>
+  struct BuildOnce {
     Mutex mu;
+    std::atomic<bool> built{false};
+    // NOLINT-exploredb(guarded-by): written once, under mu, before the
+    // release store of `built`; read only after an acquire load sees it.
+    std::unique_ptr<T> value;
+
+    /// The published structure; nullptr while unbuilt.
+    T* Published() const {
+      return built.load(std::memory_order_acquire) ? value.get() : nullptr;
+    }
   };
 
-  Result<const ColumnVector*> GetColumnLocked(size_t idx) REQUIRES(mu_);
-  BuildSlot* GetBuildSlotLocked(SlotKind kind, size_t idx) REQUIRES(mu_);
+  /// The build-once slots of one column, one per structure kind.
+  struct ColumnSlots {
+    BuildOnce<EpochCrackerColumn> cracker;
+    BuildOnce<const SortedIndex> sorted_index;
+    BuildOnce<const ZoneMap> zone_map;
+    BuildOnce<const CompressedColumn> compressed;
+  };
+
+  TableEntry(Table table, std::optional<RawTable> raw)
+      : schema_(table.schema()),
+        table_(std::move(table)),
+        raw_(std::move(raw)),
+        slots_(schema_.num_fields()) {}
+
+  /// The type of column `idx`, or OutOfRange past the schema.
+  Result<DataType> ColumnType(size_t idx) const;
+  /// InvalidArgument "<requirement>, '<column name>' is <column type>".
+  Status WrongType(size_t idx, const std::string& requirement) const;
+
+  /// The structure published in `slot` over column `idx`; the first caller
+  /// builds it as `build(column)` while later racers wait on the slot.
+  template <typename T, typename Build>
+  Result<T*> GetOrBuild(BuildOnce<T>& slot, size_t idx, Build build)
+      EXCLUDES(mu_);
 
   const Schema schema_;
   mutable Mutex mu_;
   Table table_ GUARDED_BY(mu_);
   std::optional<RawTable> raw_ GUARDED_BY(mu_);
-  std::map<size_t, std::unique_ptr<EpochCrackerColumn>> crackers_
-      GUARDED_BY(mu_);
-  std::map<size_t, std::unique_ptr<SortedIndex>> indexes_ GUARDED_BY(mu_);
-  std::map<size_t, std::unique_ptr<ZoneMap>> zone_maps_ GUARDED_BY(mu_);
-  // A nullptr value is a cached "no compressed representation" verdict.
-  std::map<size_t, std::unique_ptr<CompressedColumn>> compressed_
-      GUARDED_BY(mu_);
-  std::map<std::pair<int, size_t>, std::unique_ptr<BuildSlot>> build_slots_
-      GUARDED_BY(mu_);
+  // NOLINT-exploredb(guarded-by): one per schema field, sized in the
+  // constructor and never resized; each slot synchronizes itself.
+  std::vector<ColumnSlots> slots_;
 };
 
 /// The engine's catalog: named tables, eager or adaptively loaded. Creation

@@ -93,16 +93,6 @@ Counter* SimdPathCounter(simd::SimdPath path) {
   return scalar;
 }
 
-/// Folds one query's ExecStats into the process-wide registry; called once
-/// per successful Execute.
-void RecordQueryMetrics(const ExecStats& stats) {
-  QueriesCounter()->Add();
-  QueryLatencyHistogram()->Record(stats.total_nanos);
-  RowsScannedCounter()->Add(stats.rows_scanned);
-  MorselsDispatchedCounter()->Add(stats.morsels_dispatched);
-  SimdPathCounter(stats.simd_path)->Add();
-}
-
 /// Fetches the column each condition references.
 Result<std::vector<const ColumnVector*>> FetchConditionColumns(
     TableEntry* entry, const std::vector<Condition>& conditions) {
@@ -317,8 +307,16 @@ Executor::Executor(Database* db)
 
 Executor::~Executor() = default;
 
+void Executor::RecordQueryMetrics(const ExecStats& stats) {
+  QueriesCounter()->Add();
+  QueryLatencyHistogram()->Record(stats.total_nanos);
+  RowsScannedCounter()->Add(stats.rows_scanned);
+  MorselsDispatchedCounter()->Add(stats.morsels_dispatched);
+  SimdPathCounter(stats.simd_path)->Add();
+}
+
 std::optional<Executor::RangePlan> Executor::ExtractRange(
-    const Predicate& pred, const Schema& schema, TableEntry* entry) {
+    const Predicate& pred, const Schema& schema) {
   // Find a column with both a lower and an upper int64 bound (Eq counts as
   // both). All other conjuncts become the residual.
   std::unordered_map<size_t, std::pair<std::optional<int64_t>,
@@ -368,7 +366,6 @@ std::optional<Executor::RangePlan> Executor::ExtractRange(
         plan.residual.push_back(c);
       }
     }
-    (void)entry;
     return plan;
   }
   return std::nullopt;
@@ -382,8 +379,7 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
   EXPLOREDB_ASSIGN_OR_RETURN(size_t n, entry->NumRows());
 
   if (mode == ExecutionMode::kCracking || mode == ExecutionMode::kFullIndex) {
-    std::optional<RangePlan> plan =
-        ExtractRange(pred, entry->schema(), entry);
+    std::optional<RangePlan> plan = ExtractRange(pred, entry->schema());
     if (plan.has_value()) {
       std::vector<uint32_t> candidates;
       if (mode == ExecutionMode::kCracking) {
@@ -1029,7 +1025,7 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
       const bool indexed =
           (mode == ExecutionMode::kCracking ||
            mode == ExecutionMode::kFullIndex) &&
-          ExtractRange(query.where(), entry->schema(), entry).has_value();
+          ExtractRange(query.where(), entry->schema()).has_value();
       if (!indexed) {
         EXPLOREDB_ASSIGN_OR_RETURN(
             Estimate e,

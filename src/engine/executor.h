@@ -66,6 +66,12 @@ class Executor {
                                const std::vector<uint32_t>& positions,
                                const ExecContext& ctx);
 
+  /// Folds one finished query's ExecStats into the process-wide engine
+  /// series (query count, latency, rows scanned, morsels, SIMD path): the
+  /// one recorder, called once per successful query by Execute and by the
+  /// planner's progressive path, which bypasses Execute.
+  static void RecordQueryMetrics(const ExecStats& stats);
+
   /// The budgeted planner (exposed for calibration inspection and tests).
   Planner& planner() { return *planner_; }
 
@@ -82,8 +88,7 @@ class Executor {
   /// Tries to turn the predicate into a single-column int64 range (the shape
   /// cracking and sorted indexes accelerate).
   static std::optional<RangePlan> ExtractRange(const Predicate& pred,
-                                               const Schema& schema,
-                                               TableEntry* entry);
+                                               const Schema& schema);
 
   /// Positions matching `pred` under `mode` (kAuto already resolved).
   /// Full scans are morsel-parallel; index paths record which index served

@@ -89,30 +89,6 @@ Counter* DeliveriesCounter() {
   return c;
 }
 
-// Engine-level series shared with the executor (the registry dedups by
-// name): the planner's own progressive path bypasses Executor::Execute, so
-// it folds its queries into the same totals here.
-void RecordEngineQueryMetrics(const ExecStats& stats) {
-  static Counter* queries = Metrics().GetCounter(
-      "exploredb_queries_total", "Queries executed by the engine");
-  static Histogram* latency = [] {
-    Histogram* hist = Metrics().GetHistogram(
-        "exploredb_query_latency_seconds", {},
-        "End-to-end query latency (recorded in ns, exposed in seconds)");
-    Metrics().SetScale("exploredb_query_latency_seconds", 1e-9);
-    return hist;
-  }();
-  static Counter* rows = Metrics().GetCounter(
-      "exploredb_rows_scanned_total", "Row visits across all query phases");
-  static Counter* morsels = Metrics().GetCounter(
-      "exploredb_morsels_dispatched_total",
-      "Parallel work units issued by the executor");
-  queries->Add();
-  latency->Record(stats.total_nanos);
-  rows->Add(stats.rows_scanned);
-  morsels->Add(stats.morsels_dispatched);
-}
-
 /// Relative error of an estimate: CI half-width over |value|, with a floor
 /// on the denominator so near-zero answers stay finite. A zero estimate with
 /// a positive width (a sample that held no matching rows) has no finite
@@ -152,12 +128,6 @@ double CostModel::ExactCostNs(uint64_t rows, bool compressed) const {
 double CostModel::SampleCostNs(uint64_t rows) const {
   MutexLock lock(mu_);
   return static_cast<double>(rows) * sample_ns_per_row_;
-}
-
-double CostModel::OnlineCostNs(uint64_t rows, uint64_t consumed) const {
-  MutexLock lock(mu_);
-  return static_cast<double>(rows) * online_build_ns_per_row_ +
-         static_cast<double>(consumed) * online_ns_per_row_;
 }
 
 double CostModel::PredictRelativeError(uint64_t sample_rows,
@@ -635,7 +605,7 @@ Result<QueryResult> Planner::RunProgressive(
   result.approximate = !runner.done();
   stats.achieved_error = RelativeError(best);
   result.exec_stats = stats;
-  RecordEngineQueryMetrics(stats);
+  Executor::RecordQueryMetrics(stats);
 
   // The final delivery repeats the returned answer bit-identically, with the
   // completed stats attached.

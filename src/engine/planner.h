@@ -34,9 +34,6 @@ class CostModel {
   /// `rows` sampled rows (drawing the sample is O(rows), so the whole path
   /// is priced per sampled row).
   double SampleCostNs(uint64_t rows) const EXCLUDES(mu_);
-  /// Predicted wall cost of materializing online-aggregation input (mask +
-  /// widened measure) over `rows` rows, plus consuming `consumed` of them.
-  double OnlineCostNs(uint64_t rows, uint64_t consumed) const EXCLUDES(mu_);
   /// Predicted relative CI half-width from `sample_rows` matching rows at
   /// `confidence` (z * cv / sqrt(m), the CLT promise under the current cv).
   double PredictRelativeError(uint64_t sample_rows, double confidence) const

@@ -126,11 +126,6 @@ QueryClass SloMonitor::Classify(ExecutionMode requested_mode, bool analytic) {
   return QueryClass::kInteractive;
 }
 
-void SloMonitor::SetClassBudget(QueryClass c, int64_t budget_ns) {
-  classes_[static_cast<size_t>(c)].default_budget_ns.store(
-      budget_ns, std::memory_order_relaxed);
-}
-
 int64_t SloMonitor::ClassBudget(QueryClass c) const {
   return classes_[static_cast<size_t>(c)].default_budget_ns.load(
       std::memory_order_relaxed);

@@ -80,8 +80,7 @@ class SloMonitor {
   /// is interactive.
   static QueryClass Classify(ExecutionMode requested_mode, bool analytic);
 
-  /// Default per-class budgets (used when a query carries no contract).
-  void SetClassBudget(QueryClass c, int64_t budget_ns);
+  /// Default budget of class `c` (used when a query carries no contract).
   int64_t ClassBudget(QueryClass c) const;
 
   /// Records one finished query. `budget_ns` <= 0 means "no per-query

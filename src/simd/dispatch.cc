@@ -23,14 +23,8 @@ constexpr KernelTable kScalarTable = {
     scalar::RefineF64Cmp,
     scalar::MaskI64Cmp,
     scalar::MaskF64Cmp,
-    scalar::PositionsFromMask,
-    scalar::CountMask,
     scalar::SumF64Sel,
     scalar::SumI64Sel,
-    scalar::MinF64Sel,
-    scalar::MaxF64Sel,
-    scalar::MinI64Sel,
-    scalar::MaxI64Sel,
     scalar::MinMaxI64,
     scalar::MinMaxF64,
     scalar::GatherU32,
@@ -55,14 +49,8 @@ constexpr KernelTable kSse42Table = {
     sse42::RefineF64Cmp,
     sse42::MaskI64Cmp,
     sse42::MaskF64Cmp,
-    scalar::PositionsFromMask,
-    scalar::CountMask,
     scalar::SumF64Sel,
     scalar::SumI64Sel,
-    scalar::MinF64Sel,
-    scalar::MaxF64Sel,
-    scalar::MinI64Sel,
-    scalar::MaxI64Sel,
     sse42::MinMaxI64,
     sse42::MinMaxF64,
     scalar::GatherU32,
@@ -85,14 +73,8 @@ constexpr KernelTable kAvx2Table = {
     avx2::RefineF64Cmp,
     avx2::MaskI64Cmp,
     avx2::MaskF64Cmp,
-    avx2::PositionsFromMask,
-    avx2::CountMask,
     avx2::SumF64Sel,
     scalar::SumI64Sel,
-    avx2::MinF64Sel,
-    avx2::MaxF64Sel,
-    avx2::MinI64Sel,
-    avx2::MaxI64Sel,
     avx2::MinMaxI64,
     avx2::MinMaxF64,
     avx2::GatherU32,

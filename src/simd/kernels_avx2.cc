@@ -1,5 +1,5 @@
 // AVX2 kernels: 4-wide int64/double compares with branch-free compression
-// through a 16-entry byte-shuffle LUT, 32-byte mask scans, vpgather-based
+// through a 16-entry byte-shuffle LUT, and vpgather-based
 // refine/reduction/gather kernels. The floating-point reductions replay the
 // 8-stripe accumulation contract from kernels_scalar.cc with two 4-lane
 // registers (accA = stripes 0..3, accB = stripes 4..7), which is what keeps
@@ -399,42 +399,6 @@ void MaskF64Cmp(const double* d, uint32_t begin, uint32_t end, Cmp op,
   }
 }
 
-uint32_t PositionsFromMask(const uint8_t* mask, uint32_t begin, uint32_t end,
-                           uint32_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  uint32_t n = 0;
-  uint32_t r = begin;
-  for (; r + 32 <= end; r += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + r));
-    uint32_t nz = ~static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)));
-    while (nz != 0) {
-      out[n++] = r + static_cast<uint32_t>(__builtin_ctz(nz));
-      nz &= nz - 1;
-    }
-  }
-  for (; r < end; ++r) {
-    if (mask[r] != 0) out[n++] = r;
-  }
-  return n;
-}
-
-uint64_t CountMask(const uint8_t* mask, size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  uint64_t count = 0;
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    const uint32_t z = static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)));
-    count += 32 - __builtin_popcount(z);
-  }
-  for (; i < n; ++i) count += mask[i] != 0 ? 1 : 0;
-  return count;
-}
-
 double SumF64Sel(const double* v, const uint32_t* sel, uint32_t n) {
   // accA holds stripes 0..3, accB stripes 4..7 of the shared contract.
   __m256d acc_a = _mm256_setzero_pd();
@@ -457,95 +421,6 @@ double SumF64Sel(const double* v, const uint32_t* sel, uint32_t n) {
   const double b2 = lane[2] + lane[6];
   const double b3 = lane[3] + lane[7];
   return (b0 + b2) + (b1 + b3);
-}
-
-double MinF64Sel(const double* v, const uint32_t* sel, uint32_t n) {
-  __m256d acc_a = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  __m256d acc_b = acc_a;
-  uint32_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i idx_a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i));
-    const __m128i idx_b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i + 4));
-    // MINPD(src1=gathered, src2=acc) == MinFold: NaN and ties keep acc.
-    acc_a = _mm256_min_pd(GatherPd(v, idx_a), acc_a);
-    acc_b = _mm256_min_pd(GatherPd(v, idx_b), acc_b);
-  }
-  alignas(32) double lane[8];
-  _mm256_store_pd(lane, acc_a);
-  _mm256_store_pd(lane + 4, acc_b);
-  for (; i < n; ++i) lane[i % 8] = MinFold(v[sel[i]], lane[i % 8]);
-  const double b0 = MinFold(lane[0], lane[4]);
-  const double b1 = MinFold(lane[1], lane[5]);
-  const double b2 = MinFold(lane[2], lane[6]);
-  const double b3 = MinFold(lane[3], lane[7]);
-  return MinFold(MinFold(b0, b2), MinFold(b1, b3));
-}
-
-double MaxF64Sel(const double* v, const uint32_t* sel, uint32_t n) {
-  __m256d acc_a = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  __m256d acc_b = acc_a;
-  uint32_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i idx_a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i));
-    const __m128i idx_b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i + 4));
-    acc_a = _mm256_max_pd(GatherPd(v, idx_a), acc_a);
-    acc_b = _mm256_max_pd(GatherPd(v, idx_b), acc_b);
-  }
-  alignas(32) double lane[8];
-  _mm256_store_pd(lane, acc_a);
-  _mm256_store_pd(lane + 4, acc_b);
-  for (; i < n; ++i) lane[i % 8] = MaxFold(v[sel[i]], lane[i % 8]);
-  const double b0 = MaxFold(lane[0], lane[4]);
-  const double b1 = MaxFold(lane[1], lane[5]);
-  const double b2 = MaxFold(lane[2], lane[6]);
-  const double b3 = MaxFold(lane[3], lane[7]);
-  return MaxFold(MaxFold(b0, b2), MaxFold(b1, b3));
-}
-
-int64_t MinI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n) {
-  __m256i acc = _mm256_set1_epi64x(std::numeric_limits<int64_t>::max());
-  uint32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i));
-    const __m256i x = GatherEpi64(v, idx);
-    acc = _mm256_blendv_epi8(acc, x, _mm256_cmpgt_epi64(acc, x));
-  }
-  alignas(32) int64_t lane[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lane), acc);
-  int64_t mn = lane[0];
-  for (int j = 1; j < 4; ++j) {
-    if (lane[j] < mn) mn = lane[j];
-  }
-  for (; i < n; ++i) {
-    if (v[sel[i]] < mn) mn = v[sel[i]];
-  }
-  return mn;
-}
-
-int64_t MaxI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n) {
-  __m256i acc = _mm256_set1_epi64x(std::numeric_limits<int64_t>::min());
-  uint32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + i));
-    const __m256i x = GatherEpi64(v, idx);
-    acc = _mm256_blendv_epi8(acc, x, _mm256_cmpgt_epi64(x, acc));
-  }
-  alignas(32) int64_t lane[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lane), acc);
-  int64_t mx = lane[0];
-  for (int j = 1; j < 4; ++j) {
-    if (lane[j] > mx) mx = lane[j];
-  }
-  for (; i < n; ++i) {
-    if (v[sel[i]] > mx) mx = v[sel[i]];
-  }
-  return mx;
 }
 
 void MinMaxI64(const int64_t* d, size_t n, int64_t* mn, int64_t* mx) {

@@ -32,15 +32,8 @@ void MaskI64Cmp(const int64_t* d, uint32_t begin, uint32_t end, Cmp op,
                 int64_t k, uint8_t* mask);
 void MaskF64Cmp(const double* d, uint32_t begin, uint32_t end, Cmp op,
                 double k, uint8_t* mask);
-uint32_t PositionsFromMask(const uint8_t* mask, uint32_t begin, uint32_t end,
-                           uint32_t* out);
-uint64_t CountMask(const uint8_t* mask, size_t n);
 double SumF64Sel(const double* v, const uint32_t* sel, uint32_t n);
 double SumI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n);
-double MinF64Sel(const double* v, const uint32_t* sel, uint32_t n);
-double MaxF64Sel(const double* v, const uint32_t* sel, uint32_t n);
-int64_t MinI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n);
-int64_t MaxI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n);
 void MinMaxI64(const int64_t* d, size_t n, int64_t* mn, int64_t* mx);
 void MinMaxF64(const double* d, size_t n, double* mn, double* mx);
 void GatherU32(const uint32_t* src, const uint32_t* sel, uint32_t n,
@@ -96,14 +89,7 @@ void MaskI64Cmp(const int64_t* d, uint32_t begin, uint32_t end, Cmp op,
                 int64_t k, uint8_t* mask);
 void MaskF64Cmp(const double* d, uint32_t begin, uint32_t end, Cmp op,
                 double k, uint8_t* mask);
-uint32_t PositionsFromMask(const uint8_t* mask, uint32_t begin, uint32_t end,
-                           uint32_t* out);
-uint64_t CountMask(const uint8_t* mask, size_t n);
 double SumF64Sel(const double* v, const uint32_t* sel, uint32_t n);
-double MinF64Sel(const double* v, const uint32_t* sel, uint32_t n);
-double MaxF64Sel(const double* v, const uint32_t* sel, uint32_t n);
-int64_t MinI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n);
-int64_t MaxI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n);
 void MinMaxI64(const int64_t* d, size_t n, int64_t* mn, int64_t* mx);
 void MinMaxF64(const double* d, size_t n, double* mn, double* mx);
 void GatherU32(const uint32_t* src, const uint32_t* sel, uint32_t n,

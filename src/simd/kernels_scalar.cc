@@ -5,7 +5,6 @@
 // sequence of additions per lane.
 
 #include <cmath>
-#include <limits>
 
 #include "simd/kernels_internal.h"
 
@@ -120,21 +119,6 @@ void MaskF64Cmp(const double* d, uint32_t begin, uint32_t end, Cmp op,
                    [&](auto pred) { MaskImpl(d, begin, end, pred, mask); });
 }
 
-uint32_t PositionsFromMask(const uint8_t* mask, uint32_t begin, uint32_t end,
-                           uint32_t* out) {
-  uint32_t n = 0;
-  for (uint32_t r = begin; r < end; ++r) {
-    if (mask[r] != 0) out[n++] = r;
-  }
-  return n;
-}
-
-uint64_t CountMask(const uint8_t* mask, size_t n) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) count += mask[i] != 0 ? 1 : 0;
-  return count;
-}
-
 double SumF64Sel(const double* v, const uint32_t* sel, uint32_t n) {
   double lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
   uint32_t i = 0;
@@ -161,54 +145,6 @@ double SumI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n) {
   const double b2 = lane[2] + lane[6];
   const double b3 = lane[3] + lane[7];
   return (b0 + b2) + (b1 + b3);
-}
-
-double MinF64Sel(const double* v, const uint32_t* sel, uint32_t n) {
-  double lane[8];
-  for (double& l : lane) l = std::numeric_limits<double>::infinity();
-  uint32_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (int j = 0; j < 8; ++j) lane[j] = MinFold(v[sel[i + j]], lane[j]);
-  }
-  for (; i < n; ++i) lane[i % 8] = MinFold(v[sel[i]], lane[i % 8]);
-  const double b0 = MinFold(lane[0], lane[4]);
-  const double b1 = MinFold(lane[1], lane[5]);
-  const double b2 = MinFold(lane[2], lane[6]);
-  const double b3 = MinFold(lane[3], lane[7]);
-  return MinFold(MinFold(b0, b2), MinFold(b1, b3));
-}
-
-double MaxF64Sel(const double* v, const uint32_t* sel, uint32_t n) {
-  double lane[8];
-  for (double& l : lane) l = -std::numeric_limits<double>::infinity();
-  uint32_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (int j = 0; j < 8; ++j) lane[j] = MaxFold(v[sel[i + j]], lane[j]);
-  }
-  for (; i < n; ++i) lane[i % 8] = MaxFold(v[sel[i]], lane[i % 8]);
-  const double b0 = MaxFold(lane[0], lane[4]);
-  const double b1 = MaxFold(lane[1], lane[5]);
-  const double b2 = MaxFold(lane[2], lane[6]);
-  const double b3 = MaxFold(lane[3], lane[7]);
-  return MaxFold(MaxFold(b0, b2), MaxFold(b1, b3));
-}
-
-int64_t MinI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n) {
-  int64_t mn = std::numeric_limits<int64_t>::max();
-  for (uint32_t i = 0; i < n; ++i) {
-    const int64_t x = v[sel[i]];
-    if (x < mn) mn = x;
-  }
-  return mn;
-}
-
-int64_t MaxI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n) {
-  int64_t mx = std::numeric_limits<int64_t>::min();
-  for (uint32_t i = 0; i < n; ++i) {
-    const int64_t x = v[sel[i]];
-    if (x > mx) mx = x;
-  }
-  return mx;
 }
 
 void MinMaxI64(const int64_t* d, size_t n, int64_t* mn, int64_t* mx) {

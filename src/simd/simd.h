@@ -57,12 +57,6 @@ struct KernelTable {
                        int64_t k, uint8_t* mask);
   void (*mask_f64_cmp)(const double* d, uint32_t begin, uint32_t end, Cmp op,
                        double k, uint8_t* mask);
-  /// Mask-to-position materialization: row ids in [begin, end) whose mask
-  /// byte is nonzero, in row order.
-  uint32_t (*positions_from_mask)(const uint8_t* mask, uint32_t begin,
-                                  uint32_t end, uint32_t* out);
-  /// Number of nonzero bytes in mask[0, n).
-  uint64_t (*count_mask)(const uint8_t* mask, size_t n);
 
   // --- Masked reductions over a selection vector. Sums accumulate into 8
   // stripes (element i -> stripe i % 8, in increasing i) combined as
@@ -70,12 +64,6 @@ struct KernelTable {
   // implementation follows, which is what makes them bit-identical.
   double (*sum_f64_sel)(const double* v, const uint32_t* sel, uint32_t n);
   double (*sum_i64_sel)(const int64_t* v, const uint32_t* sel, uint32_t n);
-  /// Min/max skip NaN (IEEE `<` fold); empty selections return +inf / -inf.
-  double (*min_f64_sel)(const double* v, const uint32_t* sel, uint32_t n);
-  double (*max_f64_sel)(const double* v, const uint32_t* sel, uint32_t n);
-  /// Empty selections return INT64_MAX / INT64_MIN.
-  int64_t (*min_i64_sel)(const int64_t* v, const uint32_t* sel, uint32_t n);
-  int64_t (*max_i64_sel)(const int64_t* v, const uint32_t* sel, uint32_t n);
 
   // --- Contiguous min/max over d[0, n), n >= 1 (zone-map construction).
   // f64 seeds with d[0] so an all-NaN block keeps NaN bounds.

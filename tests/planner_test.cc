@@ -15,8 +15,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "engine/database.h"
@@ -253,6 +255,37 @@ TEST(PlannerTest, ProgressiveDeliveriesMonotoneAndFinalBitIdentical) {
       EXPECT_EQ(result.scalar->value, reference_value);
     }
   }
+}
+
+// A progressive online query goes through the executor's one metrics
+// recorder: it counts in exploredb_queries_total and in exactly one of the
+// SIMD-path counters, like any executor query.
+TEST(PlannerTest, ProgressiveOnlineQueryCountsItsSimdPath) {
+  Executor executor(TestDb());
+  executor.planner().cost_model().SetExactNsPerRowForTest(1e9);
+  ExecContext ctx;
+  ctx.SetBudget({.latency = seconds(30), .target_error = 0.0});
+  Counter* queries = Metrics().GetCounter("exploredb_queries_total");
+  auto simd_queries = [] {
+    uint64_t total = 0;
+    for (const char* path : {"scalar", "sse42", "avx2"}) {
+      total += Metrics()
+                   .GetCounter(std::string("exploredb_simd_path_") + path +
+                               "_queries_total")
+                   ->Value();
+    }
+    return total;
+  };
+  const uint64_t queries_before = queries->Value();
+  const uint64_t simd_before = simd_queries();
+
+  auto r = executor.ExecuteProgressive(HalfAvg(), ctx,
+                                       [](const ProgressiveUpdate&) {});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.ValueOrDie().stats().planner_choice, PlannerChoice::kOnline);
+  const uint64_t counted = queries->Value() - queries_before;
+  EXPECT_EQ(counted, 1u);
+  EXPECT_EQ(simd_queries() - simd_before, counted);
 }
 
 // ---- Session-level progressive contract -----------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <future>
 #include <map>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "cracking/updates.h"
 #include "engine/database.h"
@@ -368,6 +370,130 @@ TEST(ServerStressTest, MultiSessionStorm) {
   auto check = checker.Execute(WindowQuery(schema, 4'000, 4'200), cracking);
   ASSERT_TRUE(check.ok());
   EXPECT_EQ(check.ValueOrDie().positions.size(), oracle);
+}
+
+TEST(ServerStressTest, AdaptiveStructuresBuildOnceUnderRace) {
+  // 8 racers ask for every adaptive structure on every cold column of a
+  // fresh database at once, while a validator walks the published ones. For
+  // each (kind, column) every racer must get the same instance, built
+  // exactly once; a structure the column's type cannot carry is an
+  // InvalidArgument every time and is never built. (Run under TSan, a
+  // publish that is not a release store shows up here as a race.)
+  enum Kind { kCracker, kSortedIndex, kZoneMap, kCompressed, kDict, kKinds };
+  constexpr size_t kColumns = 4;  // int64, int64, double, string
+  // Which (kind, column) pairs succeed: int64-only crackers and sorted
+  // indexes, numeric zone maps, compressed for every column (a double's is
+  // the cached nullptr verdict), and a dictionary for the string column.
+  constexpr bool kBuildable[kKinds][kColumns] = {{true, true, false, false},
+                                                 {true, true, false, false},
+                                                 {true, true, true, false},
+                                                 {true, true, true, true},
+                                                 {false, false, false, true}};
+  constexpr uint64_t kStructures = 2 + 2 + 3 + 4;  // kDict reuses kCompressed
+  constexpr int kRacers = 8;
+  constexpr int kValidatorPasses = 20;
+  Counter* builds = Metrics().GetCounter("exploredb_synopsis_builds_total");
+
+  for (uint64_t round = 0; round < 4; ++round) {
+    SCOPED_TRACE(round);
+    Table t(Schema({{"ts", DataType::kInt64},
+                    {"user_id", DataType::kInt64},
+                    {"latency_ms", DataType::kDouble},
+                    {"carrier", DataType::kString}}));
+    Random rng(40 + round);
+    for (int64_t i = 0; i < 20'000; ++i) {
+      t.mutable_column(0)->AppendInt64(i);
+      t.mutable_column(1)->AppendInt64(rng.UniformInt(0, 9'999));
+      t.mutable_column(2)->AppendDouble(rng.NextDouble() * 100.0);
+      t.mutable_column(3)->AppendString("c" +
+                                        std::to_string(rng.Uniform(12)));
+    }
+    Database db;
+    ASSERT_TRUE(db.CreateTable("events", std::move(t)).ok());
+    TableEntry* entry = db.GetTable("events").ValueOrDie();
+    const uint64_t builds_before = builds->Value();
+
+    // got[racer][kind][column]: the instance returned, nullptr on an error.
+    std::vector<std::array<std::array<const void*, kColumns>, kKinds>> got(
+        kRacers);
+    std::atomic<int> wrong_status{0};
+    std::atomic<int> invalid_passes{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int r = 0; r < kRacers; ++r) {
+      threads.emplace_back([&, r] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        // Rotated visiting orders, so different racers lead on different
+        // slots.
+        for (int k = 0; k < kKinds; ++k) {
+          const int kind = (k + r) % kKinds;
+          for (size_t c = 0; c < kColumns; ++c) {
+            const size_t col = (c + static_cast<size_t>(r)) % kColumns;
+            Status st;
+            const void* ptr = nullptr;
+            auto take = [&](auto result) {
+              st = result.status();
+              if (result.ok()) ptr = result.ValueOrDie();
+            };
+            switch (kind) {
+              case kCracker:
+                take(entry->GetCracker(col));
+                break;
+              case kSortedIndex:
+                take(entry->GetSortedIndex(col));
+                break;
+              case kZoneMap:
+                take(entry->GetZoneMap(col));
+                break;
+              case kCompressed:
+                take(entry->GetCompressed(col));
+                break;
+              default:
+                take(entry->GetDict(col));
+                break;
+            }
+            const bool want_ok = kBuildable[kind][col];
+            if (want_ok ? !st.ok()
+                        : st.code() != StatusCode::kInvalidArgument) {
+              wrong_status.fetch_add(1);
+            }
+            got[r][kind][col] = ptr;
+          }
+        }
+      });
+    }
+    std::thread validator([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int pass = 0; pass < kValidatorPasses; ++pass) {
+        if (!entry->ValidateAdaptiveState().ok()) invalid_passes.fetch_add(1);
+      }
+    });
+    go.store(true, std::memory_order_release);
+    for (std::thread& th : threads) th.join();
+    validator.join();
+
+    EXPECT_EQ(wrong_status.load(), 0);
+    EXPECT_EQ(invalid_passes.load(), 0);
+    EXPECT_EQ(builds->Value() - builds_before, kStructures);
+    for (int kind = 0; kind < kKinds; ++kind) {
+      for (size_t col = 0; col < kColumns; ++col) {
+        for (int r = 1; r < kRacers; ++r) {
+          EXPECT_EQ(got[r][kind][col], got[0][kind][col])
+              << "kind=" << kind << " column=" << col << " racer=" << r;
+        }
+      }
+    }
+    // The racers' instances are the published ones; the dictionary is the
+    // compressed string column's; a double has no compressed form.
+    EXPECT_EQ(got[0][kCracker][1], entry->GetCracker(1).ValueOrDie());
+    EXPECT_EQ(got[0][kZoneMap][2], entry->GetZoneMap(2).ValueOrDie());
+    EXPECT_EQ(got[0][kCompressed][2], nullptr);
+    ASSERT_NE(got[0][kCompressed][3], nullptr);
+    EXPECT_EQ(got[0][kDict][3],
+              &entry->GetCompressed(3).ValueOrDie()->str()->dict());
+    EXPECT_TRUE(entry->ValidateAdaptiveState().ok());
+    EXPECT_EQ(builds->Value() - builds_before, kStructures);
+  }
 }
 
 TEST(EpochCrackerStressTest, ConcurrentReadsDuringCracking) {

@@ -230,11 +230,6 @@ TEST(SimdKernelTest, MaskAndPositionsKernelsAgree) {
                      want_mi.data());
     ref.mask_f64_cmp(dd.data(), 0, static_cast<uint32_t>(n), op, -4.0,
                      want_md.data());
-    std::vector<uint32_t> want_pos(n);
-    want_pos.resize(ref.positions_from_mask(want_mi.data(), 0,
-                                            static_cast<uint32_t>(n),
-                                            want_pos.data()));
-    const uint64_t want_count = ref.count_mask(want_mi.data(), n);
     for (SimdPath path : SupportedPaths()) {
       const KernelTable& kt = simd::KernelsFor(path);
       std::vector<uint8_t> mi(n, 0xee), md(n, 0xee);
@@ -246,12 +241,6 @@ TEST(SimdKernelTest, MaskAndPositionsKernelsAgree) {
                              << " op=" << static_cast<int>(op);
       EXPECT_EQ(md, want_md) << "path=" << simd::SimdPathName(path)
                              << " op=" << static_cast<int>(op);
-      std::vector<uint32_t> pos(n);
-      pos.resize(kt.positions_from_mask(mi.data(), 0, static_cast<uint32_t>(n),
-                                        pos.data()));
-      EXPECT_EQ(pos, want_pos) << "path=" << simd::SimdPathName(path);
-      EXPECT_EQ(kt.count_mask(mi.data(), n), want_count)
-          << "path=" << simd::SimdPathName(path);
     }
   }
 }
@@ -280,10 +269,6 @@ TEST(SimdKernelTest, MaskedReductionsBitIdenticalAcrossPaths) {
     const uint64_t want_sum_nan = Bits(ref.sum_f64_sel(vd.data(), sel.data(),
                                                        sn));
     const uint64_t want_sumi = Bits(ref.sum_i64_sel(vi.data(), sel.data(), sn));
-    const uint64_t want_min = Bits(ref.min_f64_sel(vd.data(), sel.data(), sn));
-    const uint64_t want_max = Bits(ref.max_f64_sel(vd.data(), sel.data(), sn));
-    const int64_t want_mini = ref.min_i64_sel(vi.data(), sel.data(), sn);
-    const int64_t want_maxi = ref.max_i64_sel(vi.data(), sel.data(), sn);
     for (SimdPath path : SupportedPaths()) {
       const KernelTable& kt = simd::KernelsFor(path);
       EXPECT_EQ(Bits(kt.sum_f64_sel(vd_finite.data(), sel.data(), sn)),
@@ -293,12 +278,6 @@ TEST(SimdKernelTest, MaskedReductionsBitIdenticalAcrossPaths) {
           << "path=" << simd::SimdPathName(path) << " sel_n=" << sel_n;
       EXPECT_EQ(Bits(kt.sum_i64_sel(vi.data(), sel.data(), sn)), want_sumi)
           << "path=" << simd::SimdPathName(path);
-      EXPECT_EQ(Bits(kt.min_f64_sel(vd.data(), sel.data(), sn)), want_min)
-          << "path=" << simd::SimdPathName(path) << " sel_n=" << sel_n;
-      EXPECT_EQ(Bits(kt.max_f64_sel(vd.data(), sel.data(), sn)), want_max)
-          << "path=" << simd::SimdPathName(path) << " sel_n=" << sel_n;
-      EXPECT_EQ(kt.min_i64_sel(vi.data(), sel.data(), sn), want_mini);
-      EXPECT_EQ(kt.max_i64_sel(vi.data(), sel.data(), sn), want_maxi);
     }
   }
 }
