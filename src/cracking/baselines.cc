@@ -34,6 +34,7 @@ SortedIndex::SortedIndex(const std::vector<int64_t>& values)
 }
 
 std::vector<uint32_t> SortedIndex::RangeSelect(int64_t lo, int64_t hi) const {
+  if (lo >= hi) return {};  // contradictory bounds: e would precede b
   auto b = std::lower_bound(sorted_values_.begin(), sorted_values_.end(), lo);
   auto e = std::lower_bound(sorted_values_.begin(), sorted_values_.end(), hi);
   return std::vector<uint32_t>(
@@ -42,6 +43,7 @@ std::vector<uint32_t> SortedIndex::RangeSelect(int64_t lo, int64_t hi) const {
 }
 
 size_t SortedIndex::RangeCount(int64_t lo, int64_t hi) const {
+  if (lo >= hi) return 0;
   auto b = std::lower_bound(sorted_values_.begin(), sorted_values_.end(), lo);
   auto e = std::lower_bound(sorted_values_.begin(), sorted_values_.end(), hi);
   return static_cast<size_t>(e - b);

@@ -63,12 +63,12 @@ Status TableEntry::WrongType(size_t idx, const std::string& requirement) const {
 //   4. Publish: set the value, then release-store the flag. The release
 //      store is what makes the built structure visible, complete, to every
 //      lock-free reader whose acquire load sees the flag.
-// The base-column pointer stays valid across step 3: columns are never
-// removed while the entry lives (Materialized() replaces a raw table's
-// columns, and is never raced with queries).
+// A base-column pointer stays valid across step 3, and for as long as the
+// entry lives: columns are never freed or replaced (Materialized() copies a
+// raw table's columns into a slot of its own), so a build or a query may
+// keep reading a column while other sessions run anything else.
 template <typename T, typename Build>
-Result<T*> TableEntry::GetOrBuild(BuildOnce<T>& slot, size_t idx,
-                                  Build build) {
+Result<T*> TableEntry::GetOrBuild(BuildOnce<T>& slot, Build build) {
   if (slot.built.load(std::memory_order_acquire)) {
     SynopsisHitsCounter()->Add();
     return slot.value.get();
@@ -78,11 +78,19 @@ Result<T*> TableEntry::GetOrBuild(BuildOnce<T>& slot, size_t idx,
     SynopsisHitsCounter()->Add();
     return slot.value.get();
   }
-  EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumn(idx));
-  slot.value = build(*col);
+  EXPLOREDB_ASSIGN_OR_RETURN(slot.value, build());
   slot.built.store(true, std::memory_order_release);
   SynopsisBuildsCounter()->Add();
   return slot.value.get();
+}
+
+template <typename T, typename Build>
+Result<T*> TableEntry::GetOrBuildOver(BuildOnce<T>& slot, size_t idx,
+                                      Build build) {
+  return GetOrBuild(slot, [&]() -> Result<std::unique_ptr<T>> {
+    EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumn(idx));
+    return std::unique_ptr<T>(build(*col));
+  });
 }
 
 Result<EpochCrackerColumn*> TableEntry::GetCracker(size_t idx) {
@@ -90,9 +98,11 @@ Result<EpochCrackerColumn*> TableEntry::GetCracker(size_t idx) {
   if (type != DataType::kInt64) {
     return WrongType(idx, "cracking requires an int64 column");
   }
-  return GetOrBuild(slots_[idx].cracker, idx, [](const ColumnVector& col) {
-    return std::make_unique<EpochCrackerColumn>(col.int64_data());
-  });
+  return GetOrBuildOver(slots_[idx].cracker, idx,
+                        [](const ColumnVector& col) {
+                          return std::make_unique<EpochCrackerColumn>(
+                              col.int64_data());
+                        });
 }
 
 Result<const SortedIndex*> TableEntry::GetSortedIndex(size_t idx) {
@@ -100,10 +110,11 @@ Result<const SortedIndex*> TableEntry::GetSortedIndex(size_t idx) {
   if (type != DataType::kInt64) {
     return WrongType(idx, "sorted index requires an int64 column");
   }
-  return GetOrBuild(slots_[idx].sorted_index, idx,
-                    [](const ColumnVector& col) {
-                      return std::make_unique<SortedIndex>(col.int64_data());
-                    });
+  return GetOrBuildOver(slots_[idx].sorted_index, idx,
+                        [](const ColumnVector& col) {
+                          return std::make_unique<SortedIndex>(
+                              col.int64_data());
+                        });
 }
 
 Result<const ZoneMap*> TableEntry::GetZoneMap(size_t idx) {
@@ -111,9 +122,11 @@ Result<const ZoneMap*> TableEntry::GetZoneMap(size_t idx) {
   if (type == DataType::kString) {
     return WrongType(idx, "zone map requires a numeric column");
   }
-  return GetOrBuild(slots_[idx].zone_map, idx, [](const ColumnVector& col) {
-    return std::make_unique<ZoneMap>(ZoneMap::Build(col));
-  });
+  return GetOrBuildOver(slots_[idx].zone_map, idx,
+                        [](const ColumnVector& col) {
+                          return std::make_unique<ZoneMap>(
+                              ZoneMap::Build(col));
+                        });
 }
 
 Result<const DictEncoded*> TableEntry::GetDict(size_t idx) {
@@ -135,23 +148,27 @@ Result<const DictEncoded*> TableEntry::GetDict(size_t idx) {
 Result<const CompressedColumn*> TableEntry::GetCompressed(size_t idx) {
   EXPLOREDB_RETURN_NOT_OK(ColumnType(idx).status());
   // Build() may return nullptr: published as the "incompressible" verdict.
-  return GetOrBuild(slots_[idx].compressed, idx, [](const ColumnVector& col) {
-    return CompressedColumn::Build(col);
-  });
+  return GetOrBuildOver(
+      slots_[idx].compressed, idx,
+      [](const ColumnVector& col) { return CompressedColumn::Build(col); });
 }
 
 Result<const Table*> TableEntry::Materialized() {
-  MutexLock lock(mu_);
-  if (!raw_.has_value()) return &table_;
-  // Pull every column through the adaptive loader, then assemble a Table.
-  Table full(schema());
-  for (size_t c = 0; c < schema().num_fields(); ++c) {
-    EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, raw_->GetColumn(c));
-    *full.mutable_column(c) = *col;
+  {
+    MutexLock lock(mu_);
+    if (!raw_.has_value()) return &table_;
   }
-  table_ = std::move(full);
-  raw_.reset();
-  return &table_;
+  // Pull every column through the adaptive loader, then copy them into a
+  // Table of its own.
+  return GetOrBuild(
+      materialized_, [this]() -> Result<std::unique_ptr<const Table>> {
+        auto full = std::make_unique<Table>(schema());
+        for (size_t c = 0; c < schema().num_fields(); ++c) {
+          EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumn(c));
+          *full->mutable_column(c) = *col;
+        }
+        return std::unique_ptr<const Table>(std::move(full));
+      });
 }
 
 Status TableEntry::ValidateAdaptiveState() {

@@ -80,7 +80,9 @@ class TableEntry {
   /// encode cost is paid at most once per column.
   Result<const CompressedColumn*> GetCompressed(size_t idx) EXCLUDES(mu_);
 
-  /// Fully materialized Table view (loads every raw column).
+  /// Fully materialized Table view. A raw-backed entry loads every column
+  /// and copies them into a Table built once; the raw columns stay, so
+  /// queries that hold them keep reading valid data.
   Result<const Table*> Materialized() EXCLUDES(mu_);
 
   bool raw_backed() const EXCLUDES(mu_) {
@@ -134,10 +136,15 @@ class TableEntry {
   /// InvalidArgument "<requirement>, '<column name>' is <column type>".
   Status WrongType(size_t idx, const std::string& requirement) const;
 
-  /// The structure published in `slot` over column `idx`; the first caller
-  /// builds it as `build(column)` while later racers wait on the slot.
+  /// The structure published in `slot`; the first caller builds it as
+  /// `build()`, a Result<std::unique_ptr<T>>, while later racers wait on the
+  /// slot.
   template <typename T, typename Build>
-  Result<T*> GetOrBuild(BuildOnce<T>& slot, size_t idx, Build build)
+  Result<T*> GetOrBuild(BuildOnce<T>& slot, Build build) EXCLUDES(mu_);
+
+  /// GetOrBuild of a structure over column `idx`, built as `build(column)`.
+  template <typename T, typename Build>
+  Result<T*> GetOrBuildOver(BuildOnce<T>& slot, size_t idx, Build build)
       EXCLUDES(mu_);
 
   const Schema schema_;
@@ -147,6 +154,9 @@ class TableEntry {
   // NOLINT-exploredb(guarded-by): one per schema field, sized in the
   // constructor and never resized; each slot synchronizes itself.
   std::vector<ColumnSlots> slots_;
+  /// A raw-backed entry's Materialized() copy; unused for in-memory tables.
+  // NOLINT-exploredb(guarded-by): a build-once slot, synchronizes itself.
+  BuildOnce<const Table> materialized_;
 };
 
 /// The engine's catalog: named tables, eager or adaptively loaded. Creation

@@ -261,6 +261,56 @@ Result<MorselPlan> PlanMorsels(TableEntry* entry,
   return plan;
 }
 
+/// A focus seed resolved against one scan's morsel plan: the focus, the
+/// residual conjuncts and their inputs, and per live morsel the slice
+/// [first, last) of focus indexes that fall in the morsel's row range.
+struct SeededScan {
+  const std::vector<uint32_t>* focus = nullptr;  ///< nullptr: filter the table
+  const std::vector<Condition>* residual = nullptr;
+  CondInputs in;
+  std::vector<std::pair<size_t, size_t>> slices;
+  uint64_t rows = 0;  ///< focus rows the residual refines (0 without one)
+};
+
+/// Seeds the scan with `focus` when the focus holds no more rows than the
+/// pruned scan touches; otherwise returns an unseeded SeededScan.
+Result<SeededScan> SeedMorsels(TableEntry* entry,
+                               const std::vector<uint32_t>* focus,
+                               const std::vector<Condition>& residual,
+                               const MorselPlan& plan, size_t n, size_t morsel,
+                               const ExecContext& ctx) {
+  SeededScan seeded;
+  if (focus == nullptr || focus->size() > n - plan.rows_pruned) return seeded;
+  seeded.focus = focus;
+  seeded.residual = &residual;
+  EXPLOREDB_ASSIGN_OR_RETURN(
+      seeded.in, FetchCondInputs(entry, residual, ctx, Density::kSparse));
+  seeded.slices.reserve(plan.live.size());
+  auto next = focus->begin();
+  for (size_t m : plan.live) {
+    const auto lo = std::lower_bound(next, focus->end(), m * morsel);
+    next = std::lower_bound(lo, focus->end(), std::min(n, m * morsel + morsel));
+    seeded.slices.emplace_back(lo - focus->begin(), next - focus->begin());
+    if (!residual.empty()) seeded.rows += next - lo;
+  }
+  return seeded;
+}
+
+/// The seeded stand-in for FilterRange: appends live morsel i's focus slice,
+/// narrowed by the residual, to *out.
+void AppendSeed(const SeededScan& seeded, size_t i, std::vector<uint32_t>* out,
+                bool tracing, int64_t* decompress) {
+  const auto [first, last] = seeded.slices[i];
+  const size_t old = out->size();
+  out->insert(out->end(), seeded.focus->begin() + first,
+              seeded.focus->begin() + last);
+  if (seeded.residual->empty()) return;
+  out->resize(old + Predicate::Refine(*seeded.residual, seeded.in.cols,
+                                      out->data() + old,
+                                      static_cast<uint32_t>(last - first),
+                                      {&seeded.in.comp, tracing, decompress}));
+}
+
 /// EXPLOREDB_VALIDATE=1 deep-validates every adaptive structure of the
 /// queried table after each query (integration/stress suites run under it in
 /// CI). Read once: the flag is a process-level mode, not per query.
@@ -373,7 +423,7 @@ std::optional<Executor::RangePlan> Executor::ExtractRange(
 
 Result<std::vector<uint32_t>> Executor::SelectPositions(
     TableEntry* entry, const Predicate& pred, ExecutionMode mode,
-    const ExecContext& ctx, ExecStats* stats) {
+    const ExecContext& ctx, ExecStats* stats, const FocusSeed& seed) {
   const bool tracing = ctx.tracing();
   TraceSpan select_span("select", tracing, &stats->select_nanos);
   EXPLOREDB_ASSIGN_OR_RETURN(size_t n, entry->NumRows());
@@ -421,14 +471,30 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
   ThreadPool* pool = ctx.thread_pool();
   EXPLOREDB_ASSIGN_OR_RETURN(MorselPlan plan,
                              PlanMorsels(entry, conds, in, n, morsel, ctx));
+  EXPLOREDB_ASSIGN_OR_RETURN(
+      SeededScan seeded,
+      SeedMorsels(entry, seed.positions, seed.residual, plan, n, morsel, ctx));
   stats->morsels_pruned += plan.pruned;
-  stats->rows_scanned += n - plan.rows_pruned;
   const size_t live_rows = n - plan.rows_pruned;
-  if (in.any_compressed) stats->compressed_morsels += plan.live.size();
+  if (seeded.focus != nullptr) {
+    stats->path = AccessPath::kFocus;
+    stats->rows_scanned += seeded.rows;
+    if (seeded.in.any_compressed) {
+      stats->compressed_morsels += plan.live.size();
+    }
+  } else {
+    stats->rows_scanned += live_rows;
+    if (in.any_compressed) stats->compressed_morsels += plan.live.size();
+  }
 
-  auto filter_morsel = [&](size_t m, std::vector<uint32_t>* buf,
+  auto filter_morsel = [&](size_t i, std::vector<uint32_t>* buf,
                            int64_t* decompress) {
     TraceSpan span("morsel", tracing);
+    if (seeded.focus != nullptr) {
+      AppendSeed(seeded, i, buf, tracing, decompress);
+      return;
+    }
+    const size_t m = plan.live[i];
     const uint32_t begin = static_cast<uint32_t>(m * morsel);
     const uint32_t end =
         static_cast<uint32_t>(std::min(n, m * morsel + morsel));
@@ -445,9 +511,9 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
     const auto estimated = static_cast<size_t>(
         plan.selectivity * static_cast<double>(live_rows));
     out.reserve(std::min(live_rows, estimated + morsel));
-    for (size_t m : plan.live) {
+    for (size_t i = 0; i < plan.live.size(); ++i) {
       if (ctx.Interrupted()) return InterruptedStatus(ctx);
-      filter_morsel(m, &out, &stats->decompress_nanos);
+      filter_morsel(i, &out, &stats->decompress_nanos);
     }
     stats->morsels_dispatched += plan.live.size();
     return out;
@@ -465,7 +531,7 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
     if (ctx.Interrupted()) return;
     std::vector<uint32_t>& scratch = MorselScratch();
     scratch.clear();
-    filter_morsel(plan.live[i], &scratch, &decompress[i]);
+    filter_morsel(i, &scratch, &decompress[i]);
     parts[i].assign(scratch.begin(), scratch.end());
   });
   stats->morsels_dispatched += fs.chunks;
@@ -553,7 +619,8 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
                                          const ColumnVector* measure,
                                          const CompressedInt64Column* measure_comp,
                                          AggKind kind, const ExecContext& ctx,
-                                         ExecStats* stats) {
+                                         ExecStats* stats,
+                                         const FocusSeed& seed) {
   const bool tracing = ctx.tracing();
   stats->path = AccessPath::kScan;
 
@@ -568,9 +635,22 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
   const size_t morsel = std::max<size_t>(1, ctx.morsel_size());
   EXPLOREDB_ASSIGN_OR_RETURN(MorselPlan plan,
                              PlanMorsels(entry, conds, in, n, morsel, ctx));
+  EXPLOREDB_ASSIGN_OR_RETURN(
+      SeededScan seeded,
+      SeedMorsels(entry, seed.positions, seed.residual, plan, n, morsel, ctx));
   stats->morsels_pruned += plan.pruned;
-  stats->rows_scanned += n - plan.rows_pruned;
-  if (in.any_compressed || measure_comp != nullptr) {
+  if (seeded.focus != nullptr) {
+    // A focus is a sparse selection: like index candidates, it reads the
+    // measure raw instead of decoding a compressed sub-block per row (the
+    // same values, so the same sums).
+    stats->path = AccessPath::kFocus;
+    measure_comp = nullptr;
+  }
+  stats->rows_scanned +=
+      seeded.focus != nullptr ? seeded.rows : n - plan.rows_pruned;
+  if ((seeded.focus != nullptr ? seeded.in.any_compressed
+                               : in.any_compressed) ||
+      measure_comp != nullptr) {
     stats->compressed_morsels += plan.live.size();
   }
   select_span.Stop();
@@ -599,17 +679,33 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
   std::vector<Partial> partials(plan.live.size());
   auto agg_morsel = [&](size_t i) {
     TraceSpan span("morsel", tracing);
-    const size_t m = plan.live[i];
-    const uint32_t begin = static_cast<uint32_t>(m * morsel);
-    const uint32_t end =
-        static_cast<uint32_t>(std::min(n, m * morsel + morsel));
-    std::vector<uint32_t>& sel = MorselScratch();
-    sel.clear();
-    Predicate::FilterRange(conds, in.cols, begin, end, &sel,
-                           {&in.comp, tracing, &partials[i].decompress_nanos});
-    partials[i].count = sel.size();
-    if (kind != AggKind::kCount && !sel.empty()) {
-      const auto cnt = static_cast<uint32_t>(sel.size());
+    const uint32_t* sel = nullptr;
+    uint32_t cnt = 0;
+    if (seeded.focus != nullptr && seeded.residual->empty()) {
+      // The focus slice is the morsel's selection: reduce it in place.
+      sel = seeded.focus->data() + seeded.slices[i].first;
+      cnt = static_cast<uint32_t>(seeded.slices[i].second -
+                                  seeded.slices[i].first);
+    } else {
+      std::vector<uint32_t>& scratch = MorselScratch();
+      scratch.clear();
+      if (seeded.focus != nullptr) {
+        AppendSeed(seeded, i, &scratch, tracing,
+                   &partials[i].decompress_nanos);
+      } else {
+        const size_t m = plan.live[i];
+        const uint32_t begin = static_cast<uint32_t>(m * morsel);
+        const uint32_t end =
+            static_cast<uint32_t>(std::min(n, m * morsel + morsel));
+        Predicate::FilterRange(
+            conds, in.cols, begin, end, &scratch,
+            {&in.comp, tracing, &partials[i].decompress_nanos});
+      }
+      sel = scratch.data();
+      cnt = static_cast<uint32_t>(scratch.size());
+    }
+    partials[i].count = cnt;
+    if (kind != AggKind::kCount && cnt > 0) {
       if (measure_comp != nullptr) {
         // Decode only the surviving rows of the compressed measure, then
         // reduce the dense decode with an identity selection: the masked-sum
@@ -620,14 +716,13 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
         {
           TraceSpan dspan("decompress", tracing,
                           &partials[i].decompress_nanos);
-          measure_comp->Gather(sel.data(), cnt, vals.data());
+          measure_comp->Gather(sel, cnt, vals.data());
         }
         partials[i].sum =
             kt.sum_i64_sel(vals.data(), IotaScratch(cnt).data(), cnt);
       } else {
-        partials[i].sum = dbl != nullptr
-                              ? kt.sum_f64_sel(dbl, sel.data(), cnt)
-                              : kt.sum_i64_sel(i64, sel.data(), cnt);
+        partials[i].sum = dbl != nullptr ? kt.sum_f64_sel(dbl, sel, cnt)
+                                         : kt.sum_i64_sel(i64, sel, cnt);
       }
     }
   };
@@ -720,7 +815,7 @@ Result<QueryResult> Executor::Execute(const Query& query,
   QueryResult result;
   EXPLOREDB_ASSIGN_OR_RETURN(
       result.positions,
-      SelectPositions(entry, query.where(), mode, ctx, &stats));
+      SelectPositions(entry, query.where(), mode, ctx, &stats, {}));
 
   {
     TraceSpan project_span("project", tracing, &stats.project_nanos);
@@ -842,30 +937,55 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
   QueryResult result;
   const bool tracing = ctx.tracing();
 
+  // Index-serviceable predicates keep the two-phase shape (index probe, then
+  // aggregation over the probe's positions) and leave the focus alone: a
+  // converged cracker answers in O(log n + result), which can beat a refine
+  // of the focus. Exact scan plans take their seed from a covering focus.
+  const bool exact = mode == ExecutionMode::kScan ||
+                     mode == ExecutionMode::kCracking ||
+                     mode == ExecutionMode::kFullIndex;
+  const bool indexed =
+      (mode == ExecutionMode::kCracking || mode == ExecutionMode::kFullIndex) &&
+      ExtractRange(query.where(), entry->schema()).has_value();
+  Focus* focus = exact && !indexed ? ctx.focus() : nullptr;
+  FocusSeed seed;
+  if (focus != nullptr) {
+    if (auto residual = focus->Residual(entry, query.where())) {
+      seed.positions = &focus->positions;
+      seed.residual = std::move(*residual);
+    }
+  }
+
   // ---- Grouped aggregates -------------------------------------------------
   if (query.group_by().has_value()) {
     EXPLOREDB_ASSIGN_OR_RETURN(size_t gidx,
                                entry->schema().FieldIndex(*query.group_by()));
     EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* gcol,
                                entry->GetColumn(gidx));
-    // Which rows participate?
-    std::vector<uint32_t> positions;
-    if (mode == ExecutionMode::kSampled) {
+    // Which rows participate? A focus with no conjunct left to apply is the
+    // selection itself (it holds no row outside the query's live morsels),
+    // and aggregates in place.
+    std::vector<uint32_t> selected;
+    const std::vector<uint32_t>* positions = &selected;
+    if (seed.positions != nullptr && seed.residual.empty()) {
+      stats->path = AccessPath::kFocus;
+      positions = seed.positions;
+    } else if (mode == ExecutionMode::kSampled) {
       TraceSpan select_span("select", tracing, &stats->select_nanos);
       stats->path = AccessPath::kSample;
       Random rng(42);
-      positions = BernoulliSample(n, options.sample_fraction, &rng);
+      selected = BernoulliSample(n, options.sample_fraction, &rng);
       EXPLOREDB_ASSIGN_OR_RETURN(
           CondInputs in, FetchCondInputs(entry, query.where().conjuncts(), ctx,
                                          Density::kSparse));
-      stats->rows_scanned += positions.size();
-      Predicate::Refine(query.where().conjuncts(), in.cols, &positions,
+      stats->rows_scanned += selected.size();
+      Predicate::Refine(query.where().conjuncts(), in.cols, &selected,
                         {&in.comp});
       result.approximate = true;
     } else {
       EXPLOREDB_ASSIGN_OR_RETURN(
-          positions,
-          SelectPositions(entry, query.where(), mode, ctx, stats));
+          selected,
+          SelectPositions(entry, query.where(), mode, ctx, stats, seed));
     }
     TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
     if (result.approximate) {
@@ -876,7 +996,7 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
         uint64_t count = 0;
       };
       std::map<std::string, Acc> groups;
-      for (uint32_t row : positions) {
+      for (uint32_t row : selected) {
         Acc& acc = groups[gcol->GetValue(row).ToString()];
         ++acc.count;
         if (measure != nullptr) acc.values.push_back(measure->GetDouble(row));
@@ -919,7 +1039,13 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
       EXPLOREDB_ASSIGN_OR_RETURN(
           result.groups,
           HashGroupBy(*gcol, dict, measure, agg.kind, options.confidence,
-                      positions, key_range, ctx, stats));
+                      *positions, key_range, ctx, stats));
+      // The scan's selection becomes the session's next focus.
+      if (focus != nullptr && positions == &selected) {
+        focus->entry = entry;
+        focus->conjuncts = query.where().conjuncts();
+        focus->positions = std::move(selected);
+      }
     }
     return result;
   }
@@ -1018,26 +1144,21 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
       return result;
     }
     default: {
-      // Index-serviceable predicates keep the two-phase shape (index probe,
-      // then masked aggregation over the probe's positions). Everything
-      // else runs the fused scan-aggregate, which filters and reduces each
-      // morsel in one pass without materializing the full position list.
-      const bool indexed =
-          (mode == ExecutionMode::kCracking ||
-           mode == ExecutionMode::kFullIndex) &&
-          ExtractRange(query.where(), entry->schema()).has_value();
+      // Scan plans run the fused scan-aggregate, which filters and reduces
+      // each morsel in one pass without materializing the full position
+      // list (so it leaves the focus as it is).
       if (!indexed) {
         EXPLOREDB_ASSIGN_OR_RETURN(
             Estimate e,
             ScanAggregate(entry, query.where(), measure, measure_comp,
-                          agg.kind, ctx, stats));
+                          agg.kind, ctx, stats, seed));
         result.scalar = e;
         return result;
       }
       std::vector<uint32_t> positions;
       EXPLOREDB_ASSIGN_OR_RETURN(
           positions,
-          SelectPositions(entry, query.where(), mode, ctx, stats));
+          SelectPositions(entry, query.where(), mode, ctx, stats, {}));
       TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
       EXPLOREDB_ASSIGN_OR_RETURN(
           Estimate e,

@@ -85,19 +85,30 @@ class Executor {
     std::vector<Condition> residual;
   };
 
+  /// A covering session focus, as one scan plan uses it: `positions` takes
+  /// the table's place as the seed of each live morsel, narrowed by
+  /// `residual`, the query's conjuncts the focus lacks. A null `positions`
+  /// filters the table.
+  struct FocusSeed {
+    const std::vector<uint32_t>* positions = nullptr;
+    std::vector<Condition> residual;
+  };
+
   /// Tries to turn the predicate into a single-column int64 range (the shape
   /// cracking and sorted indexes accelerate).
   static std::optional<RangePlan> ExtractRange(const Predicate& pred,
                                                const Schema& schema);
 
   /// Positions matching `pred` under `mode` (kAuto already resolved).
-  /// Full scans are morsel-parallel; index paths record which index served
+  /// Full scans are morsel-parallel, seeded by `seed` when it is no larger
+  /// than the zone-map-pruned scan; index paths record which index served
   /// the query in stats->path.
   Result<std::vector<uint32_t>> SelectPositions(TableEntry* entry,
                                                 const Predicate& pred,
                                                 ExecutionMode mode,
                                                 const ExecContext& ctx,
-                                                ExecStats* stats);
+                                                ExecStats* stats,
+                                                const FocusSeed& seed);
 
   /// Exact scalar aggregate over `positions`, morsel-parallel with
   /// deterministic per-morsel partials (identical result for any thread
@@ -115,11 +126,12 @@ class Executor {
   /// `measure_comp` is non-null the measure values are gathered out of the
   /// compressed representation (only surviving sub-blocks are decoded)
   /// instead of the raw array — same values, same accumulation order.
+  /// `seed` replaces the per-morsel filter as in SelectPositions.
   Result<Estimate> ScanAggregate(TableEntry* entry, const Predicate& pred,
                                  const ColumnVector* measure,
                                  const CompressedInt64Column* measure_comp,
                                  AggKind kind, const ExecContext& ctx,
-                                 ExecStats* stats);
+                                 ExecStats* stats, const FocusSeed& seed);
 
   Result<QueryResult> ExecuteAggregate(TableEntry* entry, const Query& query,
                                        ExecutionMode mode,

@@ -301,11 +301,20 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
         ScanEstimate scan,
         EstimateScan(entry, query, n, ctx.options().use_compression));
 
-    // Rung 2: pruned exact scan. Always costed; cache (rung 1) is consulted
-    // by the Session before the planner runs.
+    // Rung 2: exact plan. Always costed; cache (rung 1) is consulted by the
+    // Session before the planner runs. A covering session focus no larger
+    // than the pruned scan seeds the exact plan, which then costs the focus
+    // rows it refines (none when no conjunct is left to apply).
     uint32_t plans = 1;
+    uint64_t exact_rows = scan.live_rows;
+    if (const Focus* focus = ctx.focus();
+        focus != nullptr && focus->positions.size() <= scan.live_rows) {
+      if (auto residual = focus->Residual(entry, query.where())) {
+        exact_rows = residual->empty() ? 0 : focus->positions.size();
+      }
+    }
     const double exact_cost =
-        cost_model_.ExactCostNs(scan.live_rows, scan.compressed);
+        cost_model_.ExactCostNs(exact_rows, scan.compressed);
     const bool exact_fits = exact_cost <= budget_ns * kBudgetHeadroom;
 
     // Rung 3: uniform-sample estimate sized to the budget (the row-at-a-time
@@ -490,7 +499,10 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
       }
       stats.achieved_error = worst;
     }
-    if (stats.planner_choice == PlannerChoice::kExact) {
+    // A run seeded by the focus refined it instead of scanning, so it says
+    // nothing about the scan rate.
+    if (stats.planner_choice == PlannerChoice::kExact &&
+        stats.path != AccessPath::kFocus) {
       cost_model_.ObserveExact(stats.rows_scanned,
                                stats.total_nanos - planner_nanos,
                                stats.compressed_morsels > 0);

@@ -89,10 +89,13 @@ class CostModel {
 /// sizes, online-aggregation round cost — and picks the cheapest plan
 /// expected to meet the budget, walking the lattice
 ///
-///   cache hit -> pruned exact scan -> uniform-sample estimate -> online agg
+///   cache hit -> focus refine or pruned exact scan -> uniform-sample
+///   estimate -> online agg
 ///
 /// (the cache rung lives in Session, which consults its result cache before
-/// the planner runs). When no exact plan fits and a ProgressiveCallback is
+/// the planner runs; the session's focus reaches the exact rung through
+/// ExecContext::focus(), and a covered exact plan is priced by the focus
+/// rows it refines). When no exact plan fits and a ProgressiveCallback is
 /// given, refining partials stream through it until the deadline; the best
 /// answer so far is returned with achieved vs promised error recorded in
 /// ExecStats. Budgeted aggregate queries never fail with kDeadlineExceeded:

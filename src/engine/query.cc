@@ -1,5 +1,6 @@
 #include "engine/query.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/strings.h"
@@ -58,8 +59,38 @@ const char* AccessPathName(AccessPath path) {
       return "online";
     case AccessPath::kCache:
       return "cache";
+    case AccessPath::kFocus:
+      return "focus";
   }
   return "?";
+}
+
+std::optional<std::vector<Condition>> Focus::Residual(
+    const TableEntry* table, const Predicate& where) const {
+  if (entry == nullptr || entry != table) return std::nullopt;
+  auto same = [](const Condition& a, const Condition& b) {
+    return a.column == b.column && a.op == b.op && a.constant == b.constant;
+  };
+  for (const Condition& f : conjuncts) {
+    if (std::none_of(where.conjuncts().begin(), where.conjuncts().end(),
+                     [&](const Condition& w) { return same(f, w); })) {
+      return std::nullopt;
+    }
+  }
+  std::vector<Condition> residual;
+  for (const Condition& w : where.conjuncts()) {
+    if (std::none_of(conjuncts.begin(), conjuncts.end(),
+                     [&](const Condition& f) { return same(f, w); })) {
+      residual.push_back(w);
+    }
+  }
+  return residual;
+}
+
+void Focus::Release() {
+  entry = nullptr;
+  conjuncts.clear();
+  std::vector<uint32_t>().swap(positions);
 }
 
 std::string ExecStats::Summary() const {

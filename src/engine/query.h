@@ -31,8 +31,8 @@ enum class ExecutionMode {
   kAuto,       ///< engine picks: cracking for index-serviceable predicates,
                ///< scan otherwise ("organic" self-organizing default)
   kBudgeted,   ///< planner picks the cheapest plan expected to meet the
-               ///< query's LatencyBudget (cache -> pruned exact scan ->
-               ///< sample estimate -> online aggregation)
+               ///< query's LatencyBudget (cache -> focus refine or pruned
+               ///< exact scan -> sample estimate -> online aggregation)
 };
 
 const char* ExecutionModeName(ExecutionMode mode);
@@ -99,6 +99,7 @@ enum class AccessPath {
   kSample,   ///< uniform-sample estimate
   kOnline,   ///< online aggregation
   kCache,    ///< served from the session result cache
+  kFocus,    ///< refined from the session's focus (see Focus)
 };
 
 const char* AccessPathName(AccessPath path);
@@ -160,6 +161,34 @@ struct ExecStats {
   /// "path=scan rows=1000000 morsels=16 threads=4 | plan=3us select=1.2ms
   ///  agg=0.4ms project=0us total=1.7ms".
   std::string Summary() const;
+};
+
+class Session;
+class TableEntry;
+
+/// A session's focus: the ascending positions of the latest exact selection
+/// an aggregate materialized, with the table entry and WHERE conjuncts that
+/// selected them. Exploration refines: a crossfilter gesture refreshes
+/// linked views over one filter, and each view adds at most a few conjuncts
+/// to it. Session::Run lends its focus to the executor for one aggregate
+/// (ExecContext::focus()). An exact scan plan whose WHERE the focus covers
+/// seeds each morsel with the focus's positions instead of filtering the
+/// table, and a grouped scan plan leaves its selection here as the next
+/// focus.
+struct Focus {
+  const TableEntry* entry = nullptr;  ///< nullptr while no focus is held
+  std::vector<Condition> conjuncts;
+  std::vector<uint32_t> positions;
+
+  /// When the focus covers `where` over `table` — same entry, and every
+  /// focus conjunct equals one of `where` (column, op and constant under
+  /// Value::operator==, so NaN never matches and -0.0 matches 0.0) —
+  /// returns the conjuncts of `where` the focus lacks; otherwise nullopt.
+  std::optional<std::vector<Condition>> Residual(const TableEntry* table,
+                                                 const Predicate& where) const;
+
+  /// Drops the selection and frees its memory.
+  void Release();
 };
 
 /// Everything the executor needs to know about *how* to run one query:
@@ -251,6 +280,11 @@ class ExecContext {
   }
   int64_t queue_nanos() const { return queue_nanos_; }
 
+  // -- Session focus -------------------------------------------------------
+  /// The issuing session's focus, or nullptr. Only Session::Run sets it, on
+  /// the context of one exact aggregate.
+  Focus* focus() const { return focus_; }
+
   // -- Tracing -------------------------------------------------------------
   ExecContext& SetTrace(bool on) {
     options_.trace = on;
@@ -271,6 +305,8 @@ class ExecContext {
   ThreadPool* pool_ = ThreadPool::Global();
   size_t morsel_size_ = kDefaultMorselSize;
   int64_t queue_nanos_ = 0;
+  friend class Session;
+  Focus* focus_ = nullptr;
 };
 
 /// An aggregate expression `agg(column)`.

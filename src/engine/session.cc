@@ -69,6 +69,13 @@ Counter* PlannerBudgetMetCounter() {
   return c;
 }
 
+Gauge* FocusBytesGauge() {
+  static Gauge* g = Metrics().GetGauge(
+      "exploredb_session_focus_bytes",
+      "Bytes of every session's focus position list");
+  return g;
+}
+
 // Per-tenant session series: the unlabeled aggregate counters above stay the
 // headline; a tenant-labeled twin is resolved per session so multi-tenant
 // traffic can be broken down. nullptr for unlabeled sessions (no tenant) —
@@ -105,6 +112,11 @@ Session::Session(Database* db, SessionOptions options)
       tenant_slo_breaches_(TenantCounter(
           "exploredb_slo_tenant_breaches_total", options_.tenant,
           "Queries over their effective latency budget, by tenant")) {}
+
+Session::~Session() {
+  MutexLock lock(mu_);
+  FocusBytesGauge()->Sub(focus_bytes_);
+}
 
 Result<QueryResult> Session::Execute(const Query& query,
                                      const ExecContext& ctx) {
@@ -156,12 +168,30 @@ Result<QueryResult> Session::Run(const Query& query, const ExecContext& ctx,
   std::optional<std::vector<uint32_t>> cached;
   if (cacheable) cached = cache_->Get(key);
 
+  // Exact aggregates (explicit exact modes, kAuto and the planner's exact
+  // rung) may refine the focus, and a grouped scan replaces it. A focus
+  // that does not cover the query is released first, so the session never
+  // holds two selections.
+  ExecContext run_ctx = ctx;
+  const bool analytic =
+      query.aggregate().has_value() || query.group_by().has_value();
+  if (analytic && mode != ExecutionMode::kSampled &&
+      mode != ExecutionMode::kOnline) {
+    Result<TableEntry*> entry = db_->GetTable(query.table());
+    if (!entry.ok() ||
+        !focus_.Residual(entry.ValueOrDie(), query.where()).has_value()) {
+      focus_.Release();
+    }
+    run_ctx.focus_ = &focus_;
+  }
+
   Result<QueryResult> served =
       cached.has_value()
           ? ServeFromCache(query, ctx, std::move(*cached))
           : (progress != nullptr
-                 ? executor_.ExecuteProgressive(query, ctx, *progress)
-                 : executor_.Execute(query, ctx));
+                 ? executor_.ExecuteProgressive(query, run_ctx, *progress)
+                 : executor_.Execute(query, run_ctx));
+  TrackFocusBytes();
   EXPLOREDB_ASSIGN_OR_RETURN(QueryResult result, std::move(served));
   result.exec_stats.queue_nanos = ctx.queue_nanos();
   if (result.from_cache) {
@@ -187,6 +217,14 @@ Result<QueryResult> Session::Run(const Query& query, const ExecContext& ctx,
   }
   LogQuery(query, ctx, result, arrival_ns);
   return result;
+}
+
+void Session::TrackFocusBytes() {
+  const auto bytes =
+      static_cast<int64_t>(focus_.positions.size() * sizeof(uint32_t));
+  if (bytes == focus_bytes_) return;
+  FocusBytesGauge()->Add(bytes - focus_bytes_);
+  focus_bytes_ = bytes;
 }
 
 void Session::CountQuery() {

@@ -47,12 +47,16 @@ struct SessionStats {
 
 /// An interactive exploration session: the integration point of the
 /// tutorial's three layers. Every query flows through
-///   result cache (middleware) -> executor (engine; cracking / AQP modes)
+///   result cache or focus (middleware) -> executor (engine; cracking / AQP)
 /// and feeds the trajectory model that drives speculative prefetching of the
-/// user's likely next window. Recommendation entry points (SeeDB views)
-/// consume the session's current focus. Execute and ExecuteProgressive share
-/// one query path, and every query leaves exactly one record: the workload
-/// journal's JournalRecord (obs/journal.h), tagged with id() and tenant().
+/// user's likely next window. Selections go through the result cache. Exact
+/// aggregates go through the session's focus (Focus): the latest selection
+/// a grouped aggregate materialized, which the next covered aggregate
+/// refines instead of filtering the table. Recommendation entry points
+/// (SeeDB views) consume the latest query's predicate. Execute and
+/// ExecuteProgressive share one query path, and every query leaves exactly
+/// one record: the workload journal's JournalRecord (obs/journal.h), tagged
+/// with id() and tenant().
 ///
 /// Thread safety: the session's mutable state (last query, trajectory model,
 /// focus, counters) is guarded by mu_; Execute holds it for the query's
@@ -62,6 +66,7 @@ struct SessionStats {
 class Session {
  public:
   Session(Database* db, SessionOptions options = {});
+  ~Session();
 
   /// Executes a query with caching + speculation around it.
   Result<QueryResult> Execute(const Query& query, const ExecContext& ctx = {})
@@ -73,12 +78,13 @@ class Session {
 
   /// Budgeted execution with progressive refinement: every query gets a
   /// latency contract. The planner picks the cheapest plan expected to meet
-  /// `budget` (cache hit -> pruned exact scan -> sample -> online agg); when
-  /// nothing exact fits, refining partials stream through `callback`
-  /// (monotonically shrinking CIs; the final delivery equals the returned
-  /// result bit-identically) until the deadline. The callback runs on the
-  /// session's thread under its lock — it must not re-enter the session.
-  /// `base` supplies pool/morsel/trace settings; its mode is overridden.
+  /// `budget` (cache hit -> focus refine or pruned exact scan -> sample ->
+  /// online agg); when nothing exact fits, refining partials stream through
+  /// `callback` (monotonically shrinking CIs; the final delivery equals the
+  /// returned result bit-identically) until the deadline. The callback runs
+  /// on the session's thread under its lock — it must not re-enter the
+  /// session. `base` supplies pool/morsel/trace settings; its mode is
+  /// overridden.
   Result<QueryResult> ExecuteProgressive(const Query& query,
                                          const LatencyBudget& budget,
                                          const ProgressiveCallback& callback,
@@ -129,10 +135,15 @@ class Session {
 
  private:
   /// The one query path behind Execute and ExecuteProgressive: counting,
-  /// trajectory update, cache probe, execution (progressive when `progress`
-  /// is set), speculation and logging. `ctx` carries the requested mode.
+  /// trajectory update, cache probe (selections) or focus hand-off (exact
+  /// aggregates), execution (progressive when `progress` is set),
+  /// speculation and logging. `ctx` carries the requested mode.
   Result<QueryResult> Run(const Query& query, const ExecContext& ctx,
                           const ProgressiveCallback* progress) EXCLUDES(mu_);
+
+  /// Moves the session-focus gauge by the change in focus_'s bytes since
+  /// the last call.
+  void TrackFocusBytes() REQUIRES(mu_);
 
   /// Counts one query on stats_ and the plain and tenant session series.
   void CountQuery() REQUIRES(mu_);
@@ -183,6 +194,12 @@ class Session {
   std::string last_key_ GUARDED_BY(mu_);
   std::string last_table_ GUARDED_BY(mu_);
   Predicate last_predicate_ GUARDED_BY(mu_);
+  /// The latest exact selection a grouped aggregate materialized: lent to
+  /// the executor for each exact aggregate, released before one it does not
+  /// cover. At most one position list, 4 bytes per table row.
+  Focus focus_ GUARDED_BY(mu_);
+  /// focus_'s bytes as last added to the exploredb_session_focus_bytes gauge.
+  int64_t focus_bytes_ GUARDED_BY(mu_) = 0;
   SessionStats stats_ GUARDED_BY(mu_);
   /// Tracer::NowNs() when the previous query finished: the gap to the next
   /// arrival is the journaled think time. -1 before the first query.

@@ -75,6 +75,7 @@ constexpr EnumToken kPathTokens[] = {
     {static_cast<int>(AccessPath::kSample), "sample"},
     {static_cast<int>(AccessPath::kOnline), "online"},
     {static_cast<int>(AccessPath::kCache), "cache"},
+    {static_cast<int>(AccessPath::kFocus), "focus"},
 };
 
 constexpr EnumToken kPlannerTokens[] = {

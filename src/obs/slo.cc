@@ -101,13 +101,6 @@ SloMonitor::SloMonitor() : bounds_(Histogram::LatencyBoundsNanos()) {
         p99, "Windowed p99 latency of class " + name + " queries");
     Metrics().SetScale(p99, 1e-9);
   }
-  classes_[static_cast<size_t>(QueryClass::kInteractive)]
-      .default_budget_ns.store(kDefaultInteractiveBudgetNs,
-                               std::memory_order_relaxed);
-  classes_[static_cast<size_t>(QueryClass::kBudgeted)].default_budget_ns.store(
-      kDefaultBudgetedFallbackNs, std::memory_order_relaxed);
-  classes_[static_cast<size_t>(QueryClass::kBatch)].default_budget_ns.store(
-      kDefaultBatchBudgetNs, std::memory_order_relaxed);
 }
 
 SloMonitor& SloMonitor::Global() {
@@ -126,17 +119,22 @@ QueryClass SloMonitor::Classify(ExecutionMode requested_mode, bool analytic) {
   return QueryClass::kInteractive;
 }
 
-int64_t SloMonitor::ClassBudget(QueryClass c) const {
-  return classes_[static_cast<size_t>(c)].default_budget_ns.load(
-      std::memory_order_relaxed);
+int64_t SloMonitor::ClassBudget(QueryClass c) {
+  switch (c) {
+    case QueryClass::kInteractive:
+      return kDefaultInteractiveBudgetNs;
+    case QueryClass::kBudgeted:
+      return kDefaultBudgetedFallbackNs;
+    case QueryClass::kBatch:
+      break;
+  }
+  return kDefaultBatchBudgetNs;
 }
 
 void SloMonitor::Observe(QueryClass c, int64_t latency_ns, int64_t budget_ns,
                          bool approximate, double achieved_error) {
   ClassState& cs = classes_[static_cast<size_t>(c)];
-  const int64_t effective_budget =
-      budget_ns > 0 ? budget_ns
-                    : cs.default_budget_ns.load(std::memory_order_relaxed);
+  const int64_t effective_budget = budget_ns > 0 ? budget_ns : ClassBudget(c);
   const bool within = latency_ns <= effective_budget;
 
   const int64_t now_s = NowSeconds();
@@ -198,8 +196,7 @@ SloSnapshot SloMonitor::Snapshot(uint64_t window_seconds) const {
   for (size_t i = 0; i < kQueryClassCount; ++i) {
     const ClassState& cs = classes_[i];
     SloClassSnapshot& out = snap.classes[i];
-    out.default_budget_ns =
-        cs.default_budget_ns.load(std::memory_order_relaxed);
+    out.default_budget_ns = ClassBudget(static_cast<QueryClass>(i));
     std::array<uint64_t, kLatencyBuckets> lat{};
     int64_t err_micros = 0;
     for (const Slot& slot : cs.slots) {

@@ -81,7 +81,7 @@ class SloMonitor {
   static QueryClass Classify(ExecutionMode requested_mode, bool analytic);
 
   /// Default budget of class `c` (used when a query carries no contract).
-  int64_t ClassBudget(QueryClass c) const;
+  static int64_t ClassBudget(QueryClass c);
 
   /// Records one finished query. `budget_ns` <= 0 means "no per-query
   /// contract" — the class default applies. Alloc-free.
@@ -114,7 +114,6 @@ class SloMonitor {
   };
 
   struct ClassState {
-    std::atomic<int64_t> default_budget_ns{0};
     std::array<Slot, kWindowSlots> slots;
     // Cumulative counters/histogram (resolved once at construction so
     // Observe never takes the registry lock).

@@ -309,12 +309,19 @@ void Predicate::Refine(const std::vector<Condition>& conditions,
                        const std::vector<const ColumnVector*>& cols,
                        std::vector<uint32_t>* sel,
                        const CompressedInputs& compressed) {
-  auto n = static_cast<uint32_t>(sel->size());
+  sel->resize(Refine(conditions, cols, sel->data(),
+                     static_cast<uint32_t>(sel->size()), compressed));
+}
+
+uint32_t Predicate::Refine(const std::vector<Condition>& conditions,
+                           const std::vector<const ColumnVector*>& cols,
+                           uint32_t* sel, uint32_t n,
+                           const CompressedInputs& compressed) {
   for (size_t i = 0; i < conditions.size(); ++i) {
     n = RefineStep(conditions[i], *cols[i], CompressedFor(compressed, i),
-                   compressed, sel->data(), n);
+                   compressed, sel, n);
   }
-  sel->resize(n);
+  return n;
 }
 
 std::string Predicate::CacheKey() const {

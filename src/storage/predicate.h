@@ -106,6 +106,13 @@ class Predicate {
                      std::vector<uint32_t>* sel,
                      const CompressedInputs& compressed = {});
 
+  /// Refine over the ascending selection sel[0, n), in place; returns how
+  /// many rows survive at the front.
+  static uint32_t Refine(const std::vector<Condition>& conditions,
+                         const std::vector<const ColumnVector*>& cols,
+                         uint32_t* sel, uint32_t n,
+                         const CompressedInputs& compressed = {});
+
   /// Canonical key for caching (column/op/constant triples).
   std::string CacheKey() const;
 

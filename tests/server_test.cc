@@ -1,14 +1,17 @@
 // Serving-layer tests: SFQ scheduler fairness and admission control,
 // cross-session synopsis sharing, queue-time accounting, bit-identity of
-// concurrent execution against a serial reference, and multi-session storms
+// concurrent execution against a serial reference, multi-session storms
 // over shared epoch-published crackers (run with EXPLOREDB_VALIDATE=1 in CI's
-// server-stress job to deep-validate every adaptive structure per query).
+// server-stress job to deep-validate every adaptive structure per query), and
+// a table materialized while other sessions scan it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <future>
 #include <map>
 #include <string>
@@ -23,6 +26,7 @@
 #include "obs/journal.h"
 #include "server/scheduler.h"
 #include "server/server.h"
+#include "storage/csv.h"
 
 namespace exploredb {
 namespace {
@@ -494,6 +498,47 @@ TEST(ServerStressTest, AdaptiveStructuresBuildOnceUnderRace) {
     EXPECT_TRUE(entry->ValidateAdaptiveState().ok());
     EXPECT_EQ(builds->Value() - builds_before, kStructures);
   }
+}
+
+TEST(ServerStressTest, MaterializedWhileQueriesRun) {
+  // One session loops exact COUNTs over a CSV-registered table while another
+  // asks for view recommendations, which materialize the table. Building the
+  // materialized copy must not free the raw columns the running scans read
+  // (under TSan, a free of a column another thread still reads shows up as
+  // a race), and every COUNT keeps its answer.
+  const std::string path =
+      ::testing::TempDir() + "/exploredb_server_materialized.csv";
+  ASSERT_TRUE(WriteCsv(EventsTable(20'000, 23), path).ok());
+  Database db;
+  ASSERT_TRUE(db.RegisterCsv("events", path, EventsSchema()).ok());
+  const Schema schema = EventsSchema();
+  const Query count = CountQuery(schema, 1'000, 6'000);
+  Session counter(&db);
+  Session recommender(&db);
+  ExecContext scan;
+  scan.SetMode(ExecutionMode::kScan);
+  const double want =
+      counter.Execute(count, scan).ValueOrDie().scalar->value;
+  ASSERT_TRUE(recommender.Execute(count, scan).ok());
+
+  std::atomic<bool> recommended{false};
+  std::thread views([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Result<SeeDbReport> report =
+        recommender.RecommendViews({{1, 2, AggKind::kAvg}}, 1);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    recommended.store(true);
+  });
+  int after = 0;
+  for (int i = 0; i < 5'000 && after < 50; ++i) {
+    Result<QueryResult> r = counter.Execute(count, scan);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.ValueOrDie().scalar->value, want);
+    if (recommended.load()) ++after;
+  }
+  views.join();
+  EXPECT_TRUE(recommended.load());
+  std::remove(path.c_str());
 }
 
 TEST(EpochCrackerStressTest, ConcurrentReadsDuringCracking) {

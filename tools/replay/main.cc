@@ -1,9 +1,10 @@
 // exploredb-replay: workload capture & replay driver.
 //
 //   exploredb-replay record <journal> [--rows N] [--seed S]
-//       Generates the "events" dataset, runs a scripted two-session
+//       Generates the "events" dataset, runs a scripted three-session
 //       exploration workload with journaling to <journal> (header line
-//       included), and reports what was captured.
+//       included), and reports what was captured. The third session's
+//       linked views are answered from the session focus.
 //
 //   exploredb-replay replay <journal> [--threads N] [--afap] [--json <out>]
 //       [--concurrent]
@@ -165,6 +166,35 @@ int RunRecord(const std::string& path, int64_t rows, uint64_t seed) {
         build(Query::From("events")
                   .WhereBetween("user_id", int64_t{60'000}, int64_t{61'000})),
         budgeted));
+  }
+
+  {
+    // Session C: one linked-view gesture. The grouped chart over W leaves
+    // its selection as the session's focus; the SUM, AVG and COUNT views
+    // over W, then over W narrowed by one more conjunct, refine that focus
+    // instead of filtering the table.
+    Session session(&db);
+    ExecContext exact;
+    exact.options().mode = ExecutionMode::kAuto;
+    auto filtered = [](bool narrowed) {
+      QueryBuilder b("events");
+      b.Where("user_id", CompareOp::kLt, Value(int64_t{50'000}));
+      b.Where("latency_ms", CompareOp::kGe, Value(20.0));
+      if (narrowed) b.Where("latency_ms", CompareOp::kLt, Value(50.0));
+      return b;
+    };
+    CHECK_OK(session.Execute(
+        build(filtered(false).Aggregate(AggKind::kCount).GroupBy("user_id")),
+        exact));
+    for (bool narrowed : {false, true}) {
+      for (AggKind kind : {AggKind::kSum, AggKind::kAvg, AggKind::kCount}) {
+        ThinkFor(think);
+        CHECK_OK(session.Execute(
+            build(filtered(narrowed).Aggregate(
+                kind, kind == AggKind::kCount ? "" : "latency_ms")),
+            exact));
+      }
+    }
   }
 
   WorkloadJournal::Global().Disable();
