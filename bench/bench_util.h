@@ -9,11 +9,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/random.h"
 #include "storage/table.h"
 
@@ -133,28 +135,20 @@ class JsonReporter {
   void Flush() {
     const char* path = std::getenv("EXPLOREDB_BENCH_JSON");
     if (path == nullptr || records_.empty()) return;
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) return;
-    std::fputs("{\n  \"benchmarks\": [", f);
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::fprintf(f, "%s\n    {\"name\": \"%s\", \"iters\": %llu, "
-                   "\"ns_per_op\": %.3f",
-                   i ? "," : "", Escaped(r.name).c_str(),
-                   static_cast<unsigned long long>(r.iters), r.ns_per_op);
+    JsonWriter w;
+    w.BeginObject().Key("benchmarks").BeginArray();
+    for (const Record& r : records_) {
+      w.BeginObject().Key("name").String(r.name).Key("iters").Uint(r.iters);
+      w.Key("ns_per_op").Double(r.ns_per_op);
       if (!r.counters.empty()) {
-        std::fputs(", \"counters\": {", f);
-        for (size_t c = 0; c < r.counters.size(); ++c) {
-          std::fprintf(f, "%s\"%s\": %.6g", c ? ", " : "",
-                       Escaped(r.counters[c].first).c_str(),
-                       r.counters[c].second);
-        }
-        std::fputc('}', f);
+        w.Key("counters").BeginObject();
+        for (const auto& [name, value] : r.counters) w.Key(name).Double(value);
+        w.EndObject();
       }
-      std::fputc('}', f);
+      w.EndObject();
     }
-    std::fputs("\n  ]\n}\n", f);
-    std::fclose(f);
+    w.EndArray().EndObject();
+    std::ofstream(path) << w.str() << '\n';
   }
 
   ~JsonReporter() { Flush(); }
@@ -166,15 +160,6 @@ class JsonReporter {
     double ns_per_op;
     std::vector<std::pair<std::string, double>> counters;
   };
-
-  static std::string Escaped(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
 
   std::vector<Record> records_;
 };

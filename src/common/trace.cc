@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "common/annotations.h"
+#include "common/json.h"
 #include "common/mutex.h"
 
 namespace exploredb {
@@ -124,28 +125,18 @@ void Tracer::Clear() {
 
 std::string Tracer::ChromeTraceJson(const std::vector<TraceEvent>& events) {
   // The trace_event "complete" ("X") format: one object per span, timestamps
-  // and durations in microseconds. Span names are short identifiers, but
-  // escape the JSON-relevant bytes anyway.
-  std::string out = "{\"traceEvents\":[";
-  char buf[192];
-  bool first = true;
+  // and durations in microseconds.
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray();
   for (const TraceEvent& e : events) {
-    std::string name;
-    for (const char* p = e.name; *p != '\0'; ++p) {
-      if (*p == '"' || *p == '\\') name += '\\';
-      name += *p;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"name\":\"%s\",\"cat\":\"exploredb\",\"ph\":\"X\","
-                  "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u}",
-                  first ? "" : ",", name.c_str(),
-                  static_cast<double>(e.start_ns) / 1e3,
-                  static_cast<double>(e.dur_ns) / 1e3, e.tid);
-    out += buf;
-    first = false;
+    w.BeginObject().Key("name").String(e.name).Key("cat").String("exploredb");
+    w.Key("ph").String("X");
+    w.Key("ts").Double(static_cast<double>(e.start_ns) / 1e3);
+    w.Key("dur").Double(static_cast<double>(e.dur_ns) / 1e3);
+    w.Key("pid").Int(1).Key("tid").Uint(e.tid).EndObject();
   }
-  out += "],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
+  w.EndArray().Key("displayTimeUnit").String("ms").EndObject();
+  return w.Take() + "\n";
 }
 
 std::string Tracer::ChromeTraceJson() { return ChromeTraceJson(Snapshot()); }

@@ -1,16 +1,14 @@
 #include "obs/journal.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <utility>
 
+#include "common/json.h"
 #include "common/metrics.h"
 
 namespace exploredb {
@@ -92,338 +90,156 @@ constexpr EnumToken kSimdTokens[] = {
     {static_cast<int>(simd::SimdPath::kAvx2), "avx2"},
 };
 
-template <size_t N>
-const char* TokenFor(const EnumToken (&table)[N], int value) {
+template <typename E, size_t N>
+const char* TokenFor(const EnumToken (&table)[N], E value) {
   for (const EnumToken& t : table) {
-    if (t.value == value) return t.token;
+    if (t.value == static_cast<int>(value)) return t.token;
   }
   return table[0].token;
 }
 
-template <size_t N>
-bool ValueFor(const EnumToken (&table)[N], const std::string& token,
-              int* out) {
+/// Reads member `key` of `obj` as a token of `table` into `out`; an
+/// unknown token is an error and leaves `out` as it was.
+template <typename E, size_t N>
+Status ReadToken(const JsonValue& obj, const char* key,
+                 const EnumToken (&table)[N], E* out) {
+  const std::string token = obj.Get<std::string>(key);
   for (const EnumToken& t : table) {
     if (token == t.token) {
-      *out = t.value;
-      return true;
+      *out = static_cast<E>(t.value);
+      return Status::OK();
     }
   }
-  return false;
+  return Status::InvalidArgument("unknown " + std::string(key) + " token '" +
+                                 token + "'");
 }
 
-// ---------------------------------------------------------------------------
-// JSON writing.
-// ---------------------------------------------------------------------------
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendInt(int64_t v, std::string* out) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  *out += buf;
-}
-
-void AppendUint(uint64_t v, std::string* out) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  *out += buf;
-}
-
-void AppendDouble(double v, std::string* out) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
-
-void AppendValue(const Value& v, std::string* out) {
-  // The tag preserves the Value's physical type across the round trip (a
-  // replayed int64 constant must compare as int64).
-  if (v.is_int64()) {
-    *out += "\"i\":";
-    AppendInt(v.int64(), out);
-  } else if (v.is_double()) {
-    *out += "\"d\":";
-    AppendDouble(v.dbl(), out);
-  } else {
-    *out += "\"s\":";
-    AppendJsonString(v.str(), out);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// JSON parsing: a minimal recursive-descent parser producing a small DOM.
-// Numbers keep their raw text so int64 constants parse exactly (a double
-// round trip would corrupt values above 2^53).
-// ---------------------------------------------------------------------------
-
-struct Json {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = kNull;
-  bool boolean = false;
-  std::string raw;  ///< number token text
-  std::string str;
-  std::vector<Json> items;
-  std::vector<std::pair<std::string, Json>> fields;
-
-  const Json* Find(const char* key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  int64_t Int64() const { return std::strtoll(raw.c_str(), nullptr, 10); }
-  uint64_t Uint64() const { return std::strtoull(raw.c_str(), nullptr, 10); }
-  double Double() const { return std::strtod(raw.c_str(), nullptr); }
+// Numeric fields in key order, so ToJsonLine and FromJsonLine name each key
+// once. The approximate-mode knobs are written only when set.
+constexpr std::pair<const char*, double JournalRecord::*> kKnobFields[] = {
+    {"sample_fraction", &JournalRecord::sample_fraction},
+    {"error_budget", &JournalRecord::error_budget},
+    {"confidence", &JournalRecord::confidence},
 };
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text)
-      : p_(text.data()), end_(text.data() + text.size()) {}
+constexpr std::pair<const char*, uint64_t ExecStats::*> kCounterFields[] = {
+    {"rows_scanned", &ExecStats::rows_scanned},
+    {"morsels", &ExecStats::morsels_dispatched},
+    {"pruned", &ExecStats::morsels_pruned},
+    {"compressed", &ExecStats::compressed_morsels},
+};
 
-  Result<Json> Parse() {
-    EXPLOREDB_ASSIGN_OR_RETURN(Json v, ParseValue());
-    SkipSpace();
-    if (p_ != end_) return Status::InvalidArgument("trailing JSON content");
-    return v;
+constexpr std::pair<const char*, int64_t ExecStats::*> kPhaseFields[] = {
+    {"plan_ns", &ExecStats::plan_nanos},
+    {"select_ns", &ExecStats::select_nanos},
+    {"agg_ns", &ExecStats::aggregate_nanos},
+    {"project_ns", &ExecStats::project_nanos},
+    {"decompress_ns", &ExecStats::decompress_nanos},
+    {"total_ns", &ExecStats::total_nanos},
+};
+
+Result<JournalRecord> RecordFromJson(const JsonValue& doc) {
+  if (doc.Get<std::string>("type") != "q") {
+    return Status::InvalidArgument("not a journal query record");
   }
+  JournalRecord r;
+  r.session_id = doc.Get<uint64_t>("sid");
+  r.session_seq = doc.Get<uint64_t>("seq");
+  r.global_seq = doc.Get<uint64_t>("gseq");
+  r.wall_time_us = doc.Get<int64_t>("wall_us");
+  r.think_ns = doc.Get<int64_t>("think_ns", -1);
+  r.tenant = doc.Get<std::string>("tenant");
 
- private:
-  void SkipSpace() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                          *p_ == '\r')) {
-      ++p_;
-    }
-  }
-
-  Status Expect(char c) {
-    SkipSpace();
-    if (p_ == end_ || *p_ != c) {
-      return Status::InvalidArgument(std::string("expected '") + c +
-                                     "' in JSON");
-    }
-    ++p_;
-    return Status::OK();
-  }
-
-  Result<Json> ParseValue() {
-    SkipSpace();
-    if (p_ == end_) return Status::InvalidArgument("unexpected end of JSON");
-    switch (*p_) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"': {
-        Json v;
-        v.kind = Json::kString;
-        EXPLOREDB_ASSIGN_OR_RETURN(v.str, ParseString());
-        return v;
-      }
-      case 't':
-      case 'f': {
-        Json v;
-        v.kind = Json::kBool;
-        v.boolean = *p_ == 't';
-        const char* word = v.boolean ? "true" : "false";
-        const size_t len = v.boolean ? 4 : 5;
-        if (static_cast<size_t>(end_ - p_) < len ||
-            std::strncmp(p_, word, len) != 0) {
-          return Status::InvalidArgument("bad JSON literal");
-        }
-        p_ += len;
-        return v;
-      }
-      case 'n': {
-        if (static_cast<size_t>(end_ - p_) < 4 ||
-            std::strncmp(p_, "null", 4) != 0) {
-          return Status::InvalidArgument("bad JSON literal");
-        }
-        p_ += 4;
-        return Json{};
-      }
-      default:
-        return ParseNumber();
-    }
-  }
-
-  Result<std::string> ParseString() {
-    ++p_;  // opening quote
-    std::string out;
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ == end_) break;
-        switch (*p_) {
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 'u': {
-            if (end_ - p_ < 5) {
-              return Status::InvalidArgument("bad \\u escape");
-            }
-            char hex[5] = {p_[1], p_[2], p_[3], p_[4], 0};
-            auto code =
-                static_cast<unsigned>(std::strtoul(hex, nullptr, 16));
-            // The writer only emits \u00xx for control bytes.
-            out.push_back(static_cast<char>(code & 0xff));
-            p_ += 4;
-            break;
-          }
-          default:
-            out.push_back(*p_);
-        }
-        ++p_;
+  Query q = Query::On(doc.Get<std::string>("table"));
+  if (const JsonValue* where = doc.Find("where")) {
+    std::vector<Condition> conds;
+    for (const JsonValue& c : where->items()) {
+      Condition cond;
+      cond.column = static_cast<size_t>(c.Get<uint64_t>("col"));
+      EXPLOREDB_RETURN_NOT_OK(ReadToken(c, "op", kOpTokens, &cond.op));
+      if (const JsonValue* i = c.Find("i")) {
+        cond.constant = Value(i->As<int64_t>());
+      } else if (const JsonValue* d = c.Find("d")) {
+        cond.constant = Value(d->As<double>());
+      } else if (const JsonValue* str = c.Find("s")) {
+        cond.constant = Value(str->As<std::string>());
       } else {
-        out.push_back(*p_++);
+        return Status::InvalidArgument("condition without a value tag");
       }
+      conds.push_back(std::move(cond));
     }
-    if (p_ == end_) return Status::InvalidArgument("unterminated string");
-    ++p_;  // closing quote
-    return out;
+    q.Where(Predicate(std::move(conds)));
+  }
+  if (const JsonValue* select = doc.Find("select")) {
+    std::vector<std::string> cols;
+    for (const JsonValue& col : select->items()) {
+      cols.push_back(col.As<std::string>());
+    }
+    q.Select(std::move(cols));
+  }
+  if (const JsonValue* agg = doc.Find("agg")) {
+    AggKind kind = AggKind::kCount;
+    EXPLOREDB_RETURN_NOT_OK(ReadToken(*agg, "kind", kAggTokens, &kind));
+    q.Aggregate(kind, agg->Get<std::string>("col"));
+  }
+  if (doc.Find("by") != nullptr) q.GroupBy(doc.Get<std::string>("by"));
+  r.query = std::move(q);
+  r.query_text = doc.Get<std::string>("text");
+
+  EXPLOREDB_RETURN_NOT_OK(
+      ReadToken(doc, "req_mode", kModeTokens, &r.requested_mode));
+  EXPLOREDB_RETURN_NOT_OK(
+      ReadToken(doc, "mode", kModeTokens, &r.resolved_mode));
+  r.from_cache = doc.Get<bool>("cache");
+  r.approximate = doc.Get<bool>("approx");
+  r.budget_ns = doc.Get<int64_t>("budget_ns");
+  r.target_error = doc.Get<double>("target_error");
+  for (const auto& [key, member] : kKnobFields) {
+    r.*member = doc.Get<double>(key);
   }
 
-  Result<Json> ParseNumber() {
-    const char* start = p_;
-    while (p_ != end_ &&
-           (std::isdigit(static_cast<unsigned char>(*p_)) || *p_ == '-' ||
-            *p_ == '+' || *p_ == '.' || *p_ == 'e' || *p_ == 'E')) {
-      ++p_;
+  r.result_fingerprint =
+      std::strtoull(doc.Get<std::string>("fp").c_str(), nullptr, 16);
+  r.result_rows = doc.Get<uint64_t>("rows");
+  if (const JsonValue* v = doc.Find("scalar")) r.scalar = v->As<double>();
+
+  if (const JsonValue* stats = doc.Find("stats")) {
+    // The stats tokens are informational: an unknown one keeps the default.
+    ExecStats& s = r.stats;
+    ReadToken(*stats, "path", kPathTokens, &s.path).IgnoreError();
+    for (const auto& [key, member] : kCounterFields) {
+      s.*member = stats->Get<uint64_t>(key);
     }
-    if (p_ == start) return Status::InvalidArgument("bad JSON number");
-    Json v;
-    v.kind = Json::kNumber;
-    v.raw.assign(start, p_);
-    return v;
+    s.threads_used = static_cast<uint32_t>(stats->Get<uint64_t>("threads", 1));
+    s.resolved_mode = r.resolved_mode;
+    ReadToken(*stats, "planner", kPlannerTokens, &s.planner_choice)
+        .IgnoreError();
+    s.plans_considered = static_cast<uint32_t>(stats->Get<uint64_t>("plans"));
+    s.promised_error = stats->Get<double>("promised");
+    s.achieved_error = stats->Get<double>("achieved");
+    ReadToken(*stats, "simd", kSimdTokens, &s.simd_path).IgnoreError();
+    for (const auto& [key, member] : kPhaseFields) {
+      s.*member = stats->Get<int64_t>(key);
+    }
+    s.queue_nanos = stats->Get<int64_t>("queue_ns");
   }
+  return r;
+}
 
-  Result<Json> ParseArray() {
-    ++p_;  // '['
-    Json v;
-    v.kind = Json::kArray;
-    SkipSpace();
-    if (p_ != end_ && *p_ == ']') {
-      ++p_;
-      return v;
-    }
-    for (;;) {
-      EXPLOREDB_ASSIGN_OR_RETURN(Json item, ParseValue());
-      v.items.push_back(std::move(item));
-      SkipSpace();
-      if (p_ != end_ && *p_ == ',') {
-        ++p_;
-        continue;
-      }
-      EXPLOREDB_RETURN_NOT_OK(Expect(']'));
-      return v;
-    }
+/// Adds one parsed journal line to `file`. Other line types (slo_breach,
+/// future events) are skipped.
+Status ReadLine(const std::string& line, JournalFile* file) {
+  EXPLOREDB_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(line));
+  const std::string type = doc.Get<std::string>("type");
+  if (type == "header") {
+    file->header = JournalHeader{doc.Get<std::string>("dataset"),
+                                 doc.Get<int64_t>("rows"),
+                                 doc.Get<uint64_t>("seed")};
+  } else if (type == "q") {
+    EXPLOREDB_ASSIGN_OR_RETURN(JournalRecord record, RecordFromJson(doc));
+    file->records.push_back(std::move(record));
   }
-
-  Result<Json> ParseObject() {
-    ++p_;  // '{'
-    Json v;
-    v.kind = Json::kObject;
-    SkipSpace();
-    if (p_ != end_ && *p_ == '}') {
-      ++p_;
-      return v;
-    }
-    for (;;) {
-      SkipSpace();
-      if (p_ == end_ || *p_ != '"') {
-        return Status::InvalidArgument("expected object key");
-      }
-      EXPLOREDB_ASSIGN_OR_RETURN(std::string key, ParseString());
-      EXPLOREDB_RETURN_NOT_OK(Expect(':'));
-      EXPLOREDB_ASSIGN_OR_RETURN(Json value, ParseValue());
-      v.fields.emplace_back(std::move(key), std::move(value));
-      SkipSpace();
-      if (p_ != end_ && *p_ == ',') {
-        ++p_;
-        continue;
-      }
-      EXPLOREDB_RETURN_NOT_OK(Expect('}'));
-      return v;
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
-Result<Value> ParseConditionValue(const Json& cond) {
-  if (const Json* i = cond.Find("i")) return Value(i->Int64());
-  if (const Json* d = cond.Find("d")) return Value(d->Double());
-  if (const Json* s = cond.Find("s")) return Value(s->str);
-  return Status::InvalidArgument("condition without a value tag");
-}
-
-int64_t FieldInt(const Json& obj, const char* key, int64_t fallback = 0) {
-  const Json* f = obj.Find(key);
-  return f != nullptr && f->kind == Json::kNumber ? f->Int64() : fallback;
-}
-
-// Unsigned fields (seed, ids, sequence numbers, counts) must round-trip the
-// full uint64 range: FieldInt's strtoll saturates at INT64_MAX, which would
-// silently change e.g. a --seed above 2^63 on read-back and break replay.
-uint64_t FieldUint(const Json& obj, const char* key, uint64_t fallback = 0) {
-  const Json* f = obj.Find(key);
-  return f != nullptr && f->kind == Json::kNumber ? f->Uint64() : fallback;
-}
-
-double FieldDouble(const Json& obj, const char* key, double fallback = 0.0) {
-  const Json* f = obj.Find(key);
-  return f != nullptr && f->kind == Json::kNumber ? f->Double() : fallback;
-}
-
-bool FieldBool(const Json& obj, const char* key, bool fallback = false) {
-  const Json* f = obj.Find(key);
-  return f != nullptr && f->kind == Json::kBool ? f->boolean : fallback;
-}
-
-std::string FieldString(const Json& obj, const char* key) {
-  const Json* f = obj.Find(key);
-  return f != nullptr && f->kind == Json::kString ? f->str : std::string();
+  return Status::OK();
 }
 
 }  // namespace
@@ -473,262 +289,87 @@ uint64_t QueryResultFingerprint(const QueryResult& result) {
 // ---------------------------------------------------------------------------
 
 std::string WorkloadJournal::ToJsonLine(const JournalRecord& r) {
-  std::string out;
-  out.reserve(512);
-  out += "{\"type\":\"q\",\"sid\":";
-  AppendUint(r.session_id, &out);
-  out += ",\"seq\":";
-  AppendUint(r.session_seq, &out);
-  out += ",\"gseq\":";
-  AppendUint(r.global_seq, &out);
-  out += ",\"wall_us\":";
-  AppendInt(r.wall_time_us, &out);
-  out += ",\"think_ns\":";
-  AppendInt(r.think_ns, &out);
-  if (!r.tenant.empty()) {
-    out += ",\"tenant\":";
-    AppendJsonString(r.tenant, &out);
-  }
+  JsonWriter w;
+  w.BeginObject().Key("type").String("q");
+  w.Key("sid").Uint(r.session_id).Key("seq").Uint(r.session_seq);
+  w.Key("gseq").Uint(r.global_seq).Key("wall_us").Int(r.wall_time_us);
+  w.Key("think_ns").Int(r.think_ns);
+  if (!r.tenant.empty()) w.Key("tenant").String(r.tenant);
 
-  out += ",\"table\":";
-  AppendJsonString(r.query.table(), &out);
-  out += ",\"where\":[";
-  bool first = true;
+  w.Key("table").String(r.query.table()).Key("where").BeginArray();
   for (const Condition& c : r.query.where().conjuncts()) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"col\":";
-    AppendUint(c.column, &out);
-    out += ",\"op\":\"";
-    out += TokenFor(kOpTokens, static_cast<int>(c.op));
-    out += "\",";
-    AppendValue(c.constant, &out);
-    out += "}";
-  }
-  out += "]";
-  if (!r.query.select().empty()) {
-    out += ",\"select\":[";
-    for (size_t i = 0; i < r.query.select().size(); ++i) {
-      if (i > 0) out += ",";
-      AppendJsonString(r.query.select()[i], &out);
+    w.BeginObject().Key("col").Uint(c.column);
+    w.Key("op").String(TokenFor(kOpTokens, c.op));
+    // The tag keeps the constant's physical type across the round trip (a
+    // replayed int64 constant must compare as int64).
+    if (c.constant.is_int64()) {
+      w.Key("i").Int(c.constant.int64());
+    } else if (c.constant.is_double()) {
+      w.Key("d").Double(c.constant.dbl());
+    } else {
+      w.Key("s").String(c.constant.str());
     }
-    out += "]";
+    w.EndObject();
   }
-  if (r.query.aggregate().has_value()) {
-    out += ",\"agg\":{\"kind\":\"";
-    out += TokenFor(kAggTokens, static_cast<int>(r.query.aggregate()->kind));
-    out += "\",\"col\":";
-    AppendJsonString(r.query.aggregate()->column, &out);
-    out += "}";
+  w.EndArray();
+  if (!r.query.select().empty()) {
+    w.Key("select").BeginArray();
+    for (const std::string& col : r.query.select()) w.String(col);
+    w.EndArray();
   }
-  if (r.query.group_by().has_value()) {
-    out += ",\"by\":";
-    AppendJsonString(*r.query.group_by(), &out);
+  if (const auto& agg = r.query.aggregate()) {
+    w.Key("agg").BeginObject();
+    w.Key("kind").String(TokenFor(kAggTokens, agg->kind));
+    w.Key("col").String(agg->column).EndObject();
   }
-  out += ",\"text\":";
-  AppendJsonString(r.query_text, &out);
+  if (r.query.group_by().has_value()) w.Key("by").String(*r.query.group_by());
+  w.Key("text").String(r.query_text);
 
-  out += ",\"req_mode\":\"";
-  out += TokenFor(kModeTokens, static_cast<int>(r.requested_mode));
-  out += "\",\"mode\":\"";
-  out += TokenFor(kModeTokens, static_cast<int>(r.resolved_mode));
-  out += "\",\"cache\":";
-  out += r.from_cache ? "true" : "false";
-  out += ",\"approx\":";
-  out += r.approximate ? "true" : "false";
+  w.Key("req_mode").String(TokenFor(kModeTokens, r.requested_mode));
+  w.Key("mode").String(TokenFor(kModeTokens, r.resolved_mode));
+  w.Key("cache").Bool(r.from_cache).Key("approx").Bool(r.approximate);
   if (r.budget_ns != 0) {
-    out += ",\"budget_ns\":";
-    AppendInt(r.budget_ns, &out);
-    out += ",\"target_error\":";
-    AppendDouble(r.target_error, &out);
+    w.Key("budget_ns").Int(r.budget_ns);
+    w.Key("target_error").Double(r.target_error);
   }
-  if (r.sample_fraction != 0.0) {
-    out += ",\"sample_fraction\":";
-    AppendDouble(r.sample_fraction, &out);
-  }
-  if (r.error_budget != 0.0) {
-    out += ",\"error_budget\":";
-    AppendDouble(r.error_budget, &out);
-  }
-  if (r.confidence != 0.0) {
-    out += ",\"confidence\":";
-    AppendDouble(r.confidence, &out);
+  for (const auto& [key, member] : kKnobFields) {
+    if (r.*member != 0.0) w.Key(key).Double(r.*member);
   }
 
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, r.result_fingerprint);
-  out += ",\"fp\":\"";
-  out += buf;
-  out += "\",\"rows\":";
-  AppendUint(r.result_rows, &out);
-  if (r.scalar.has_value()) {
-    out += ",\"scalar\":";
-    AppendDouble(*r.scalar, &out);
+  std::string fp(16, '0');  // 16 zero-padded hex digits
+  for (uint64_t v = r.result_fingerprint, i = 16; v != 0; v >>= 4) {
+    fp[--i] = "0123456789abcdef"[v & 0xf];
   }
+  w.Key("fp").String(fp).Key("rows").Uint(r.result_rows);
+  if (r.scalar.has_value()) w.Key("scalar").Double(*r.scalar);
 
   const ExecStats& s = r.stats;
-  out += ",\"stats\":{\"path\":\"";
-  out += TokenFor(kPathTokens, static_cast<int>(s.path));
-  out += "\",\"rows_scanned\":";
-  AppendUint(s.rows_scanned, &out);
-  out += ",\"morsels\":";
-  AppendUint(s.morsels_dispatched, &out);
-  out += ",\"pruned\":";
-  AppendUint(s.morsels_pruned, &out);
-  out += ",\"compressed\":";
-  AppendUint(s.compressed_morsels, &out);
-  out += ",\"threads\":";
-  AppendUint(s.threads_used, &out);
-  out += ",\"planner\":\"";
-  out += TokenFor(kPlannerTokens, static_cast<int>(s.planner_choice));
-  out += "\",\"plans\":";
-  AppendUint(s.plans_considered, &out);
-  out += ",\"promised\":";
-  AppendDouble(s.promised_error, &out);
-  out += ",\"achieved\":";
-  AppendDouble(s.achieved_error, &out);
-  out += ",\"simd\":\"";
-  out += TokenFor(kSimdTokens, static_cast<int>(s.simd_path));
-  out += "\",\"plan_ns\":";
-  AppendInt(s.plan_nanos, &out);
-  out += ",\"select_ns\":";
-  AppendInt(s.select_nanos, &out);
-  out += ",\"agg_ns\":";
-  AppendInt(s.aggregate_nanos, &out);
-  out += ",\"project_ns\":";
-  AppendInt(s.project_nanos, &out);
-  out += ",\"decompress_ns\":";
-  AppendInt(s.decompress_nanos, &out);
-  out += ",\"total_ns\":";
-  AppendInt(s.total_nanos, &out);
-  if (s.queue_nanos != 0) {
-    out += ",\"queue_ns\":";
-    AppendInt(s.queue_nanos, &out);
-  }
-  out += "}}";
-  return out;
+  w.Key("stats").BeginObject();
+  w.Key("path").String(TokenFor(kPathTokens, s.path));
+  for (const auto& [key, member] : kCounterFields) w.Key(key).Uint(s.*member);
+  w.Key("threads").Uint(s.threads_used);
+  w.Key("planner").String(TokenFor(kPlannerTokens, s.planner_choice));
+  w.Key("plans").Uint(s.plans_considered);
+  w.Key("promised").Double(s.promised_error);
+  w.Key("achieved").Double(s.achieved_error);
+  w.Key("simd").String(TokenFor(kSimdTokens, s.simd_path));
+  for (const auto& [key, member] : kPhaseFields) w.Key(key).Int(s.*member);
+  if (s.queue_nanos != 0) w.Key("queue_ns").Int(s.queue_nanos);
+  w.EndObject().EndObject();
+  return w.Take();
 }
 
 Result<JournalRecord> WorkloadJournal::FromJsonLine(const std::string& line) {
-  EXPLOREDB_ASSIGN_OR_RETURN(Json doc, JsonParser(line).Parse());
-  if (doc.kind != Json::kObject || FieldString(doc, "type") != "q") {
-    return Status::InvalidArgument("not a journal query record");
-  }
-  JournalRecord r;
-  r.session_id = FieldUint(doc, "sid");
-  r.session_seq = FieldUint(doc, "seq");
-  r.global_seq = FieldUint(doc, "gseq");
-  r.wall_time_us = FieldInt(doc, "wall_us");
-  r.think_ns = FieldInt(doc, "think_ns", -1);
-  r.tenant = FieldString(doc, "tenant");
-
-  Query q = Query::On(FieldString(doc, "table"));
-  if (const Json* where = doc.Find("where");
-      where != nullptr && where->kind == Json::kArray) {
-    std::vector<Condition> conds;
-    for (const Json& c : where->items) {
-      Condition cond;
-      cond.column = static_cast<size_t>(FieldInt(c, "col"));
-      int op = 0;
-      if (!ValueFor(kOpTokens, FieldString(c, "op"), &op)) {
-        return Status::InvalidArgument("unknown comparison op token");
-      }
-      cond.op = static_cast<CompareOp>(op);
-      EXPLOREDB_ASSIGN_OR_RETURN(cond.constant, ParseConditionValue(c));
-      conds.push_back(std::move(cond));
-    }
-    q.Where(Predicate(std::move(conds)));
-  }
-  if (const Json* select = doc.Find("select");
-      select != nullptr && select->kind == Json::kArray) {
-    std::vector<std::string> cols;
-    for (const Json& s : select->items) cols.push_back(s.str);
-    q.Select(std::move(cols));
-  }
-  if (const Json* agg = doc.Find("agg");
-      agg != nullptr && agg->kind == Json::kObject) {
-    int kind = 0;
-    if (!ValueFor(kAggTokens, FieldString(*agg, "kind"), &kind)) {
-      return Status::InvalidArgument("unknown aggregate kind token");
-    }
-    q.Aggregate(static_cast<AggKind>(kind), FieldString(*agg, "col"));
-  }
-  if (const Json* by = doc.Find("by");
-      by != nullptr && by->kind == Json::kString) {
-    q.GroupBy(by->str);
-  }
-  r.query = std::move(q);
-  r.query_text = FieldString(doc, "text");
-
-  int mode = 0;
-  if (!ValueFor(kModeTokens, FieldString(doc, "req_mode"), &mode)) {
-    return Status::InvalidArgument("unknown requested-mode token");
-  }
-  r.requested_mode = static_cast<ExecutionMode>(mode);
-  if (!ValueFor(kModeTokens, FieldString(doc, "mode"), &mode)) {
-    return Status::InvalidArgument("unknown resolved-mode token");
-  }
-  r.resolved_mode = static_cast<ExecutionMode>(mode);
-  r.from_cache = FieldBool(doc, "cache");
-  r.approximate = FieldBool(doc, "approx");
-  r.budget_ns = FieldInt(doc, "budget_ns");
-  r.target_error = FieldDouble(doc, "target_error");
-  r.sample_fraction = FieldDouble(doc, "sample_fraction");
-  r.error_budget = FieldDouble(doc, "error_budget");
-  r.confidence = FieldDouble(doc, "confidence");
-
-  const std::string fp = FieldString(doc, "fp");
-  r.result_fingerprint = std::strtoull(fp.c_str(), nullptr, 16);
-  r.result_rows = FieldUint(doc, "rows");
-  if (const Json* scalar = doc.Find("scalar");
-      scalar != nullptr && scalar->kind == Json::kNumber) {
-    r.scalar = scalar->Double();
-  }
-
-  if (const Json* stats = doc.Find("stats");
-      stats != nullptr && stats->kind == Json::kObject) {
-    ExecStats& s = r.stats;
-    int path = 0;
-    if (ValueFor(kPathTokens, FieldString(*stats, "path"), &path)) {
-      s.path = static_cast<AccessPath>(path);
-    }
-    s.rows_scanned = FieldUint(*stats, "rows_scanned");
-    s.morsels_dispatched = FieldUint(*stats, "morsels");
-    s.morsels_pruned = FieldUint(*stats, "pruned");
-    s.compressed_morsels = FieldUint(*stats, "compressed");
-    s.threads_used = static_cast<uint32_t>(FieldInt(*stats, "threads", 1));
-    s.resolved_mode = r.resolved_mode;
-    int planner = 0;
-    if (ValueFor(kPlannerTokens, FieldString(*stats, "planner"), &planner)) {
-      s.planner_choice = static_cast<PlannerChoice>(planner);
-    }
-    s.plans_considered = static_cast<uint32_t>(FieldInt(*stats, "plans"));
-    s.promised_error = FieldDouble(*stats, "promised");
-    s.achieved_error = FieldDouble(*stats, "achieved");
-    int simd_path = 0;
-    if (ValueFor(kSimdTokens, FieldString(*stats, "simd"), &simd_path)) {
-      s.simd_path = static_cast<simd::SimdPath>(simd_path);
-    }
-    s.plan_nanos = FieldInt(*stats, "plan_ns");
-    s.select_nanos = FieldInt(*stats, "select_ns");
-    s.aggregate_nanos = FieldInt(*stats, "agg_ns");
-    s.project_nanos = FieldInt(*stats, "project_ns");
-    s.decompress_nanos = FieldInt(*stats, "decompress_ns");
-    s.total_nanos = FieldInt(*stats, "total_ns");
-    s.queue_nanos = FieldInt(*stats, "queue_ns");
-  }
-  return r;
+  EXPLOREDB_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(line));
+  return RecordFromJson(doc);
 }
 
 std::string WorkloadJournal::HeaderJsonLine(const JournalHeader& header) {
-  std::string out = "{\"type\":\"header\",\"dataset\":";
-  AppendJsonString(header.dataset, &out);
-  out += ",\"rows\":";
-  AppendInt(header.rows, &out);
-  out += ",\"seed\":";
-  AppendUint(header.seed, &out);
-  out += "}";
-  return out;
+  JsonWriter w;
+  w.BeginObject().Key("type").String("header");
+  w.Key("dataset").String(header.dataset).Key("rows").Int(header.rows);
+  w.Key("seed").Uint(header.seed).EndObject();
+  return w.Take();
 }
 
 Result<JournalFile> WorkloadJournal::ReadFile(const std::string& path) {
@@ -738,28 +379,12 @@ Result<JournalFile> WorkloadJournal::ReadFile(const std::string& path) {
   }
   JournalFile file;
   std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
+  for (size_t line_no = 1; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
-    EXPLOREDB_ASSIGN_OR_RETURN(Json doc, JsonParser(line).Parse());
-    const std::string type = FieldString(doc, "type");
-    if (type == "header") {
-      JournalHeader h;
-      h.dataset = FieldString(doc, "dataset");
-      h.rows = FieldInt(doc, "rows");
-      h.seed = FieldUint(doc, "seed");
-      file.header = std::move(h);
-    } else if (type == "q") {
-      auto record = FromJsonLine(line);
-      if (!record.ok()) {
-        return Status::InvalidArgument(
-            "journal line " + std::to_string(line_no) + ": " +
-            record.status().ToString());
-      }
-      file.records.push_back(std::move(record).ValueOrDie());
+    if (Status s = ReadLine(line, &file); !s.ok()) {
+      return Status::InvalidArgument(
+          "journal line " + std::to_string(line_no) + ": " + s.message());
     }
-    // Other types (slo_breach, future events) are skipped.
   }
   return file;
 }
@@ -803,26 +428,16 @@ WorkloadJournal::ThreadRing* WorkloadJournal::LocalRing() {
 void WorkloadJournal::Append(JournalRecord record) {
   if (!enabled()) return;
   record.global_seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  ThreadRing* ring = LocalRing();
-  {
-    MutexLock lock(ring->mu);
-    if (ring->items.size() >= kRingCapacity) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      DroppedCounter()->Add();
-      return;
-    }
-    Item item;
-    item.seq = record.global_seq;
-    item.record = std::move(record);
-    ring->items.push_back(std::move(item));
-  }
-  appended_.fetch_add(1, std::memory_order_relaxed);
-  AppendedCounter()->Add();
+  Push(Item{record.global_seq, false, std::move(record), {}});
 }
 
 void WorkloadJournal::AppendEventLine(std::string json_line) {
   if (!enabled()) return;
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  Push(Item{next_seq_.fetch_add(1, std::memory_order_relaxed), true, {},
+            std::move(json_line)});
+}
+
+void WorkloadJournal::Push(Item item) {
   ThreadRing* ring = LocalRing();
   {
     MutexLock lock(ring->mu);
@@ -831,10 +446,6 @@ void WorkloadJournal::AppendEventLine(std::string json_line) {
       DroppedCounter()->Add();
       return;
     }
-    Item item;
-    item.seq = seq;
-    item.is_event = true;
-    item.line = std::move(json_line);
     ring->items.push_back(std::move(item));
   }
   appended_.fetch_add(1, std::memory_order_relaxed);

@@ -179,6 +179,9 @@ class WorkloadJournal {
   struct ThreadRing;
 
   ThreadRing* LocalRing();
+  /// Moves `item` into the calling thread's ring, or counts it as dropped
+  /// when the ring is full.
+  void Push(Item item);
   /// Drops any records still sitting in rings from a previous enablement
   /// (appended in the Append/Disable race window after the final drain), so
   /// they cannot leak stale seq/session context into the next journal.

@@ -1,9 +1,9 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "obs/journal.h"
@@ -44,12 +44,6 @@ double BucketQuantile(const std::vector<int64_t>& bounds,
     seen = next;
   }
   return static_cast<double>(bounds.back());
-}
-
-void AppendJson(double v, std::string* out) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  *out += buf;
 }
 
 }  // namespace
@@ -173,15 +167,12 @@ void SloMonitor::Observe(QueryClass c, int64_t latency_ns, int64_t budget_ns,
   if (!within) {
     cs.budget_missed_total->Add();
     if (WorkloadJournal::enabled()) {
-      std::string line = "{\"type\":\"slo_breach\",\"class\":\"";
-      line += QueryClassName(c);
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    "\",\"latency_ns\":%lld,\"budget_ns\":%lld}",
-                    static_cast<long long>(latency_ns),
-                    static_cast<long long>(effective_budget));
-      line += buf;
-      WorkloadJournal::Global().AppendEventLine(std::move(line));
+      JsonWriter w;
+      w.BeginObject().Key("type").String("slo_breach");
+      w.Key("class").String(QueryClassName(c));
+      w.Key("latency_ns").Int(latency_ns);
+      w.Key("budget_ns").Int(effective_budget).EndObject();
+      WorkloadJournal::Global().AppendEventLine(w.Take());
     }
   }
 }
@@ -241,38 +232,25 @@ void SloMonitor::UpdateGauges() const {
 
 std::string SloMonitor::JsonReport(uint64_t window_seconds) const {
   const SloSnapshot snap = Snapshot(window_seconds);
-  std::string out = "{\"window_seconds\":";
-  out += std::to_string(snap.window_seconds);
-  out += ",\"slo_target\":";
-  AppendJson(snap.slo_target, &out);
-  out += ",\"classes\":{";
+  JsonWriter w;
+  w.BeginObject().Key("window_seconds").Uint(snap.window_seconds);
+  w.Key("slo_target").Double(snap.slo_target).Key("classes").BeginObject();
   for (size_t i = 0; i < kQueryClassCount; ++i) {
     const SloClassSnapshot& c = snap.classes[i];
-    if (i > 0) out += ",";
-    out += "\"";
-    out += QueryClassName(static_cast<QueryClass>(i));
-    out += "\":{\"total\":";
-    out += std::to_string(c.total);
-    out += ",\"within_budget\":";
-    out += std::to_string(c.within);
-    out += ",\"approximate\":";
-    out += std::to_string(c.approximate);
-    out += ",\"within_fraction\":";
-    AppendJson(c.within_fraction, &out);
-    out += ",\"burn_rate\":";
-    AppendJson(c.burn_rate, &out);
-    out += ",\"mean_achieved_error\":";
-    AppendJson(c.mean_achieved_error, &out);
-    out += ",\"p95_latency_ms\":";
-    AppendJson(c.p95_latency_ns / 1e6, &out);
-    out += ",\"p99_latency_ms\":";
-    AppendJson(c.p99_latency_ns / 1e6, &out);
-    out += ",\"default_budget_ms\":";
-    AppendJson(static_cast<double>(c.default_budget_ns) / 1e6, &out);
-    out += "}";
+    w.Key(QueryClassName(static_cast<QueryClass>(i))).BeginObject();
+    w.Key("total").Uint(c.total).Key("within_budget").Uint(c.within);
+    w.Key("approximate").Uint(c.approximate);
+    w.Key("within_fraction").Double(c.within_fraction);
+    w.Key("burn_rate").Double(c.burn_rate);
+    w.Key("mean_achieved_error").Double(c.mean_achieved_error);
+    w.Key("p95_latency_ms").Double(c.p95_latency_ns / 1e6);
+    w.Key("p99_latency_ms").Double(c.p99_latency_ns / 1e6);
+    w.Key("default_budget_ms")
+        .Double(static_cast<double>(c.default_budget_ns) / 1e6);
+    w.EndObject();
   }
-  out += "}}";
-  return out;
+  w.EndObject().EndObject();
+  return w.Take();
 }
 
 void SloMonitor::ResetForTest() {

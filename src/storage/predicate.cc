@@ -4,6 +4,7 @@
 #include <optional>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/trace.h"
 #include "storage/compression/compressed_column.h"
 
@@ -325,11 +326,22 @@ uint32_t Predicate::Refine(const std::vector<Condition>& conditions,
 }
 
 std::string Predicate::CacheKey() const {
-  std::ostringstream os;
+  std::string key;
   for (const Condition& c : conjuncts_) {
-    os << c.column << CompareOpName(c.op) << c.constant.ToString() << ";";
+    key += std::to_string(c.column);
+    key += CompareOpName(c.op);
+    if (c.constant.is_int64()) {
+      key += std::to_string(c.constant.int64());
+    } else if (c.constant.is_double()) {
+      key += 'd';
+      AppendShortestDouble(c.constant.dbl(), &key);
+    } else {
+      key += 's' + std::to_string(c.constant.str().size()) + ':';
+      key += c.constant.str();
+    }
+    key += ';';
   }
-  return os.str();
+  return key;
 }
 
 std::string Predicate::ToString(const Schema& schema) const {

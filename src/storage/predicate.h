@@ -113,7 +113,11 @@ class Predicate {
                          uint32_t* sel, uint32_t n,
                          const CompressedInputs& compressed = {});
 
-  /// Canonical key for caching (column/op/constant triples).
+  /// Canonical key for caching: one "<column><op><constant>;" per conjunct.
+  /// Predicates that differ in any column, op, constant type or constant
+  /// value get different keys: an int64 prints bare, a double as 'd' plus
+  /// its shortest round-trip text, a string as 's', its length, ':' and its
+  /// bytes.
   std::string CacheKey() const;
 
   std::string ToString(const Schema& schema) const;

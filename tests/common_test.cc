@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -222,6 +227,124 @@ TEST(StringsTest, JoinAndTrim) {
   EXPECT_EQ(Join({}, ","), "");
   EXPECT_EQ(Trim("  x y  "), "x y");
   EXPECT_EQ(Trim("   "), "");
+}
+
+// ---------------------------------------------------------------- JSON
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(JsonWriterTest, PlacesCommasAndColonsAcrossNesting) {
+  JsonWriter w;
+  w.BeginObject().Key("a").Int(-1).Key("b").BeginArray().Uint(2);
+  w.BeginObject().EndObject().BeginArray().EndArray().String("x").EndArray();
+  w.Key("c").BeginObject().Key("d").Bool(true).Key("e").BeginArray();
+  w.BeginArray().Bool(false).EndArray().EndArray().EndObject().EndObject();
+  EXPECT_EQ(w.str(),
+            R"({"a":-1,"b":[2,{},[],"x"],"c":{"d":true,"e":[[false]]}})");
+}
+
+TEST(JsonWriterTest, EscapesQuoteBackslashAndControlBytesOnly) {
+  JsonWriter w;
+  w.String("q\"b\\n\n\x01\x1f\x7f/\xc3\xa9");
+  EXPECT_EQ(w.str(), "\"q\\\"b\\\\n\\u000a\\u0001\\u001f\x7f/\xc3\xa9\"");
+}
+
+TEST(JsonWriterTest, NumbersPrintExactlyAndShortest) {
+  const double inf = std::numeric_limits<double>::infinity();
+  JsonWriter w;
+  w.BeginArray().Int(std::numeric_limits<int64_t>::min());
+  w.Uint(std::numeric_limits<uint64_t>::max()).Double(0.99).Double(0.1 + 0.2);
+  w.Double(1e300).Double(-0.0).Double(inf).Double(-inf);
+  w.Double(std::numeric_limits<double>::quiet_NaN()).EndArray();
+  EXPECT_EQ(w.str(),
+            "[-9223372036854775808,18446744073709551615,0.99,"
+            "0.30000000000000004,1e+300,-0,\"inf\",\"-inf\",\"nan\"]");
+}
+
+TEST(JsonReaderTest, ReadsBackWhatTheWriterWrote) {
+  const std::vector<double> doubles = {
+      0.1, -0.0, 5e-324, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  std::string bytes;
+  for (char c = 1; c < 0x20; ++c) bytes += c;
+  bytes += "\"\\\x7f\xe2\x82\xac";
+  JsonWriter w;
+  w.BeginObject().Key("i").Int(std::numeric_limits<int64_t>::min());
+  w.Key("u").Uint(std::numeric_limits<uint64_t>::max()).Key("s").String(bytes);
+  w.Key("d").BeginArray();
+  for (double d : doubles) w.Double(d);
+  w.Double(std::numeric_limits<double>::quiet_NaN()).EndArray().EndObject();
+
+  auto parsed = JsonValue::Parse(w.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue& doc = parsed.ValueOrDie();
+  EXPECT_EQ(doc.Get<int64_t>("i"), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(doc.Get<uint64_t>("u"), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(doc.Get<std::string>("s"), bytes);
+  const std::vector<JsonValue>& items = doc.Find("d")->items();
+  ASSERT_EQ(items.size(), doubles.size() + 1);
+  for (size_t i = 0; i < doubles.size(); ++i) {
+    EXPECT_EQ(Bits(items[i].As<double>()), Bits(doubles[i])) << doubles[i];
+  }
+  EXPECT_TRUE(std::isnan(items.back().As<double>()));
+  // Absent members and members of another kind read as the fallback.
+  EXPECT_EQ(doc.Get<int64_t>("missing", 7), 7);
+  EXPECT_EQ(doc.Get<int64_t>("s", 7), 7);
+  EXPECT_EQ(doc.Get<std::string>("i"), "");
+  EXPECT_EQ(doc.Get<bool>("u", true), true);
+}
+
+void ExpectInvalid(const std::string& text) {
+  EXPECT_EQ(JsonValue::Parse(text).status().code(),
+            StatusCode::kInvalidArgument)
+      << text;
+}
+
+TEST(JsonReaderTest, RejectsTruncatedInput) {
+  ExpectInvalid("");
+  ExpectInvalid(R"({"a":[1,2)");
+  ExpectInvalid(R"({"a":)");
+  ExpectInvalid(R"({"a")");
+}
+
+TEST(JsonReaderTest, RejectsBadLiteral) {
+  ExpectInvalid(R"({"a":tru})");
+  ExpectInvalid(R"([nul])");
+  ExpectInvalid(R"([1-2])");
+}
+
+TEST(JsonReaderTest, RejectsUnterminatedString) {
+  ExpectInvalid(R"({"a":"abc})");
+  ExpectInvalid(R"(["abc\)");
+}
+
+TEST(JsonReaderTest, RejectsBadOrNonAsciiEscape) {
+  ExpectInvalid(R"(["\u12"])");
+  ExpectInvalid(R"(["\u00e9"])");
+  EXPECT_EQ(JsonValue::Parse(R"(["\u0041\t\/"])")
+                .ValueOrDie()
+                .items()[0]
+                .As<std::string>(),
+            "A\t/");
+}
+
+TEST(JsonReaderTest, RejectsTrailingContent) {
+  ExpectInvalid(R"({"a":1} x)");
+  ExpectInvalid("[1][2]");
+}
+
+TEST(JsonReaderTest, RejectsNestingPastTheCap) {
+  auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(JsonValue::Parse(nested(JsonValue::kMaxDepth)).ok());
+  ExpectInvalid(nested(JsonValue::kMaxDepth + 1));
+  ExpectInvalid(std::string(100'000, '['));
 }
 
 // ---------------------------------------------------------------- CHECK

@@ -526,6 +526,21 @@ TEST_F(EngineTest, QueryCacheKeyDiscriminates) {
                 .Aggregate(AggKind::kCount);
   EXPECT_NE(a.CacheKey(), b.CacheKey());
   EXPECT_NE(a.CacheKey(), c.CacheKey());
+
+  // Constants that differ only past the sixth decimal, a string holding the
+  // key's separators, and constants of different types.
+  auto key = [](std::vector<Condition> conjuncts) {
+    return Query::On("events")
+        .Where(Predicate(std::move(conjuncts)))
+        .CacheKey();
+  };
+  EXPECT_NE(key({{1, CompareOp::kLt, Value(0.1234561)}}),
+            key({{1, CompareOp::kLt, Value(0.1234564)}}));
+  EXPECT_NE(key({{2, CompareOp::kEq, Value("a;0<5")}}),
+            key({{2, CompareOp::kEq, Value("a")},
+                 {0, CompareOp::kLt, Value(int64_t{5})}}));
+  EXPECT_NE(key({{2, CompareOp::kEq, Value(int64_t{1})}}),
+            key({{2, CompareOp::kEq, Value("1")}}));
 }
 
 }  // namespace

@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <limits>
 #include <map>
 #include <new>
 #include <string>
@@ -52,6 +56,12 @@ void operator delete[](void* p, size_t) noexcept { std::free(p); }
 namespace exploredb {
 namespace {
 
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "exploredb_" + name;
 }
@@ -84,11 +94,28 @@ TEST_F(JournalTest, JsonLineRoundTripsEveryField) {
   r.global_seq = 1234;
   r.wall_time_us = 1700000000123456;
   r.think_ns = 2'500'000;
+  // Constants at every edge the writer must keep: non-finite, signed zero,
+  // subnormal, extreme and non-terminating doubles, the int64 extremes, and
+  // a string holding every control byte, the escapes, DEL and UTF-8.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::string bytes;
+  for (char c = 1; c < 0x20; ++c) bytes += c;
+  bytes += "\"\\\x7f\xc3\xa9\xe2\x82\xac";
+  std::vector<Condition> where = {
+      {0, CompareOp::kGe, Value(int64_t{10'000})},
+      {2, CompareOp::kLt, Value(2.5)},
+      {1, CompareOp::kEq, Value(std::string("a\"b\\c\nd"))}};
+  for (double d : {inf, -inf, std::numeric_limits<double>::quiet_NaN(), -0.0,
+                   5e-324, DBL_MAX, 0.1}) {
+    where.push_back({2, CompareOp::kNe, Value(d)});
+  }
+  where.push_back(
+      {0, CompareOp::kGe, Value(std::numeric_limits<int64_t>::min())});
+  where.push_back(
+      {0, CompareOp::kLe, Value(std::numeric_limits<int64_t>::max())});
+  where.push_back({1, CompareOp::kEq, Value(bytes)});
   r.query = Query::On("events")
-                .Where(Predicate({{0, CompareOp::kGe, Value(int64_t{10'000})},
-                                  {2, CompareOp::kLt, Value(2.5)},
-                                  {1, CompareOp::kEq,
-                                   Value(std::string("a\"b\\c\nd"))}}))
+                .Where(Predicate(where))
                 .Select({"ts", "latency_ms"})
                 .Aggregate(AggKind::kSum, "latency_ms")
                 .GroupBy("user_id");
@@ -112,7 +139,7 @@ TEST_F(JournalTest, JsonLineRoundTripsEveryField) {
   r.stats.planner_choice = PlannerChoice::kSample;
   r.stats.plans_considered = 3;
   r.stats.promised_error = 0.04;
-  r.stats.achieved_error = 0.03;
+  r.stats.achieved_error = inf;
   r.stats.simd_path = simd::SimdPath::kAvx2;
   r.stats.plan_nanos = 1111;
   r.stats.select_nanos = 2222;
@@ -136,20 +163,19 @@ TEST_F(JournalTest, JsonLineRoundTripsEveryField) {
   EXPECT_EQ(p.think_ns, r.think_ns);
 
   EXPECT_EQ(p.query.table(), "events");
-  ASSERT_EQ(p.query.where().conjuncts().size(), 3u);
-  const auto& c0 = p.query.where().conjuncts()[0];
-  EXPECT_EQ(c0.column, 0u);
-  EXPECT_EQ(c0.op, CompareOp::kGe);
-  ASSERT_TRUE(c0.constant.is_int64());
-  EXPECT_EQ(c0.constant.int64(), 10'000);
-  const auto& c1 = p.query.where().conjuncts()[1];
-  EXPECT_EQ(c1.op, CompareOp::kLt);
-  ASSERT_TRUE(c1.constant.is_double());
-  EXPECT_DOUBLE_EQ(c1.constant.dbl(), 2.5);
-  const auto& c2 = p.query.where().conjuncts()[2];
-  EXPECT_EQ(c2.op, CompareOp::kEq);
-  ASSERT_TRUE(c2.constant.is_string());
-  EXPECT_EQ(c2.constant.str(), "a\"b\\c\nd");
+  ASSERT_EQ(p.query.where().conjuncts().size(), where.size());
+  for (size_t i = 0; i < where.size(); ++i) {
+    SCOPED_TRACE("conjunct " + std::to_string(i));
+    const Condition& got = p.query.where().conjuncts()[i];
+    EXPECT_EQ(got.column, where[i].column);
+    EXPECT_EQ(got.op, where[i].op);
+    ASSERT_EQ(got.constant.type(), where[i].constant.type());
+    if (got.constant.is_double()) {
+      EXPECT_EQ(Bits(got.constant.dbl()), Bits(where[i].constant.dbl()));
+    } else {
+      EXPECT_EQ(got.constant, where[i].constant);
+    }
+  }
 
   ASSERT_EQ(p.query.select().size(), 2u);
   EXPECT_EQ(p.query.select()[1], "latency_ms");
@@ -179,7 +205,7 @@ TEST_F(JournalTest, JsonLineRoundTripsEveryField) {
   EXPECT_EQ(p.stats.planner_choice, PlannerChoice::kSample);
   EXPECT_EQ(p.stats.plans_considered, r.stats.plans_considered);
   EXPECT_DOUBLE_EQ(p.stats.promised_error, r.stats.promised_error);
-  EXPECT_DOUBLE_EQ(p.stats.achieved_error, r.stats.achieved_error);
+  EXPECT_EQ(p.stats.achieved_error, inf);
   EXPECT_EQ(p.stats.simd_path, simd::SimdPath::kAvx2);
   EXPECT_EQ(p.stats.plan_nanos, r.stats.plan_nanos);
   EXPECT_EQ(p.stats.select_nanos, r.stats.select_nanos);
@@ -192,6 +218,30 @@ TEST_F(JournalTest, JsonLineRoundTripsEveryField) {
   EXPECT_EQ(p.result_rows, r.result_rows);
   ASSERT_TRUE(p.scalar.has_value());
   EXPECT_DOUBLE_EQ(*p.scalar, 3.25);
+  // Every field read back exactly writes the same line again.
+  EXPECT_EQ(WorkloadJournal::ToJsonLine(p), line);
+}
+
+// A line nested far deeper than any journal record is an error, not a
+// recursion off the end of the stack: given directly and inside a file.
+TEST_F(JournalTest, DeeplyNestedLineIsRejected) {
+  const std::string line = "{\"type\":\"q\",\"where\":" +
+                           std::string(100'000, '[') +
+                           std::string(100'000, ']') + "}";
+  EXPECT_EQ(WorkloadJournal::FromJsonLine(line).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const std::string path = TempPath("journal_nested.jsonl");
+  {
+    std::ofstream out(path);
+    out << WorkloadJournal::HeaderJsonLine({"events", 100, 1}) << "\n"
+        << line << "\n";
+  }
+  auto file = WorkloadJournal::ReadFile(path);
+  EXPECT_EQ(file.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(file.status().message().find("journal line 2"), std::string::npos)
+      << file.status().ToString();
+  std::remove(path.c_str());
 }
 
 // Unsigned 64-bit fields above INT64_MAX (a perfectly valid --seed) must

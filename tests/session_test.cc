@@ -5,7 +5,8 @@
 // cache nor the trajectory model. A cache hit's total_nanos excludes the
 // speculation it triggers, as a miss's does. A sampled COUNT whose sample
 // holds no matching row reports a bounded relative error to the SLO monitor
-// and leaves the planner's cv alone.
+// and leaves the planner's cv alone. Queries whose constants differ in
+// digits, separator bytes or type never share a cache entry.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +15,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/random.h"
 #include "engine/database.h"
+#include "engine/executor.h"
 #include "engine/query.h"
 #include "engine/session.h"
 #include "journal_records.h"
@@ -237,6 +240,48 @@ TEST(SessionPathTest, ZeroMatchSampleReportsBoundedErrorAndKeepsCv) {
       [static_cast<size_t>(QueryClass::kBudgeted)];
   EXPECT_EQ(slo.approximate, 2u);
   EXPECT_DOUBLE_EQ(slo.mean_achieved_error, 1.0);
+}
+
+TEST(SessionPathTest, DistinctConstantsNeverShareACacheEntry) {
+  // "x" double, "s" string, "n" int64. Each pair's queries differ only in
+  // what a key that prints constants loosely would drop: digits past the
+  // sixth decimal, a string holding the key's separators, the type.
+  constexpr int64_t kRows = 1000;
+  Table t(Schema({{"x", DataType::kDouble},
+                  {"s", DataType::kString},
+                  {"n", DataType::kInt64}}));
+  const char* strings[] = {"a", "a;2<5", "1"};
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value(0.1234560 + static_cast<double>(i) * 1e-9),
+                             Value(strings[i % 3]), Value(i % 10)})
+                    .ok());
+  }
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", std::move(t)).ok());
+  auto where = [](std::vector<Condition> conjuncts) {
+    return Query::On("t").Where(Predicate(std::move(conjuncts)));
+  };
+  const std::vector<std::pair<Query, Query>> pairs = {
+      {where({{0, CompareOp::kLt, Value(0.1234561)}}),
+       where({{0, CompareOp::kLt, Value(0.1234564)}})},
+      {where({{1, CompareOp::kEq, Value("a;2<5")}}),
+       where({{1, CompareOp::kEq, Value("a")},
+              {2, CompareOp::kLt, Value(int64_t{5})}})},
+      {where({{1, CompareOp::kEq, Value(int64_t{1})}}),
+       where({{1, CompareOp::kEq, Value("1")}})},
+  };
+  Executor fresh(&db);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    SCOPED_TRACE("pair " + std::to_string(i));
+    Session session(&db);
+    ASSERT_TRUE(session.Execute(pairs[i].first).ok());
+    Result<QueryResult> second = session.Execute(pairs[i].second);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    Result<QueryResult> want = fresh.Execute(pairs[i].second);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_FALSE(want.ValueOrDie().positions.empty());
+    EXPECT_EQ(second.ValueOrDie().positions, want.ValueOrDie().positions);
+  }
 }
 
 }  // namespace

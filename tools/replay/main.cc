@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "common/random.h"
 #include "engine/database.h"
 #include "engine/query.h"
@@ -446,11 +447,10 @@ int RunReplay(const std::string& path, size_t threads, bool afap,
   std::printf("exact results checked: %llu, mismatches: %llu\n",
               static_cast<unsigned long long>(total.exact_checked),
               static_cast<unsigned long long>(total.mismatches));
-  std::string json = "{\"replayed\":" + std::to_string(total.replayed) +
-                     ",\"exact_checked\":" +
-                     std::to_string(total.exact_checked) +
-                     ",\"mismatches\":" + std::to_string(total.mismatches) +
-                     ",\"classes\":{";
+  JsonWriter json;
+  json.BeginObject().Key("replayed").Uint(total.replayed);
+  json.Key("exact_checked").Uint(total.exact_checked);
+  json.Key("mismatches").Uint(total.mismatches).Key("classes").BeginObject();
   for (size_t c = 0; c < kQueryClassCount; ++c) {
     ClassTally& tally = total.classes[c];
     const char* name = QueryClassName(static_cast<QueryClass>(c));
@@ -463,20 +463,12 @@ int RunReplay(const std::string& path, size_t threads, bool afap,
     std::printf("  %-11s n=%-4llu within_budget=%.3f p50=%.3fms p95=%.3fms\n",
                 name, static_cast<unsigned long long>(n), within_fraction,
                 p50, p95);
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\":{\"n\":%llu,\"within_budget\":%.6f,"
-                  "\"p50_ms\":%.3f,\"p95_ms\":%.3f}",
-                  c > 0 ? "," : "", name,
-                  static_cast<unsigned long long>(n), within_fraction, p50,
-                  p95);
-    json += buf;
+    json.Key(name).BeginObject().Key("n").Uint(n);
+    json.Key("within_budget").Double(within_fraction);
+    json.Key("p50_ms").Double(p50).Key("p95_ms").Double(p95).EndObject();
   }
-  json += "}}";
-  if (!json_out.empty()) {
-    std::ofstream out(json_out);
-    out << json << "\n";
-  }
+  json.EndObject().EndObject();
+  if (!json_out.empty()) std::ofstream(json_out) << json.str() << "\n";
 
   if (total.mismatches > 0) {
     std::fprintf(stderr, "FAIL: %llu fingerprint mismatch(es)\n",
