@@ -24,7 +24,8 @@ namespace exploredb {
 
 /// Appends the shortest decimal text that reads back as exactly `v`, or
 /// inf, -inf or nan for the non-finite values (unquoted). The one double
-/// formatter in common/: the writer and Predicate::CacheKey both use it.
+/// formatter in common/: the writer, Predicate::CacheKey and Value::ToString
+/// (GROUP BY keys, CSV export) all use it.
 void AppendShortestDouble(double v, std::string* out);
 
 /// Streaming writer of compact JSON (no whitespace). It places commas and

@@ -93,6 +93,17 @@ Counter* SimdPathCounter(simd::SimdPath path) {
   return scalar;
 }
 
+/// Folds one finished query's ExecStats into the process-wide engine series
+/// (query count, latency, rows scanned, morsels, SIMD path): the one
+/// recorder, called once per successful query by Executor::Run.
+void RecordQueryMetrics(const ExecStats& stats) {
+  QueriesCounter()->Add();
+  QueryLatencyHistogram()->Record(stats.total_nanos);
+  RowsScannedCounter()->Add(stats.rows_scanned);
+  MorselsDispatchedCounter()->Add(stats.morsels_dispatched);
+  SimdPathCounter(stats.simd_path)->Add();
+}
+
 /// Fetches the column each condition references.
 Result<std::vector<const ColumnVector*>> FetchConditionColumns(
     TableEntry* entry, const std::vector<Condition>& conditions) {
@@ -190,19 +201,10 @@ std::vector<uint32_t>& MorselScratch() {
   return scratch;
 }
 
-/// Zone-map plan for one scan: the morsels that survive pruning (in morsel
-/// order — the merge contract depends on it), prune accounting, and the
-/// predicate's estimated selectivity under the zone maps' uniform-within-zone
-/// model. The estimate pre-sizes selection vectors; it is never a
-/// correctness input.
-struct MorselPlan {
-  std::vector<size_t> live;
-  size_t num_morsels = 0;
-  size_t pruned = 0;
-  size_t rows_pruned = 0;
-  double selectivity = 1.0;
-};
+using MorselPlan = Executor::MorselPlan;
 
+/// The one zone-map planner: the scans plan their morsels with it, and the
+/// planner prices its exact rung with it (Executor::PlanScan).
 Result<MorselPlan> PlanMorsels(TableEntry* entry,
                                const std::vector<Condition>& conds,
                                const CondInputs& in, size_t n, size_t morsel,
@@ -230,35 +232,37 @@ Result<MorselPlan> PlanMorsels(TableEntry* entry,
            in.comp[i] != nullptr ? in.comp[i]->i64() : nullptr});
     }
   }
-  std::vector<uint8_t> skip(plan.num_morsels, 0);
-  if (!pruners.empty()) {
-    for (size_t m = 0; m < plan.num_morsels; ++m) {
-      const uint32_t begin = static_cast<uint32_t>(m * morsel);
-      const uint32_t end =
-          static_cast<uint32_t>(std::min(n, m * morsel + morsel));
-      for (const Pruner& p : pruners) {
-        if (!p.zm->MayMatch(*p.c, begin, end)) {
-          skip[m] = 1;
-          ++plan.pruned;
-          plan.rows_pruned += end - begin;
-          break;
-        }
-      }
+  if (!pruners.empty()) plan.checked = plan.num_morsels;
+  plan.live.reserve(plan.num_morsels);
+  for (size_t m = 0; m < plan.num_morsels; ++m) {
+    const uint32_t begin = static_cast<uint32_t>(m * morsel);
+    const uint32_t end =
+        static_cast<uint32_t>(std::min(n, m * morsel + morsel));
+    if (std::all_of(pruners.begin(), pruners.end(), [&](const Pruner& p) {
+          return p.zm->MayMatch(*p.c, begin, end);
+        })) {
+      plan.live.push_back(m);
+    } else {
+      ++plan.pruned;
+      plan.rows_pruned += end - begin;
     }
-    ZoneMapCheckedCounter()->Add(plan.num_morsels);
-    ZoneMapPrunedCounter()->Add(plan.pruned);
   }
   // Independence across conjuncts is the standard (wrong but serviceable)
   // assumption for a capacity hint. Compressed columns sharpen the estimate:
   // exact match counts for RLE blocks, per-block uniform for FOR blocks.
   for (const Pruner& p : pruners) {
     plan.selectivity *= p.zm->EstimateSelectivity(*p.c, p.comp);
-  }
-  plan.live.reserve(plan.num_morsels - plan.pruned);
-  for (size_t m = 0; m < plan.num_morsels; ++m) {
-    if (!skip[m]) plan.live.push_back(m);
+    plan.compressed |= p.comp != nullptr;
   }
   return plan;
+}
+
+/// Folds one scan's zone-map pruning into its stats and the process-wide
+/// prune counters (planning alone never counts as pruning).
+void CountPruning(const MorselPlan& plan, ExecStats* stats) {
+  stats->morsels_pruned += plan.pruned;
+  ZoneMapCheckedCounter()->Add(plan.checked);
+  ZoneMapPrunedCounter()->Add(plan.pruned);
 }
 
 /// A focus seed resolved against one scan's morsel plan: the focus, the
@@ -356,14 +360,6 @@ Executor::Executor(Database* db)
     : db_(db), planner_(std::make_unique<Planner>(db, this)) {}
 
 Executor::~Executor() = default;
-
-void Executor::RecordQueryMetrics(const ExecStats& stats) {
-  QueriesCounter()->Add();
-  QueryLatencyHistogram()->Record(stats.total_nanos);
-  RowsScannedCounter()->Add(stats.rows_scanned);
-  MorselsDispatchedCounter()->Add(stats.morsels_dispatched);
-  SimdPathCounter(stats.simd_path)->Add();
-}
 
 std::optional<Executor::RangePlan> Executor::ExtractRange(
     const Predicate& pred, const Schema& schema) {
@@ -474,7 +470,7 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
   EXPLOREDB_ASSIGN_OR_RETURN(
       SeededScan seeded,
       SeedMorsels(entry, seed.positions, seed.residual, plan, n, morsel, ctx));
-  stats->morsels_pruned += plan.pruned;
+  CountPruning(plan, stats);
   const size_t live_rows = n - plan.rows_pruned;
   if (seeded.focus != nullptr) {
     stats->path = AccessPath::kFocus;
@@ -638,7 +634,7 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
   EXPLOREDB_ASSIGN_OR_RETURN(
       SeededScan seeded,
       SeedMorsels(entry, seed.positions, seed.residual, plan, n, morsel, ctx));
-  stats->morsels_pruned += plan.pruned;
+  CountPruning(plan, stats);
   if (seeded.focus != nullptr) {
     // A focus is a sparse selection: like index candidates, it reads the
     // measure raw instead of decoding a compressed sub-block per row (the
@@ -770,10 +766,15 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
 Result<QueryResult> Executor::Execute(const Query& query,
                                       const ExecContext& ctx) {
   // Budgeted queries route through the planner, which resolves to a concrete
-  // mode and re-enters this function (or runs its own progressive loop).
+  // mode and re-enters through Run.
   if (ctx.options().mode == ExecutionMode::kBudgeted) {
     return planner_->Execute(query, ctx, nullptr);
   }
+  return Run(query, ctx, {.absolute = ctx.options().error_budget});
+}
+
+Result<QueryResult> Executor::Run(const Query& query, const ExecContext& ctx,
+                                  const OnlineRule& online) {
   const bool tracing = ctx.tracing();
   ExecStats stats;
   TraceSpan query_span("query", tracing, &stats.total_nanos);
@@ -785,11 +786,10 @@ Result<QueryResult> Executor::Execute(const Query& query,
     EXPLOREDB_ASSIGN_OR_RETURN(entry, db_->GetTable(query.table()));
     if (mode == ExecutionMode::kAuto) {
       // Self-organizing default: let adaptive indexing grow under predicates
-      // it can serve; everything else scans. (Cracking silently falls back to
-      // a scan for non-indexable predicates, so kCracking is the safe pick
-      // whenever a predicate exists.)
-      mode = query.where().empty() ? ExecutionMode::kScan
-                                   : ExecutionMode::kCracking;
+      // it can serve (a two-sided int64 range); everything else scans.
+      mode = ExtractRange(query.where(), entry->schema()).has_value()
+                 ? ExecutionMode::kCracking
+                 : ExecutionMode::kScan;
     }
     stats.resolved_mode = mode;
   }
@@ -803,7 +803,8 @@ Result<QueryResult> Executor::Execute(const Query& query,
 
   if (query.aggregate().has_value() || query.group_by().has_value()) {
     EXPLOREDB_ASSIGN_OR_RETURN(
-        QueryResult result, ExecuteAggregate(entry, query, mode, ctx, &stats));
+        QueryResult result,
+        ExecuteAggregate(entry, query, mode, ctx, online, &stats));
     query_span.Stop();  // finalize total_nanos before publishing stats
     result.exec_stats = stats;
     RecordQueryMetrics(stats);
@@ -886,6 +887,17 @@ Result<Table> Executor::Project(TableEntry* entry,
   return projected;
 }
 
+Result<Executor::MorselPlan> Executor::PlanScan(TableEntry* entry,
+                                               const Predicate& pred,
+                                               size_t n,
+                                               const ExecContext& ctx) {
+  EXPLOREDB_ASSIGN_OR_RETURN(
+      CondInputs in,
+      FetchCondInputs(entry, pred.conjuncts(), ctx, Density::kDense));
+  return PlanMorsels(entry, pred.conjuncts(), in, n,
+                     ZoneMap::kDefaultZoneRows, ctx);
+}
+
 Result<QueryResult> Executor::ExecuteProgressive(
     const Query& query, const ExecContext& ctx,
     const ProgressiveCallback& callback) {
@@ -898,6 +910,7 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
                                                const Query& query,
                                                ExecutionMode mode,
                                                const ExecContext& ctx,
+                                               const OnlineRule& online,
                                                ExecStats* stats) {
   if (!query.aggregate().has_value()) {
     return Status::InvalidArgument("GROUP BY requires an aggregate");
@@ -1100,9 +1113,12 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
     }
     case ExecutionMode::kOnline: {
       // Materialize predicate mask + values (one worker per partition), then
-      // consume in random order until the error budget is met. A deadline
-      // here bounds refinement: the running estimate is returned approximate
-      // rather than failing the query.
+      // consume batches in random order until the caller's rule is met, the
+      // deadline passes or the input runs out. An estimate that narrows the
+      // interval becomes the best so far, and the caller hears of it; the
+      // answer is that best, or the exact estimate at exhaustion. A deadline
+      // bounds refinement: the best comes back approximate rather than
+      // failing the query.
       stats->path = AccessPath::kOnline;
       TraceSpan select_span("select", tracing, &stats->select_nanos);
       EXPLOREDB_ASSIGN_OR_RETURN(
@@ -1117,30 +1133,35 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
       OnlineAggregator agg_runner(std::move(input.values),
                                   std::move(input.mask), agg.kind);
       const size_t batch = std::max<size_t>(n / 100, 64);
-      Estimate current = agg_runner.Current(options.confidence);
-      bool deadline_stop = false;
-      bool first = true;
-      while (!agg_runner.done()) {
+      Estimate best;
+      uint64_t sequence = 0;
+      for (bool first = true; !agg_runner.done(); first = false) {
         if (ctx.cancelled()) return Status::Cancelled("query cancelled");
         // Always consume at least one batch: an answer under deadline must
         // be a real (if coarse) estimate, never the zero-sample degenerate.
-        if (!first && ctx.DeadlineExceeded()) {
-          deadline_stop = true;
-          break;
-        }
-        first = false;
+        if (!first && ctx.DeadlineExceeded()) break;
         TraceSpan round_span("online_round", tracing);
         // ProcessNext returns the rows actually consumed — the final batch
         // is usually short, and += batch would overcount it.
         stats->rows_scanned += agg_runner.ProcessNext(batch);
-        current = agg_runner.Current(options.confidence);
-        if (options.error_budget > 0 &&
-            current.ci_half_width <= options.error_budget) {
+        const Estimate current = agg_runner.Current(options.confidence);
+        if (!first && !(current.ci_half_width < best.ci_half_width)) continue;
+        best = current;
+        if (online.deliver != nullptr) {
+          ProgressiveUpdate update;
+          update.estimate = best;
+          update.stats = *stats;  // snapshot mid-flight (phase nanos open)
+          update.sequence = sequence++;
+          (*online.deliver)(update);
+        }
+        if ((online.absolute > 0 && best.ci_half_width <= online.absolute) ||
+            (online.relative > 0 && RelativeError(best) <= online.relative)) {
           break;
         }
       }
-      result.scalar = current;
-      result.approximate = !agg_runner.done() || deadline_stop;
+      result.approximate = !agg_runner.done();
+      result.scalar =
+          result.approximate ? best : agg_runner.Current(options.confidence);
       return result;
     }
     default: {

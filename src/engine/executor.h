@@ -36,9 +36,9 @@ class Executor {
   /// Selections yield positions + projected rows; aggregates yield an
   /// Estimate (exact modes have zero CI width). A cancelled query fails with
   /// kCancelled; an expired deadline fails with kDeadlineExceeded, except in
-  /// online-aggregation mode, where the running estimate is returned as an
-  /// approximate answer (the AQP contract: a deadline bounds refinement, not
-  /// correctness). ExecutionMode::kBudgeted routes through the planner,
+  /// online-aggregation mode, where the best estimate so far is returned as
+  /// an approximate answer (the AQP contract: a deadline bounds refinement,
+  /// not correctness). ExecutionMode::kBudgeted routes through the planner,
   /// which picks the cheapest plan expected to meet ctx.options().budget.
   Result<QueryResult> Execute(const Query& query, const ExecContext& ctx = {});
 
@@ -66,16 +66,54 @@ class Executor {
                                const std::vector<uint32_t>& positions,
                                const ExecContext& ctx);
 
-  /// Folds one finished query's ExecStats into the process-wide engine
-  /// series (query count, latency, rows scanned, morsels, SIMD path): the
-  /// one recorder, called once per successful query by Execute and by the
-  /// planner's progressive path, which bypasses Execute.
-  static void RecordQueryMetrics(const ExecStats& stats);
-
   /// The budgeted planner (exposed for calibration inspection and tests).
   Planner& planner() { return *planner_; }
 
+  /// Zone-map plan for one scan: the morsels that survive pruning (in morsel
+  /// order — the merge contract depends on it), prune accounting, and the
+  /// predicate's estimated selectivity under the zone maps' uniform-within-
+  /// zone model (sharpened by compressed int64 columns). The estimate
+  /// pre-sizes selection vectors and prices the planner's exact rung; it is
+  /// never a correctness input.
+  struct MorselPlan {
+    std::vector<size_t> live;
+    size_t num_morsels = 0;
+    size_t checked = 0;  ///< morsels tested against zone maps
+    size_t pruned = 0;
+    size_t rows_pruned = 0;
+    double selectivity = 1.0;
+    /// Some zone-map pruner has a compressed int64 column (the planner then
+    /// prices the scan at the compressed rate).
+    bool compressed = false;
+  };
+
  private:
+  friend class Planner;
+
+  /// How the online-aggregation loop stops, and where it streams each
+  /// estimate that narrows the interval. A direct kOnline query stops once
+  /// the half-width is at most `absolute` (QueryOptions::error_budget); the
+  /// planner's online rung stops once the relative error is at most
+  /// `relative`, and streams through `deliver`. A zero bound never stops
+  /// the loop; the context's deadline always does.
+  struct OnlineRule {
+    double absolute = 0.0;
+    double relative = 0.0;
+    const ProgressiveCallback* deliver = nullptr;
+  };
+
+  /// Execute without the planner: runs `query` under ctx's (resolved) mode,
+  /// with `online` as the online loop's rule. The planner's online rung
+  /// enters here with its own rule.
+  Result<QueryResult> Run(const Query& query, const ExecContext& ctx,
+                          const OnlineRule& online);
+
+  /// The zone-map plan of a dense scan of `pred` over the first `n` rows of
+  /// `entry`, one unit per zone (ZoneMap::kDefaultZoneRows rows). The
+  /// planner costs its exact rung with it; it counts no pruning.
+  static Result<MorselPlan> PlanScan(TableEntry* entry, const Predicate& pred,
+                                     size_t n, const ExecContext& ctx);
+
   /// An int64 range [lo, hi) extracted from a predicate, plus the conjuncts
   /// the index cannot serve.
   struct RangePlan {
@@ -136,6 +174,7 @@ class Executor {
   Result<QueryResult> ExecuteAggregate(TableEntry* entry, const Query& query,
                                        ExecutionMode mode,
                                        const ExecContext& ctx,
+                                       const OnlineRule& online,
                                        ExecStats* stats);
 
   Database* db_;

@@ -10,9 +10,6 @@
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "sampling/estimators.h"
-#include "sampling/online_agg.h"
-#include "simd/simd.h"
-#include "storage/zone_map.h"
 
 namespace exploredb {
 
@@ -87,17 +84,6 @@ Counter* DeliveriesCounter() {
       "exploredb_planner_progressive_deliveries_total",
       "Progressive refinement deliveries streamed to callbacks");
   return c;
-}
-
-/// Relative error of an estimate: CI half-width over |value|, with a floor
-/// on the denominator so near-zero answers stay finite. A zero estimate with
-/// a positive width (a sample that held no matching rows) has no finite
-/// ratio; it is off by exactly 100% from any nonzero true value, so it
-/// reports 1.
-double RelativeError(const Estimate& e) {
-  if (e.ci_half_width == 0.0) return 0.0;
-  if (e.value == 0.0) return 1.0;
-  return e.ci_half_width / std::max(std::abs(e.value), 1e-12);
 }
 
 /// Smallest sample the approximate rescue paths will run: below this the CLT
@@ -220,54 +206,6 @@ double CostModel::exact_compressed_ns_per_row() const {
 // Planner
 // ---------------------------------------------------------------------------
 
-Result<Planner::ScanEstimate> Planner::EstimateScan(TableEntry* entry,
-                                                    const Query& query,
-                                                    uint64_t n,
-                                                    bool use_compression) {
-  ScanEstimate est;
-  est.live_rows = n;
-  if (n == 0 || query.where().empty()) return est;
-  const Schema& schema = entry->schema();
-  std::vector<std::pair<const ZoneMap*, const Condition*>> pruners;
-  for (const Condition& c : query.where().conjuncts()) {
-    if (c.column >= schema.num_fields()) continue;
-    if (schema.field(c.column).type == DataType::kString) continue;
-    if (c.constant.is_string()) continue;
-    EXPLOREDB_ASSIGN_OR_RETURN(const ZoneMap* zm, entry->GetZoneMap(c.column));
-    pruners.emplace_back(zm, &c);
-    // The compressed representation sharpens the estimate — exact counts for
-    // RLE blocks — and flags the scan for the compressed cost rate.
-    const CompressedInt64Column* ci = nullptr;
-    if (use_compression && schema.field(c.column).type == DataType::kInt64 &&
-        c.constant.is_int64()) {
-      EXPLOREDB_ASSIGN_OR_RETURN(const CompressedColumn* cc,
-                                 entry->GetCompressed(c.column));
-      if (cc != nullptr && cc->scan_enabled()) ci = cc->i64();
-    }
-    if (ci != nullptr) est.compressed = true;
-    est.selectivity *= zm->EstimateSelectivity(c, ci);
-  }
-  if (pruners.empty()) return est;
-  // Count the rows of zones every conjunct may match — what a pruned scan
-  // will actually touch (building the zone map is a one-time O(n) cost the
-  // first budgeted query pays; afterwards planning is O(zones)).
-  const size_t zone = pruners.front().first->zone_rows();
-  uint64_t live = 0;
-  for (uint64_t begin = 0; begin < n; begin += zone) {
-    const auto end = static_cast<uint32_t>(std::min<uint64_t>(n, begin + zone));
-    bool may = true;
-    for (const auto& [zm, c] : pruners) {
-      if (!zm->MayMatch(*c, static_cast<uint32_t>(begin), end)) {
-        may = false;
-        break;
-      }
-    }
-    if (may) live += end - begin;
-  }
-  est.live_rows = live;
-  return est;
-}
-
 Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
                                      const ProgressiveCallback* callback) {
   if (ctx.cancelled()) return Status::Cancelled("query cancelled");
@@ -297,18 +235,20 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
         query.aggregate().has_value() && !query.group_by().has_value();
     const bool grouped = query.group_by().has_value();
 
+    // The rows a zone-map pruned scan touches, per 8K-row zone.
     EXPLOREDB_ASSIGN_OR_RETURN(
-        ScanEstimate scan,
-        EstimateScan(entry, query, n, ctx.options().use_compression));
+        Executor::MorselPlan scan,
+        Executor::PlanScan(entry, query.where(), num_rows, ctx));
+    const uint64_t live_rows = n - scan.rows_pruned;
 
     // Rung 2: exact plan. Always costed; cache (rung 1) is consulted by the
     // Session before the planner runs. A covering session focus no larger
     // than the pruned scan seeds the exact plan, which then costs the focus
     // rows it refines (none when no conjunct is left to apply).
     uint32_t plans = 1;
-    uint64_t exact_rows = scan.live_rows;
+    uint64_t exact_rows = live_rows;
     if (const Focus* focus = ctx.focus();
-        focus != nullptr && focus->positions.size() <= scan.live_rows) {
+        focus != nullptr && focus->positions.size() <= live_rows) {
       if (auto residual = focus->Residual(entry, query.where())) {
         exact_rows = residual->empty() ? 0 : focus->positions.size();
       }
@@ -408,6 +348,7 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     // ---- Run the chosen plan ----------------------------------------------
     Result<QueryResult> run = Status::Internal("planner: no plan executed");
     bool rescued = false;
+    uint64_t streamed = 0;  // online deliveries before the final one
     switch (choice) {
       case PlannerChoice::kExact: {
         ExecContext sub = ctx;
@@ -424,7 +365,7 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
           rescued = true;
           ExactRescueCounter()->Add();
           cost_model_.ObserveExact(
-              scan.live_rows,
+              live_rows,
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now() - start)
                   .count(),
@@ -454,23 +395,22 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
         break;
       }
       case PlannerChoice::kOnline: {
-        EXPLOREDB_ASSIGN_OR_RETURN(
-            QueryResult progressive,
-            RunProgressive(entry, query, ctx, deadline, callback, planned));
-        progressive.exec_stats.plan_nanos += planner_nanos;
-        progressive.exec_stats.total_nanos += planner_nanos;
-        const auto wall = std::chrono::steady_clock::now() - start;
-        (wall <= budget.latency ? BudgetMetCounter() : BudgetMissedCounter())
-            ->Add();
-        PlannerChoiceCounter(PlannerChoice::kOnline)->Add();
-        cost_model_.ObserveOnline(
-            n, progressive.exec_stats.rows_scanned,
-            progressive.exec_stats.total_nanos - planner_nanos);
-        if (progressive.scalar.has_value()) {
-          cost_model_.ObserveRelativeError(*progressive.scalar,
-                                           budget.confidence);
-        }
-        return progressive;
+        // The executor's online loop, stopped by the target error or the
+        // deadline; each estimate it streams is one delivery.
+        ExecContext sub = ctx;
+        sub.SetMode(ExecutionMode::kOnline);
+        sub.options().confidence = budget.confidence;
+        sub.SetDeadline(deadline);
+        const ProgressiveCallback stream = [&](const ProgressiveUpdate& u) {
+          (*callback)(u);
+          DeliveriesCounter()->Add();
+          ++streamed;
+        };
+        run = executor_->Run(
+            query, sub,
+            {.relative = budget.target_error,
+             .deliver = callback != nullptr ? &stream : nullptr});
+        break;
       }
       case PlannerChoice::kCache:
       case PlannerChoice::kNone:
@@ -509,128 +449,29 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     } else if (stats.planner_choice == PlannerChoice::kSample) {
       cost_model_.ObserveSample(stats.rows_scanned,
                                 stats.total_nanos - planner_nanos);
+    } else if (stats.planner_choice == PlannerChoice::kOnline) {
+      cost_model_.ObserveOnline(n, stats.rows_scanned,
+                                stats.total_nanos - planner_nanos);
     }
     PlannerChoiceCounter(stats.planner_choice)->Add();
     const auto wall = std::chrono::steady_clock::now() - start;
     (wall <= budget.latency ? BudgetMetCounter() : BudgetMissedCounter())
         ->Add();
 
-    // A single-shot delivery keeps the progressive contract for plans that
-    // produce their answer all at once: the final update always equals the
-    // returned result.
+    // The final delivery repeats the returned answer bit-identically, with
+    // the completed stats attached; for a plan that answers all at once it
+    // is the only one.
     if (callback != nullptr) {
       ProgressiveUpdate update;
       if (result.scalar.has_value()) update.estimate = *result.scalar;
       update.stats = stats;
-      update.sequence = 0;
+      update.sequence = streamed;
       update.final = true;
       (*callback)(update);
       DeliveriesCounter()->Add();
     }
     return result;
   }
-}
-
-Result<QueryResult> Planner::RunProgressive(
-    TableEntry* entry, const Query& query, const ExecContext& ctx,
-    std::chrono::steady_clock::time_point deadline,
-    const ProgressiveCallback* callback, ExecStats stats) {
-  const bool tracing = ctx.tracing();
-  const LatencyBudget& budget = ctx.options().budget;
-  TraceSpan query_span("query", tracing, &stats.total_nanos);
-  stats.path = AccessPath::kOnline;
-  stats.resolved_mode = ExecutionMode::kOnline;
-  stats.simd_path = simd::ActivePath();
-
-  const AggregateExpr& agg = *query.aggregate();
-  const ColumnVector* measure = nullptr;
-  if (!agg.column.empty()) {
-    EXPLOREDB_ASSIGN_OR_RETURN(size_t idx,
-                               entry->schema().FieldIndex(agg.column));
-    EXPLOREDB_ASSIGN_OR_RETURN(measure, entry->GetColumn(idx));
-    if (measure->type() == DataType::kString) {
-      return Status::InvalidArgument("aggregate over string column '" +
-                                     agg.column + "'");
-    }
-  } else if (agg.kind != AggKind::kCount) {
-    return Status::InvalidArgument("only COUNT may omit the column");
-  }
-  EXPLOREDB_ASSIGN_OR_RETURN(size_t n, entry->NumRows());
-
-  // Materialize the predicate mask + widened measure (one worker per
-  // partition), then consume batches in random order, delivering the running
-  // estimate whenever its CI improved on the best delivered so far — that
-  // filter is what makes the delivery stream monotone by construction.
-  TraceSpan select_span("select", tracing, &stats.select_nanos);
-  const std::vector<Condition>& conds = query.where().conjuncts();
-  std::vector<const ColumnVector*> cols;
-  cols.reserve(conds.size());
-  for (const Condition& c : conds) {
-    EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col,
-                               entry->GetColumn(c.column));
-    cols.push_back(col);
-  }
-  OnlineInput input = BuildOnlineInput(
-      conds, cols, measure, n, ctx.thread_pool(),
-      std::max<size_t>(1, ctx.morsel_size()), &stats.morsels_dispatched,
-      &stats.threads_used);
-  select_span.Stop();
-
-  TraceSpan agg_span("aggregate", tracing, &stats.aggregate_nanos);
-  OnlineAggregator runner(std::move(input.values), std::move(input.mask),
-                          agg.kind);
-  const size_t batch = std::max<size_t>(n / 100, 64);
-  Estimate best;
-  bool have_best = false;
-  uint64_t sequence = 0;
-  while (!runner.done()) {
-    if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-    // Always consume at least one batch: the answer under any deadline must
-    // be a real (if coarse) estimate, never the zero-sample degenerate.
-    if (have_best && std::chrono::steady_clock::now() >= deadline) break;
-    TraceSpan round_span("online_round", tracing);
-    stats.rows_scanned += runner.ProcessNext(batch);
-    Estimate current = runner.Current(budget.confidence);
-    if (!have_best || current.ci_half_width < best.ci_half_width) {
-      best = current;
-      have_best = true;
-      if (callback != nullptr) {
-        ProgressiveUpdate update;
-        update.estimate = best;
-        update.stats = stats;  // snapshot mid-flight (phase nanos still open)
-        update.sequence = sequence++;
-        (*callback)(update);
-        DeliveriesCounter()->Add();
-      }
-    }
-    if (budget.target_error > 0 && have_best &&
-        RelativeError(best) <= budget.target_error) {
-      break;
-    }
-  }
-  if (!have_best) best = runner.Current(budget.confidence);
-  agg_span.Stop();
-  query_span.Stop();
-
-  QueryResult result;
-  result.scalar = best;
-  result.approximate = !runner.done();
-  stats.achieved_error = RelativeError(best);
-  result.exec_stats = stats;
-  Executor::RecordQueryMetrics(stats);
-
-  // The final delivery repeats the returned answer bit-identically, with the
-  // completed stats attached.
-  if (callback != nullptr) {
-    ProgressiveUpdate update;
-    update.estimate = best;
-    update.stats = result.exec_stats;
-    update.sequence = sequence;
-    update.final = true;
-    (*callback)(update);
-    DeliveriesCounter()->Add();
-  }
-  return result;
 }
 
 }  // namespace exploredb

@@ -1,7 +1,6 @@
 #ifndef EXPLOREDB_ENGINE_PLANNER_H_
 #define EXPLOREDB_ENGINE_PLANNER_H_
 
-#include <chrono>
 #include <cstdint>
 
 #include "common/annotations.h"
@@ -13,7 +12,6 @@ namespace exploredb {
 
 class Database;
 class Executor;
-class TableEntry;
 
 /// Self-calibrating per-row cost model. Seeded with conservative constants,
 /// then updated (EWMA) from every budgeted execution's observed ExecStats, so
@@ -95,11 +93,13 @@ class CostModel {
 /// (the cache rung lives in Session, which consults its result cache before
 /// the planner runs; the session's focus reaches the exact rung through
 /// ExecContext::focus(), and a covered exact plan is priced by the focus
-/// rows it refines). When no exact plan fits and a ProgressiveCallback is
-/// given, refining partials stream through it until the deadline; the best
-/// answer so far is returned with achieved vs promised error recorded in
-/// ExecStats. Budgeted aggregate queries never fail with kDeadlineExceeded:
-/// an exact plan that blows its deadline is rescued by a small-sample rerun.
+/// rows it refines, and a scan by the executor's zone-map plan). When no
+/// exact plan fits and a ProgressiveCallback is given, the online rung runs
+/// the executor's online loop, which streams refining partials through it
+/// until the target error or the deadline; the best answer so far is
+/// returned with achieved vs promised error recorded in ExecStats. Budgeted
+/// aggregate queries never fail with kDeadlineExceeded: an exact plan that
+/// blows its deadline is rescued by a small-sample rerun.
 ///
 /// Thread safety: stateless apart from the CostModel (internally locked); one
 /// Planner instance serves all of an Executor's queries concurrently.
@@ -116,26 +116,6 @@ class Planner {
   CostModel& cost_model() { return cost_model_; }
 
  private:
-  /// Estimated rows surviving zone-map pruning and the predicate's estimated
-  /// selectivity (both under the zone maps' uniform-within-zone model).
-  struct ScanEstimate {
-    uint64_t live_rows = 0;     ///< rows in zones the predicate may match
-    double selectivity = 1.0;   ///< estimated matching fraction
-    /// True when some conjunct will be served by a compressed representation
-    /// (selects the compressed exact-scan rate; the selectivity above then
-    /// also uses the sharper per-block/RLE-exact model).
-    bool compressed = false;
-  };
-  Result<ScanEstimate> EstimateScan(TableEntry* entry, const Query& query,
-                                    uint64_t n, bool use_compression);
-
-  /// Runs the online-aggregation loop, streaming monotone deliveries through
-  /// `callback` (if any) until the deadline / target error / exhaustion.
-  Result<QueryResult> RunProgressive(
-      TableEntry* entry, const Query& query, const ExecContext& ctx,
-      std::chrono::steady_clock::time_point deadline,
-      const ProgressiveCallback* callback, ExecStats stats);
-
   Database* db_;
   Executor* executor_;
   CostModel cost_model_;

@@ -1,8 +1,15 @@
 #include "sampling/estimators.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace exploredb {
+
+double RelativeError(const Estimate& e) {
+  if (e.ci_half_width == 0.0) return 0.0;
+  if (e.value == 0.0) return 1.0;
+  return e.ci_half_width / std::max(std::abs(e.value), 1e-12);
+}
 
 double NormalQuantile(double p) {
   // Peter Acklam's inverse-normal approximation.
@@ -104,7 +111,9 @@ Estimate EstimateCount(size_t matches, size_t sample_size,
   }
   const double n = static_cast<double>(sample_size);
   const double p = static_cast<double>(matches) / n;
-  e.value = p * N;
+  // A sample of the whole population is the count itself.
+  e.value = sample_size == population_size ? static_cast<double>(matches)
+                                           : p * N;
   // Wilson score interval. Unlike the normal-approximation interval
   // z*sqrt(p(1-p)/n), it keeps a positive width when the sample holds no
   // matching rows or only matching rows. Its bounds sit asymmetrically

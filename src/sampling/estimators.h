@@ -20,6 +20,13 @@ struct Estimate {
   double hi() const { return value + ci_half_width; }
 };
 
+/// Relative error of an estimate: CI half-width over |value|, with a floor
+/// on the denominator so near-zero answers stay finite. A zero estimate with
+/// a positive width (a sample that held no matching rows) has no finite
+/// ratio; it is off by exactly 100% from any nonzero true value, so it
+/// reports 1.
+double RelativeError(const Estimate& e);
+
 /// Inverse standard-normal CDF (Acklam's rational approximation, |ε|<1.2e-9).
 double NormalQuantile(double p);
 

@@ -73,11 +73,8 @@ size_t OnlineAggregator::ProcessNext(size_t batch) {
         n = cursor_;
         break;
       case AggKind::kCount:
-        x = hit ? 1.0 : 0.0;
-        n = cursor_;
-        break;
       default:
-        continue;
+        continue;  // COUNT's estimate needs only matches_
     }
     double delta = x - mean_;
     mean_ += delta / static_cast<double>(n);
@@ -114,8 +111,7 @@ Estimate OnlineAggregator::Current(double confidence) const {
       }
       break;
     }
-    case AggKind::kSum:
-    case AggKind::kCount: {
+    case AggKind::kSum: {
       e.value = mean_ * N;
       if (cursor_ > 1) {
         double sd = std::sqrt(m2_ / (processed - 1));
@@ -125,6 +121,11 @@ Estimate OnlineAggregator::Current(double confidence) const {
       }
       break;
     }
+    case AggKind::kCount:
+      // The sampled path's estimator. Its Wilson interval keeps a positive
+      // width while every row seen so far matched, where a normal interval
+      // over the 0/1 contributions has none.
+      return EstimateCount(matches_, cursor_, order_.size(), confidence);
   }
   return e;
 }
@@ -143,36 +144,18 @@ OnlineInput BuildOnlineInput(const std::vector<Condition>& conditions,
 
   auto fill = [&](size_t begin, size_t end) {
     // Workers touch disjoint [begin, end) slices: plain writes, no sync.
-    const simd::KernelTable& kt = simd::ActiveKernels();
-    const auto b = static_cast<uint32_t>(begin);
-    const auto e = static_cast<uint32_t>(end);
-    if (conditions.empty()) {
-      std::fill(input.mask.begin() + static_cast<ptrdiff_t>(begin),
-                input.mask.begin() + static_cast<ptrdiff_t>(end), uint8_t{1});
-    } else if (conditions.size() == 1 &&
-               cols[0]->type() == DataType::kInt64 &&
-               conditions[0].constant.is_int64()) {
-      kt.mask_i64_cmp(cols[0]->int64_data().data(), b, e,
-                      ToSimdCmp(conditions[0].op),
-                      conditions[0].constant.int64(), input.mask.data());
-    } else if (conditions.size() == 1 &&
-               cols[0]->type() == DataType::kDouble &&
-               !conditions[0].constant.is_string()) {
-      kt.mask_f64_cmp(cols[0]->double_data().data(), b, e,
-                      ToSimdCmp(conditions[0].op),
-                      conditions[0].constant.AsDouble(), input.mask.data());
-    } else {
-      std::vector<uint32_t> hits;
-      Predicate::FilterRange(conditions, cols, b, e, &hits);
-      for (uint32_t row : hits) input.mask[row] = 1;
-    }
+    std::vector<uint32_t> hits;
+    Predicate::FilterRange(conditions, cols, static_cast<uint32_t>(begin),
+                           static_cast<uint32_t>(end), &hits);
+    for (uint32_t row : hits) input.mask[row] = 1;
     if (measure != nullptr) {
       if (measure->type() == DataType::kDouble) {
         const double* src = measure->double_data().data();
         std::copy(src + begin, src + end, input.values.data() + begin);
       } else if (measure->type() == DataType::kInt64) {
-        kt.widen_i64_f64(measure->int64_data().data() + begin, end - begin,
-                         input.values.data() + begin);
+        simd::ActiveKernels().widen_i64_f64(
+            measure->int64_data().data() + begin, end - begin,
+            input.values.data() + begin);
       } else {
         for (size_t row = begin; row < end; ++row) {
           input.values[row] = measure->GetDouble(row);

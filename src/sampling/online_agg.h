@@ -64,9 +64,10 @@ struct OnlineInput {
 
 /// Builds OnlineAggregator inputs with one worker per partition: the row
 /// range is split into `partition_rows`-sized slices and each worker fills
-/// its disjoint slice of both output vectors in place. `measure` may be null
-/// (COUNT); `pool` may be null for serial execution. `partitions_dispatched`
-/// and `threads_used` (both optional) receive dispatch statistics.
+/// its disjoint slice of both output vectors in place, the mask from
+/// Predicate::FilterRange's positions. `measure` may be null (COUNT); `pool`
+/// may be null for serial execution. `partitions_dispatched` and
+/// `threads_used` (both optional) receive dispatch statistics.
 OnlineInput BuildOnlineInput(const std::vector<Condition>& conditions,
                              const std::vector<const ColumnVector*>& cols,
                              const ColumnVector* measure, size_t num_rows,

@@ -21,8 +21,6 @@ constexpr KernelTable kScalarTable = {
     scalar::FilterI64Range,
     scalar::RefineI64Cmp,
     scalar::RefineF64Cmp,
-    scalar::MaskI64Cmp,
-    scalar::MaskF64Cmp,
     scalar::SumF64Sel,
     scalar::SumI64Sel,
     scalar::MinMaxI64,
@@ -47,8 +45,6 @@ constexpr KernelTable kSse42Table = {
     sse42::FilterI64Range,
     sse42::RefineI64Cmp,
     sse42::RefineF64Cmp,
-    sse42::MaskI64Cmp,
-    sse42::MaskF64Cmp,
     scalar::SumF64Sel,
     scalar::SumI64Sel,
     sse42::MinMaxI64,
@@ -71,8 +67,6 @@ constexpr KernelTable kAvx2Table = {
     avx2::FilterI64Range,
     avx2::RefineI64Cmp,
     avx2::RefineF64Cmp,
-    avx2::MaskI64Cmp,
-    avx2::MaskF64Cmp,
     avx2::SumF64Sel,
     scalar::SumI64Sel,
     avx2::MinMaxI64,

@@ -11,7 +11,6 @@
 
 #include <immintrin.h>
 
-#include <cstring>
 #include <limits>
 
 namespace exploredb::simd::avx2 {
@@ -314,88 +313,6 @@ uint32_t RefineF64Cmp(const double* d, const uint32_t* sel, uint32_t n,
     case Cmp::kNe:
     default:
       return RefineF64CmpT<Cmp::kNe>(d, sel, n, k, out);
-  }
-}
-
-namespace {
-
-// Expands a 4-bit compare mask into 4 mask bytes (bit j -> byte j).
-inline uint32_t MaskBytes(int bits) {
-  uint32_t bytes = 0;
-  bytes |= (bits & 1) ? 0x01u : 0;
-  bytes |= (bits & 2) ? 0x0100u : 0;
-  bytes |= (bits & 4) ? 0x010000u : 0;
-  bytes |= (bits & 8) ? 0x01000000u : 0;
-  return bytes;
-}
-
-template <Cmp op>
-void MaskI64CmpT(const int64_t* d, uint32_t begin, uint32_t end, int64_t k,
-                 uint8_t* mask) {
-  const __m256i kv = _mm256_set1_epi64x(k);
-  uint32_t r = begin;
-  for (; r + 4 <= end; r += 4) {
-    const uint32_t bytes = MaskBytes(MaskBitsI64<op>(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + r)), kv));
-    std::memcpy(mask + r, &bytes, 4);
-  }
-  for (; r < end; ++r) {
-    mask[r] = ScalarPred<int64_t>(op, d[r], k) ? 1 : 0;
-  }
-}
-
-template <Cmp op>
-void MaskF64CmpT(const double* d, uint32_t begin, uint32_t end, double k,
-                 uint8_t* mask) {
-  const __m256d kv = _mm256_set1_pd(k);
-  uint32_t r = begin;
-  for (; r + 4 <= end; r += 4) {
-    const uint32_t bytes =
-        MaskBytes(MaskBitsF64<op>(_mm256_loadu_pd(d + r), kv));
-    std::memcpy(mask + r, &bytes, 4);
-  }
-  for (; r < end; ++r) {
-    mask[r] = ScalarPred<double>(op, d[r], k) ? 1 : 0;
-  }
-}
-
-}  // namespace
-
-void MaskI64Cmp(const int64_t* d, uint32_t begin, uint32_t end, Cmp op,
-                int64_t k, uint8_t* mask) {
-  switch (op) {
-    case Cmp::kLt:
-      return MaskI64CmpT<Cmp::kLt>(d, begin, end, k, mask);
-    case Cmp::kLe:
-      return MaskI64CmpT<Cmp::kLe>(d, begin, end, k, mask);
-    case Cmp::kGt:
-      return MaskI64CmpT<Cmp::kGt>(d, begin, end, k, mask);
-    case Cmp::kGe:
-      return MaskI64CmpT<Cmp::kGe>(d, begin, end, k, mask);
-    case Cmp::kEq:
-      return MaskI64CmpT<Cmp::kEq>(d, begin, end, k, mask);
-    case Cmp::kNe:
-    default:
-      return MaskI64CmpT<Cmp::kNe>(d, begin, end, k, mask);
-  }
-}
-
-void MaskF64Cmp(const double* d, uint32_t begin, uint32_t end, Cmp op,
-                double k, uint8_t* mask) {
-  switch (op) {
-    case Cmp::kLt:
-      return MaskF64CmpT<Cmp::kLt>(d, begin, end, k, mask);
-    case Cmp::kLe:
-      return MaskF64CmpT<Cmp::kLe>(d, begin, end, k, mask);
-    case Cmp::kGt:
-      return MaskF64CmpT<Cmp::kGt>(d, begin, end, k, mask);
-    case Cmp::kGe:
-      return MaskF64CmpT<Cmp::kGe>(d, begin, end, k, mask);
-    case Cmp::kEq:
-      return MaskF64CmpT<Cmp::kEq>(d, begin, end, k, mask);
-    case Cmp::kNe:
-    default:
-      return MaskF64CmpT<Cmp::kNe>(d, begin, end, k, mask);
   }
 }
 

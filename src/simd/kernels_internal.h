@@ -28,10 +28,6 @@ uint32_t RefineI64Cmp(const int64_t* d, const uint32_t* sel, uint32_t n,
                       Cmp op, int64_t k, uint32_t* out);
 uint32_t RefineF64Cmp(const double* d, const uint32_t* sel, uint32_t n,
                       Cmp op, double k, uint32_t* out);
-void MaskI64Cmp(const int64_t* d, uint32_t begin, uint32_t end, Cmp op,
-                int64_t k, uint8_t* mask);
-void MaskF64Cmp(const double* d, uint32_t begin, uint32_t end, Cmp op,
-                double k, uint8_t* mask);
 double SumF64Sel(const double* v, const uint32_t* sel, uint32_t n);
 double SumI64Sel(const int64_t* v, const uint32_t* sel, uint32_t n);
 void MinMaxI64(const int64_t* d, size_t n, int64_t* mn, int64_t* mx);
@@ -62,10 +58,6 @@ uint32_t RefineI64Cmp(const int64_t* d, const uint32_t* sel, uint32_t n,
                       Cmp op, int64_t k, uint32_t* out);
 uint32_t RefineF64Cmp(const double* d, const uint32_t* sel, uint32_t n,
                       Cmp op, double k, uint32_t* out);
-void MaskI64Cmp(const int64_t* d, uint32_t begin, uint32_t end, Cmp op,
-                int64_t k, uint8_t* mask);
-void MaskF64Cmp(const double* d, uint32_t begin, uint32_t end, Cmp op,
-                double k, uint8_t* mask);
 void MinMaxI64(const int64_t* d, size_t n, int64_t* mn, int64_t* mx);
 void MinMaxF64(const double* d, size_t n, double* mn, double* mx);
 
@@ -85,10 +77,6 @@ uint32_t RefineI64Cmp(const int64_t* d, const uint32_t* sel, uint32_t n,
                       Cmp op, int64_t k, uint32_t* out);
 uint32_t RefineF64Cmp(const double* d, const uint32_t* sel, uint32_t n,
                       Cmp op, double k, uint32_t* out);
-void MaskI64Cmp(const int64_t* d, uint32_t begin, uint32_t end, Cmp op,
-                int64_t k, uint8_t* mask);
-void MaskF64Cmp(const double* d, uint32_t begin, uint32_t end, Cmp op,
-                double k, uint8_t* mask);
 double SumF64Sel(const double* v, const uint32_t* sel, uint32_t n);
 void MinMaxI64(const int64_t* d, size_t n, int64_t* mn, int64_t* mx);
 void MinMaxF64(const double* d, size_t n, double* mn, double* mx);

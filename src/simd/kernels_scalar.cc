@@ -40,14 +40,6 @@ uint32_t RefineImpl(const T* d, const uint32_t* sel, uint32_t n, Pred pred,
   return kept;
 }
 
-template <typename T, typename Pred>
-void MaskImpl(const T* d, uint32_t begin, uint32_t end, Pred pred,
-              uint8_t* mask) {
-  for (uint32_t r = begin; r < end; ++r) {
-    mask[r] = pred(d[r]) ? 1 : 0;
-  }
-}
-
 // Applies `fn` with the predicate for `op` against constant `k`.
 template <typename T, typename Fn>
 auto WithPred(Cmp op, T k, Fn fn) {
@@ -105,18 +97,6 @@ uint32_t RefineF64Cmp(const double* d, const uint32_t* sel, uint32_t n,
   return WithPred<double>(op, k, [&](auto pred) {
     return RefineImpl(d, sel, n, pred, out);
   });
-}
-
-void MaskI64Cmp(const int64_t* d, uint32_t begin, uint32_t end, Cmp op,
-                int64_t k, uint8_t* mask) {
-  WithPred<int64_t>(op, k,
-                    [&](auto pred) { MaskImpl(d, begin, end, pred, mask); });
-}
-
-void MaskF64Cmp(const double* d, uint32_t begin, uint32_t end, Cmp op,
-                double k, uint8_t* mask) {
-  WithPred<double>(op, k,
-                   [&](auto pred) { MaskImpl(d, begin, end, pred, mask); });
 }
 
 double SumF64Sel(const double* v, const uint32_t* sel, uint32_t n) {

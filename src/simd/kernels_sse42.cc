@@ -10,8 +10,6 @@
 
 #include <nmmintrin.h>
 
-#include <cstring>
-
 namespace exploredb::simd::sse42 {
 
 namespace {
@@ -180,81 +178,6 @@ uint32_t RefineI64Cmp(const int64_t* d, const uint32_t* sel, uint32_t n,
 uint32_t RefineF64Cmp(const double* d, const uint32_t* sel, uint32_t n,
                       Cmp op, double k, uint32_t* out) {
   return scalar::RefineF64Cmp(d, sel, n, op, k, out);
-}
-
-namespace {
-
-template <Cmp op>
-void MaskI64CmpT(const int64_t* d, uint32_t begin, uint32_t end, int64_t k,
-                 uint8_t* mask) {
-  const __m128i kv = _mm_set1_epi64x(k);
-  uint32_t r = begin;
-  for (; r + 2 <= end; r += 2) {
-    const int bits = MaskBitsI64<op>(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + r)), kv);
-    mask[r] = static_cast<uint8_t>(bits & 1);
-    mask[r + 1] = static_cast<uint8_t>((bits >> 1) & 1);
-  }
-  for (; r < end; ++r) {
-    mask[r] =
-        static_cast<uint8_t>(MaskBitsI64<op>(_mm_set1_epi64x(d[r]), kv) & 1);
-  }
-}
-
-template <Cmp op>
-void MaskF64CmpT(const double* d, uint32_t begin, uint32_t end, double k,
-                 uint8_t* mask) {
-  const __m128d kv = _mm_set1_pd(k);
-  uint32_t r = begin;
-  for (; r + 2 <= end; r += 2) {
-    const int bits = MaskBitsF64<op>(_mm_loadu_pd(d + r), kv);
-    mask[r] = static_cast<uint8_t>(bits & 1);
-    mask[r + 1] = static_cast<uint8_t>((bits >> 1) & 1);
-  }
-  for (; r < end; ++r) {
-    mask[r] =
-        static_cast<uint8_t>(MaskBitsF64<op>(_mm_set1_pd(d[r]), kv) & 1);
-  }
-}
-
-}  // namespace
-
-void MaskI64Cmp(const int64_t* d, uint32_t begin, uint32_t end, Cmp op,
-                int64_t k, uint8_t* mask) {
-  switch (op) {
-    case Cmp::kLt:
-      return MaskI64CmpT<Cmp::kLt>(d, begin, end, k, mask);
-    case Cmp::kLe:
-      return MaskI64CmpT<Cmp::kLe>(d, begin, end, k, mask);
-    case Cmp::kGt:
-      return MaskI64CmpT<Cmp::kGt>(d, begin, end, k, mask);
-    case Cmp::kGe:
-      return MaskI64CmpT<Cmp::kGe>(d, begin, end, k, mask);
-    case Cmp::kEq:
-      return MaskI64CmpT<Cmp::kEq>(d, begin, end, k, mask);
-    case Cmp::kNe:
-    default:
-      return MaskI64CmpT<Cmp::kNe>(d, begin, end, k, mask);
-  }
-}
-
-void MaskF64Cmp(const double* d, uint32_t begin, uint32_t end, Cmp op,
-                double k, uint8_t* mask) {
-  switch (op) {
-    case Cmp::kLt:
-      return MaskF64CmpT<Cmp::kLt>(d, begin, end, k, mask);
-    case Cmp::kLe:
-      return MaskF64CmpT<Cmp::kLe>(d, begin, end, k, mask);
-    case Cmp::kGt:
-      return MaskF64CmpT<Cmp::kGt>(d, begin, end, k, mask);
-    case Cmp::kGe:
-      return MaskF64CmpT<Cmp::kGe>(d, begin, end, k, mask);
-    case Cmp::kEq:
-      return MaskF64CmpT<Cmp::kEq>(d, begin, end, k, mask);
-    case Cmp::kNe:
-    default:
-      return MaskF64CmpT<Cmp::kNe>(d, begin, end, k, mask);
-  }
 }
 
 void MinMaxI64(const int64_t* d, size_t n, int64_t* mn, int64_t* mx) {

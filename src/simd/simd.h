@@ -51,13 +51,6 @@ struct KernelTable {
   uint32_t (*refine_f64_cmp)(const double* d, const uint32_t* sel, uint32_t n,
                              Cmp op, double k, uint32_t* out);
 
-  // --- Byte masks: mask[r] = (d[r] `op` k) for r in [begin, end), one byte
-  // per row (the online-aggregation input representation).
-  void (*mask_i64_cmp)(const int64_t* d, uint32_t begin, uint32_t end, Cmp op,
-                       int64_t k, uint8_t* mask);
-  void (*mask_f64_cmp)(const double* d, uint32_t begin, uint32_t end, Cmp op,
-                       double k, uint8_t* mask);
-
   // --- Masked reductions over a selection vector. Sums accumulate into 8
   // stripes (element i -> stripe i % 8, in increasing i) combined as
   // ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)) — the exact order every

@@ -1,5 +1,7 @@
 #include "storage/value.h"
 
+#include "common/json.h"
+
 namespace exploredb {
 
 const char* DataTypeName(DataType type) {
@@ -27,7 +29,11 @@ double Value::AsDouble() const {
 
 std::string Value::ToString() const {
   if (is_int64()) return std::to_string(int64());
-  if (is_double()) return std::to_string(dbl());
+  if (is_double()) {
+    std::string out;
+    AppendShortestDouble(dbl(), &out);
+    return out;
+  }
   return str();
 }
 

@@ -39,6 +39,8 @@ class Value {
   /// Numeric view: int64 widened to double. Must not be called on strings.
   double AsDouble() const;
 
+  /// Display text. A double prints in the shortest form that reads back as
+  /// the same value, so GROUP BY keys named by it stay apart however close.
   std::string ToString() const;
 
   /// Same-type comparisons; comparing across types orders by type tag so that

@@ -286,31 +286,47 @@ TEST_F(EngineTest, SampledRejectsNonPositiveOrNonFiniteFraction) {
 }
 
 TEST_F(EngineTest, SampledFractionAtOrAboveOneIsExact) {
+  // Double keys that differ only past the sixth decimal stay two groups.
+  Table fine(Schema({{"g", DataType::kDouble}}));
+  for (int i = 0; i < 1000; ++i) {
+    fine.mutable_column(0)->AppendDouble(i % 2 == 0 ? 0.1234561 : 0.1234564);
+  }
+  ASSERT_TRUE(db_.CreateTable("fine", std::move(fine)).ok());
   Executor exec(&db_);
   const Query scalar = Query::On("events").Aggregate(AggKind::kCount);
-  const Query grouped =
-      Query::On("events").Aggregate(AggKind::kCount).GroupBy("kind");
-  auto exact = exec.Execute(grouped);
-  ASSERT_TRUE(exact.ok());
-  for (double f : {1.0, 2.0}) {
-    SCOPED_TRACE(f);
-    ExecContext sampled;
-    sampled.options().mode = ExecutionMode::kSampled;
-    sampled.options().sample_fraction = f;
-    auto s = exec.Execute(scalar, sampled);
-    ASSERT_TRUE(s.ok());
-    EXPECT_DOUBLE_EQ(s.ValueOrDie().scalar->value, 20000.0);
-    EXPECT_DOUBLE_EQ(s.ValueOrDie().scalar->ci_half_width, 0.0);
-    auto g = exec.Execute(grouped, sampled);
-    ASSERT_TRUE(g.ok());
-    ASSERT_EQ(g.ValueOrDie().groups.size(), exact.ValueOrDie().groups.size());
-    for (size_t i = 0; i < g.ValueOrDie().groups.size(); ++i) {
-      EXPECT_EQ(g.ValueOrDie().groups[i].key,
-                exact.ValueOrDie().groups[i].key);
-      EXPECT_DOUBLE_EQ(g.ValueOrDie().groups[i].value.value,
-                       exact.ValueOrDie().groups[i].value.value);
+  for (const Query& grouped :
+       {Query::On("events").Aggregate(AggKind::kCount).GroupBy("kind"),
+        Query::On("fine").Aggregate(AggKind::kCount).GroupBy("g")}) {
+    SCOPED_TRACE(*grouped.group_by());
+    auto exact = exec.Execute(grouped);
+    ASSERT_TRUE(exact.ok());
+    for (double f : {1.0, 2.0}) {
+      SCOPED_TRACE(f);
+      ExecContext sampled;
+      sampled.options().mode = ExecutionMode::kSampled;
+      sampled.options().sample_fraction = f;
+      auto s = exec.Execute(scalar, sampled);
+      ASSERT_TRUE(s.ok());
+      EXPECT_DOUBLE_EQ(s.ValueOrDie().scalar->value, 20000.0);
+      EXPECT_DOUBLE_EQ(s.ValueOrDie().scalar->ci_half_width, 0.0);
+      auto g = exec.Execute(grouped, sampled);
+      ASSERT_TRUE(g.ok());
+      ASSERT_EQ(g.ValueOrDie().groups.size(),
+                exact.ValueOrDie().groups.size());
+      for (size_t i = 0; i < g.ValueOrDie().groups.size(); ++i) {
+        EXPECT_EQ(g.ValueOrDie().groups[i].key,
+                  exact.ValueOrDie().groups[i].key);
+        EXPECT_DOUBLE_EQ(g.ValueOrDie().groups[i].value.value,
+                         exact.ValueOrDie().groups[i].value.value);
+      }
     }
   }
+  auto fine_groups =
+      exec.Execute(Query::On("fine").Aggregate(AggKind::kCount).GroupBy("g"));
+  ASSERT_TRUE(fine_groups.ok());
+  ASSERT_EQ(fine_groups.ValueOrDie().groups.size(), 2u);
+  EXPECT_EQ(fine_groups.ValueOrDie().groups[0].key, "0.1234561");
+  EXPECT_EQ(fine_groups.ValueOrDie().groups[1].key, "0.1234564");
 }
 
 TEST_F(EngineTest, SampledDenormalFractionAnswersFromEmptySample) {

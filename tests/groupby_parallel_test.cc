@@ -62,16 +62,19 @@ std::vector<GroupValue> ReferenceGroupBy(const Table& table, size_t key_col,
 
 /// dense_key: small int64 domain (dense-array path). wide_key: the same
 /// group structure scaled out to a huge sparse domain (hash path). fkey:
-/// a handful of distinct doubles. tag: low-cardinality strings.
+/// a handful of distinct doubles. tag: low-cardinality strings. fine_key:
+/// doubles that differ only past the sixth decimal.
 Table GroupTable(size_t n, uint64_t seed) {
   Table t(Schema({{"dense_key", DataType::kInt64},
                   {"wide_key", DataType::kInt64},
                   {"fkey", DataType::kDouble},
                   {"tag", DataType::kString},
                   {"value", DataType::kDouble},
-                  {"ivalue", DataType::kInt64}}));
+                  {"ivalue", DataType::kInt64},
+                  {"fine_key", DataType::kDouble}}));
   Random rng(seed);
   const char* tags[] = {"red", "green", "blue", "cyan", "mauve"};
+  const double fine[] = {0.1234561, 0.1234562, 0.1234563, 0.1234564};
   for (size_t i = 0; i < n; ++i) {
     int64_t g = rng.UniformInt(0, 99);
     EXPECT_TRUE(t.AppendRow({Value(g),
@@ -79,7 +82,8 @@ Table GroupTable(size_t n, uint64_t seed) {
                              Value(static_cast<double>(g % 7) * 0.5),
                              Value(tags[g % 5]),
                              Value(rng.NextDouble() * 100),
-                             Value(rng.UniformInt(0, 1000))})
+                             Value(rng.UniformInt(0, 1000)),
+                             Value(fine[g % 4])})
                     .ok());
   }
   return t;
@@ -106,7 +110,8 @@ TEST_F(GroupByParallelTest, MatchesReferenceForEveryKeyTypeAndKind) {
   auto* entry = db_.GetTable("g").ValueOrDie();
   const Table* table = entry->Materialized().ValueOrDie();
   Predicate pred({{4, CompareOp::kLt, Value(80.0)}});  // ~80% of rows
-  for (const char* key : {"dense_key", "wide_key", "fkey", "tag"}) {
+  for (const char* key :
+       {"dense_key", "wide_key", "fkey", "tag", "fine_key"}) {
     size_t key_col = table->schema().FieldIndex(key).ValueOrDie();
     for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg}) {
       std::string measure = kind == AggKind::kCount ? "" : "value";

@@ -157,13 +157,22 @@ TEST(ObservabilityTest, QueryLogRecordsResolvedVsRequestedMode) {
   ExecContext aut;
   aut.options().mode = ExecutionMode::kAuto;
 
-  // kAuto resolves to cracking for predicated queries; the log keeps both
-  // what was asked for and what actually ran.
+  // kAuto resolves to cracking for a two-sided int64 range, and to a scan
+  // for a predicate no cracker serves; the log keeps both what was asked
+  // for and what actually ran.
   ASSERT_TRUE(session.Execute(Window(9'000, 10'000), aut).ok());
+  ASSERT_TRUE(session
+                  .Execute(Query::On("events").Where(Predicate(
+                               {{1, CompareOp::kGe, Value(int64_t{9'000})}})),
+                           aut)
+                  .ok());
   std::vector<JournalRecord> log = SessionJournal(session.id());
-  ASSERT_EQ(log.size(), 1u);
+  ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0].requested_mode, ExecutionMode::kAuto);
   EXPECT_EQ(log[0].resolved_mode, ExecutionMode::kCracking);
+  EXPECT_EQ(log[1].requested_mode, ExecutionMode::kAuto);
+  EXPECT_EQ(log[1].resolved_mode, ExecutionMode::kScan);
+  EXPECT_EQ(log[1].stats.path, AccessPath::kScan);
 }
 
 TEST(ObservabilityTest, SummaryConsistentAcrossAccessPaths) {

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -286,6 +287,92 @@ TEST(PlannerTest, ProgressiveOnlineQueryCountsItsSimdPath) {
   const uint64_t counted = queries->Value() - queries_before;
   EXPECT_EQ(counted, 1u);
   EXPECT_EQ(simd_queries() - simd_before, counted);
+}
+
+// There is one online loop: a direct kOnline query and the planner's online
+// rung consume the same seeded permutation with the same estimator, so run
+// to exhaustion they return the same exact answer, bit for bit, at every
+// thread count.
+TEST(PlannerTest, DirectAndProgressiveOnlineAgreeAtExhaustion) {
+  for (const Query& query : {HalfAvg(), HalfCount()}) {
+    SCOPED_TRACE(AggKindName(query.aggregate()->kind));
+    std::optional<Estimate> reference;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      Executor executor(TestDb());
+      executor.planner().cost_model().SetExactNsPerRowForTest(1e9);
+
+      ExecContext direct;
+      direct.SetThreadPool(&pool).SetMode(ExecutionMode::kOnline);
+      auto d = executor.Execute(query, direct);  // error_budget 0: no stop
+      ExecContext budgeted;
+      budgeted.SetThreadPool(&pool);
+      budgeted.SetBudget({.latency = seconds(30), .target_error = 0.0});
+      auto p = executor.ExecuteProgressive(query, budgeted,
+                                           [](const ProgressiveUpdate&) {});
+      ASSERT_TRUE(d.ok());
+      ASSERT_TRUE(p.ok());
+      EXPECT_EQ(p.ValueOrDie().stats().planner_choice, PlannerChoice::kOnline);
+      EXPECT_FALSE(d.ValueOrDie().approximate);
+      EXPECT_FALSE(p.ValueOrDie().approximate);
+      const Estimate& got = *d.ValueOrDie().scalar;
+      const Estimate& progressive = *p.ValueOrDie().scalar;
+      EXPECT_EQ(progressive.value, got.value);
+      EXPECT_EQ(progressive.ci_half_width, got.ci_half_width);
+      EXPECT_EQ(progressive.sample_size, got.sample_size);
+      EXPECT_EQ(got.ci_half_width, 0.0);
+      if (!reference.has_value()) reference = got;
+      EXPECT_EQ(got.value, reference->value);
+    }
+  }
+}
+
+// An online COUNT over 64,000 rows of which 8 do not match: while every row
+// seen so far matched, the interval must still have a width, so neither the
+// direct kOnline query nor the planner's online rung stops early with
+// 64,000 ± 0 against a true 63,992.
+TEST(PlannerTest, OnlineCountIntervalCoversTheTruthBeforeTheScanEnds) {
+  Table table(Schema({{"k", DataType::kInt64}}));
+  for (int64_t i = 0; i < 64'000; ++i) {
+    table.mutable_column(0)->AppendInt64(i % 8'000 == 0 ? -1 : 1);
+  }
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", std::move(table)).ok());
+  const Query count =
+      Query::On("t")
+          .Where(Predicate({{0, CompareOp::kGe, Value(int64_t{0})}}))
+          .Aggregate(AggKind::kCount);
+  constexpr double kTruth = 63'992;
+  auto expect_covers = [&](const QueryResult& result) {
+    ASSERT_TRUE(result.scalar.has_value());
+    const Estimate& e = *result.scalar;
+    EXPECT_LE(std::abs(e.value - kTruth), e.ci_half_width)
+        << e.value << " +- " << e.ci_half_width;
+    if (result.approximate) {
+      EXPECT_GT(e.ci_half_width, 0.0);
+    }
+  };
+
+  Executor executor(&db);
+  ExecContext direct;
+  direct.SetMode(ExecutionMode::kOnline);
+  direct.options().error_budget = 1.0;
+  auto d = executor.Execute(count, direct);
+  ASSERT_TRUE(d.ok());
+  expect_covers(d.ValueOrDie());
+
+  executor.planner().cost_model().SetExactNsPerRowForTest(1e9);
+  ExecContext budgeted;
+  budgeted.SetBudget({.latency = seconds(30), .target_error = 1.0 / kTruth});
+  auto p = executor.ExecuteProgressive(count, budgeted,
+                                       [](const ProgressiveUpdate&) {});
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ(p.ValueOrDie().stats().planner_choice, PlannerChoice::kOnline);
+  expect_covers(p.ValueOrDie());
+  if (p.ValueOrDie().approximate) {
+    EXPECT_GT(p.ValueOrDie().stats().achieved_error, 0.0);
+  }
 }
 
 // ---- Session-level progressive contract -----------------------------------

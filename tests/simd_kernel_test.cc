@@ -106,7 +106,7 @@ std::vector<uint64_t> BitsOf(const std::vector<double>& v) {
   return out;
 }
 
-// ---- filter / refine / mask ------------------------------------------------
+// ---- filter / refine -------------------------------------------------------
 
 TEST(SimdKernelTest, FilterI64CmpMatchesScalarOnAllPaths) {
   const int64_t k = 37;
@@ -214,32 +214,6 @@ TEST(SimdKernelTest, RefineKernelsCompactInPlace) {
                                     static_cast<uint32_t>(gotd.size()), op,
                                     5.0, gotd.data()));
       EXPECT_EQ(gotd, wantd) << "path=" << simd::SimdPathName(path)
-                             << " op=" << static_cast<int>(op);
-    }
-  }
-}
-
-TEST(SimdKernelTest, MaskAndPositionsKernelsAgree) {
-  const size_t n = 1537;
-  std::vector<int64_t> di = RandomI64(n, 31, -4);
-  std::vector<double> dd = RandomF64(n, 32, -4.0);
-  const KernelTable& ref = simd::KernelsFor(SimdPath::kScalar);
-  for (Cmp op : kAllOps) {
-    std::vector<uint8_t> want_mi(n, 0xee), want_md(n, 0xee);
-    ref.mask_i64_cmp(di.data(), 0, static_cast<uint32_t>(n), op, -4,
-                     want_mi.data());
-    ref.mask_f64_cmp(dd.data(), 0, static_cast<uint32_t>(n), op, -4.0,
-                     want_md.data());
-    for (SimdPath path : SupportedPaths()) {
-      const KernelTable& kt = simd::KernelsFor(path);
-      std::vector<uint8_t> mi(n, 0xee), md(n, 0xee);
-      kt.mask_i64_cmp(di.data(), 0, static_cast<uint32_t>(n), op, -4,
-                      mi.data());
-      kt.mask_f64_cmp(dd.data(), 0, static_cast<uint32_t>(n), op, -4.0,
-                      md.data());
-      EXPECT_EQ(mi, want_mi) << "path=" << simd::SimdPathName(path)
-                             << " op=" << static_cast<int>(op);
-      EXPECT_EQ(md, want_md) << "path=" << simd::SimdPathName(path)
                              << " op=" << static_cast<int>(op);
     }
   }
