@@ -129,20 +129,13 @@ Result<const ZoneMap*> TableEntry::GetZoneMap(size_t idx) {
                         });
 }
 
-Result<const DictEncoded*> TableEntry::GetDict(size_t idx) {
+Result<const StringDictionary*> TableEntry::GetDict(size_t idx) {
   EXPLOREDB_ASSIGN_OR_RETURN(DataType type, ColumnType(idx));
   if (type != DataType::kString) {
     return WrongType(idx, "dictionary requires a string column");
   }
-  EXPLOREDB_ASSIGN_OR_RETURN(const CompressedColumn* comp,
-                             GetCompressed(idx));
-  // String columns always carry a dict representation, even with
-  // EXPLOREDB_COMPRESS=0 (the policy only gates scanning on codes).
-  if (comp == nullptr || comp->str() == nullptr) {
-    return Status::Internal("string column " + std::to_string(idx) +
-                            " has no dictionary representation");
-  }
-  return &comp->str()->dict();
+  EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumn(idx));
+  return &col->dictionary();
 }
 
 Result<const CompressedColumn*> TableEntry::GetCompressed(size_t idx) {

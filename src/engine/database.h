@@ -34,9 +34,10 @@ namespace exploredb {
 /// with no map and no lock. A miss serializes builders on that slot's mutex
 /// (late arrivals re-check and adopt the published instance), builds outside
 /// every table-wide lock, and publishes with a release store. Concurrent
-/// sessions racing to create the same zone map / dictionary / index get one
+/// sessions racing to create the same zone map / index get one
 /// instance, with no thundering-herd rebuilds and no reader stalled behind
-/// another column's build. Published structures live as long as the entry.
+/// another column's build. (A string column's dictionary is not one of
+/// them: the column fills it as rows are appended.) Published structures live as long as the entry.
 /// Crackers are EpochCrackerColumn — they serialize their own
 /// reorganizations internally, so no caller-side serialization is needed.
 /// The table mutex mu_ guards only the base data.
@@ -69,15 +70,15 @@ class TableEntry {
   /// consult it to skip morsels a predicate cannot match.
   Result<const ZoneMap*> GetZoneMap(size_t idx) EXCLUDES(mu_);
 
-  /// Dictionary encoding of a string column, served from the first-class
-  /// compressed representation (hash group-by keys by dense code instead of
-  /// by string).
-  Result<const DictEncoded*> GetDict(size_t idx) EXCLUDES(mu_);
+  /// The dictionary of a string column: the column's own, filled as its
+  /// rows were appended, so nothing is built here.
+  Result<const StringDictionary*> GetDict(size_t idx) EXCLUDES(mu_);
 
   /// Lazily built compressed representation of a column. Returns nullptr
-  /// (not an error) when the column has none — doubles, or int64 columns the
-  /// adaptive policy judged incompressible; the verdict is cached so the
-  /// encode cost is paid at most once per column.
+  /// (not an error) when the column has none — doubles, strings (stored as
+  /// dictionary codes already), or int64 columns the adaptive policy judged
+  /// incompressible; the verdict is cached so the encode cost is paid at
+  /// most once per column.
   Result<const CompressedColumn*> GetCompressed(size_t idx) EXCLUDES(mu_);
 
   /// Fully materialized Table view. A raw-backed entry loads every column

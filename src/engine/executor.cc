@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -117,50 +118,61 @@ Result<std::vector<const ColumnVector*>> FetchConditionColumns(
   return cols;
 }
 
-/// Per-condition scan inputs: the raw column (always) and, when compression
-/// is enabled and the condition is one the compressed representation can
-/// serve, the column's CompressedColumn. `comp` is parallel to `cols`;
-/// nullptr entries fall back to the raw kernels.
-struct CondInputs {
-  std::vector<const ColumnVector*> cols;
-  std::vector<const CompressedColumn*> comp;
-  bool any_compressed = false;
-};
-
 /// How many rows of a column a selection touches. A morsel scan is dense. A
 /// sparse selection (index candidates, a sample) would decode a whole 128-row
 /// sub-block of a compressed int64 column for each row it touches, which
 /// costs more than the raw compare, so it uses dictionary codes only.
 enum class Density { kDense, kSparse };
 
-/// Fetches raw columns plus compressed representations. A condition is
-/// compressed-servable when it is an int64 comparison against an int64
-/// constant (FOR/RLE filters, dense selections only) or a string
-/// (in)equality (dictionary codes); anything else — double columns, widened
-/// double constants, string ordering — keeps comp null and runs raw.
+/// The compressed int64 column serving each condition, nullptr where none
+/// does. A condition is served when compression is on, the selection is
+/// dense, and an int64 column with a compressed representation is compared
+/// with an int64 constant; anything else runs raw. Reads the schema and the
+/// published representations, never a column.
+Result<std::vector<const CompressedColumn*>> FetchCompressed(
+    TableEntry* entry, const std::vector<Condition>& conds,
+    const ExecContext& ctx, Density density) {
+  std::vector<const CompressedColumn*> comp(conds.size(), nullptr);
+  const Schema& schema = entry->schema();
+  for (size_t i = 0; i < conds.size(); ++i) {
+    const Condition& c = conds[i];
+    if (c.column >= schema.num_fields()) {
+      return Status::OutOfRange("column " + std::to_string(c.column));
+    }
+    if (!ctx.options().use_compression || density == Density::kSparse ||
+        schema.field(c.column).type != DataType::kInt64 ||
+        !c.constant.is_int64()) {
+      continue;
+    }
+    EXPLOREDB_ASSIGN_OR_RETURN(comp[i], entry->GetCompressed(c.column));
+  }
+  return comp;
+}
+
+/// Per-condition scan inputs: the column (always), the compressed int64
+/// column serving the condition (FetchCompressed; nullptr entries run on
+/// the raw kernels), and whether string (in)equalities compare dictionary
+/// codes (compression on) or values.
+struct CondInputs {
+  std::vector<const ColumnVector*> cols;
+  std::vector<const CompressedColumn*> comp;
+  bool codes = false;
+  bool any_compressed = false;
+};
+
 Result<CondInputs> FetchCondInputs(TableEntry* entry,
                                    const std::vector<Condition>& conds,
                                    const ExecContext& ctx, Density density) {
   CondInputs in;
   EXPLOREDB_ASSIGN_OR_RETURN(in.cols, FetchConditionColumns(entry, conds));
-  in.comp.assign(conds.size(), nullptr);
-  if (!ctx.options().use_compression) return in;
+  EXPLOREDB_ASSIGN_OR_RETURN(in.comp,
+                             FetchCompressed(entry, conds, ctx, density));
+  in.codes = ctx.options().use_compression &&
+             CompressionPolicyFromEnv() != CompressionPolicy::kOff;
   for (size_t i = 0; i < conds.size(); ++i) {
-    const Condition& c = conds[i];
-    const bool int64_cmp = density == Density::kDense &&
-                           in.cols[i]->type() == DataType::kInt64 &&
-                           c.constant.is_int64();
-    const bool string_eq =
-        in.cols[i]->type() == DataType::kString && c.constant.is_string() &&
-        (c.op == CompareOp::kEq || c.op == CompareOp::kNe);
-    if (!int64_cmp && !string_eq) continue;
-    EXPLOREDB_ASSIGN_OR_RETURN(const CompressedColumn* cc,
-                               entry->GetCompressed(c.column));
-    if (cc == nullptr || !cc->scan_enabled()) continue;
-    if (int64_cmp && cc->i64() == nullptr) continue;
-    if (string_eq && cc->str() == nullptr) continue;
-    in.comp[i] = cc;
-    in.any_compressed = true;
+    in.any_compressed |=
+        in.comp[i] != nullptr ||
+        (in.codes && ServedByCodes(conds[i], in.cols[i]->type()));
   }
   return in;
 }
@@ -204,10 +216,12 @@ std::vector<uint32_t>& MorselScratch() {
 using MorselPlan = Executor::MorselPlan;
 
 /// The one zone-map planner: the scans plan their morsels with it, and the
-/// planner prices its exact rung with it (Executor::PlanScan).
+/// planner prices its exact rung with it (Executor::PlanScan). `comp` is
+/// FetchCompressed's answer for `conds`.
 Result<MorselPlan> PlanMorsels(TableEntry* entry,
                                const std::vector<Condition>& conds,
-                               const CondInputs& in, size_t n, size_t morsel,
+                               const std::vector<const CompressedColumn*>& comp,
+                               size_t n, size_t morsel,
                                const ExecContext& ctx) {
   MorselPlan plan;
   plan.num_morsels = MorselCount(n, morsel);
@@ -222,14 +236,14 @@ Result<MorselPlan> PlanMorsels(TableEntry* entry,
   };
   std::vector<Pruner> pruners;
   if (ctx.options().use_zone_maps) {
+    const Schema& schema = entry->schema();
     for (size_t i = 0; i < conds.size(); ++i) {
-      if (in.cols[i]->type() == DataType::kString) continue;
+      if (schema.field(conds[i].column).type == DataType::kString) continue;
       if (conds[i].constant.is_string()) continue;
       EXPLOREDB_ASSIGN_OR_RETURN(const ZoneMap* zm,
                                  entry->GetZoneMap(conds[i].column));
       pruners.push_back(
-          {zm, &conds[i],
-           in.comp[i] != nullptr ? in.comp[i]->i64() : nullptr});
+          {zm, &conds[i], comp[i] != nullptr ? comp[i]->i64() : nullptr});
     }
   }
   if (!pruners.empty()) plan.checked = plan.num_morsels;
@@ -309,10 +323,11 @@ void AppendSeed(const SeededScan& seeded, size_t i, std::vector<uint32_t>* out,
   out->insert(out->end(), seeded.focus->begin() + first,
               seeded.focus->begin() + last);
   if (seeded.residual->empty()) return;
-  out->resize(old + Predicate::Refine(*seeded.residual, seeded.in.cols,
-                                      out->data() + old,
-                                      static_cast<uint32_t>(last - first),
-                                      {&seeded.in.comp, tracing, decompress}));
+  out->resize(old + Predicate::Refine(
+                        *seeded.residual, seeded.in.cols, out->data() + old,
+                        static_cast<uint32_t>(last - first),
+                        {&seeded.in.comp, seeded.in.codes, tracing,
+                         decompress}));
 }
 
 /// EXPLOREDB_VALIDATE=1 deep-validates every adaptive structure of the
@@ -453,7 +468,8 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
           CondInputs in,
           FetchCondInputs(entry, plan->residual, ctx, Density::kSparse));
       stats->rows_scanned += candidates.size();
-      Predicate::Refine(plan->residual, in.cols, &candidates, {&in.comp});
+      Predicate::Refine(plan->residual, in.cols, &candidates,
+                        {&in.comp, in.codes});
       return candidates;
     }
     // No indexable range: fall through to a scan.
@@ -465,8 +481,8 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
       CondInputs in, FetchCondInputs(entry, conds, ctx, Density::kDense));
   const size_t morsel = std::max<size_t>(1, ctx.morsel_size());
   ThreadPool* pool = ctx.thread_pool();
-  EXPLOREDB_ASSIGN_OR_RETURN(MorselPlan plan,
-                             PlanMorsels(entry, conds, in, n, morsel, ctx));
+  EXPLOREDB_ASSIGN_OR_RETURN(
+      MorselPlan plan, PlanMorsels(entry, conds, in.comp, n, morsel, ctx));
   EXPLOREDB_ASSIGN_OR_RETURN(
       SeededScan seeded,
       SeedMorsels(entry, seed.positions, seed.residual, plan, n, morsel, ctx));
@@ -495,7 +511,7 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
     const uint32_t end =
         static_cast<uint32_t>(std::min(n, m * morsel + morsel));
     Predicate::FilterRange(conds, in.cols, begin, end, buf,
-                           {&in.comp, tracing, decompress});
+                           {&in.comp, in.codes, tracing, decompress});
   };
 
   // Serial kernel: one pass appending straight into the output, pre-sized
@@ -629,8 +645,8 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
   EXPLOREDB_ASSIGN_OR_RETURN(
       CondInputs in, FetchCondInputs(entry, conds, ctx, Density::kDense));
   const size_t morsel = std::max<size_t>(1, ctx.morsel_size());
-  EXPLOREDB_ASSIGN_OR_RETURN(MorselPlan plan,
-                             PlanMorsels(entry, conds, in, n, morsel, ctx));
+  EXPLOREDB_ASSIGN_OR_RETURN(
+      MorselPlan plan, PlanMorsels(entry, conds, in.comp, n, morsel, ctx));
   EXPLOREDB_ASSIGN_OR_RETURN(
       SeededScan seeded,
       SeedMorsels(entry, seed.positions, seed.residual, plan, n, morsel, ctx));
@@ -695,7 +711,7 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
             static_cast<uint32_t>(std::min(n, m * morsel + morsel));
         Predicate::FilterRange(
             conds, in.cols, begin, end, &scratch,
-            {&in.comp, tracing, &partials[i].decompress_nanos});
+            {&in.comp, in.codes, tracing, &partials[i].decompress_nanos});
       }
       sel = scratch.data();
       cnt = static_cast<uint32_t>(scratch.size());
@@ -773,8 +789,27 @@ Result<QueryResult> Executor::Execute(const Query& query,
   return Run(query, ctx, {.absolute = ctx.options().error_budget});
 }
 
+Result<QueryResult> Executor::ExecuteSelection(const Query& query,
+                                               const ExecContext& ctx) {
+  if (query.aggregate().has_value() || query.group_by().has_value()) {
+    return Status::InvalidArgument("ExecuteSelection takes a selection");
+  }
+  if (ctx.options().mode != ExecutionMode::kBudgeted) {
+    return Run(query, ctx, {}, /*project=*/false);
+  }
+  // The planner's exact rung, the only one a selection has.
+  ExecContext sub = ctx;
+  sub.SetMode(ExecutionMode::kAuto);
+  const auto deadline =
+      std::chrono::steady_clock::now() + ctx.options().budget.latency;
+  if (!ctx.has_deadline() || deadline < *ctx.deadline()) {
+    sub.SetDeadline(deadline);
+  }
+  return Run(query, sub, {}, /*project=*/false);
+}
+
 Result<QueryResult> Executor::Run(const Query& query, const ExecContext& ctx,
-                                  const OnlineRule& online) {
+                                  const OnlineRule& online, bool project) {
   const bool tracing = ctx.tracing();
   ExecStats stats;
   TraceSpan query_span("query", tracing, &stats.total_nanos);
@@ -818,7 +853,7 @@ Result<QueryResult> Executor::Run(const Query& query, const ExecContext& ctx,
       result.positions,
       SelectPositions(entry, query.where(), mode, ctx, &stats, {}));
 
-  {
+  if (project) {
     TraceSpan project_span("project", tracing, &stats.project_nanos);
     EXPLOREDB_ASSIGN_OR_RETURN(
         result.rows, Project(entry, query.select(), result.positions, ctx));
@@ -862,8 +897,8 @@ Result<Table> Executor::Project(TableEntry* entry,
     EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col,
                                entry->GetColumn(col_indexes[i]));
     sources.push_back(col);
+    *projected.mutable_column(i) = col->GatherTarget(n);
     outputs.push_back(projected.mutable_column(i));
-    outputs.back()->Resize(n);
   }
 
   // One task per (column, grain).
@@ -892,9 +927,9 @@ Result<Executor::MorselPlan> Executor::PlanScan(TableEntry* entry,
                                                size_t n,
                                                const ExecContext& ctx) {
   EXPLOREDB_ASSIGN_OR_RETURN(
-      CondInputs in,
-      FetchCondInputs(entry, pred.conjuncts(), ctx, Density::kDense));
-  return PlanMorsels(entry, pred.conjuncts(), in, n,
+      std::vector<const CompressedColumn*> comp,
+      FetchCompressed(entry, pred.conjuncts(), ctx, Density::kDense));
+  return PlanMorsels(entry, pred.conjuncts(), comp, n,
                      ZoneMap::kDefaultZoneRows, ctx);
 }
 
@@ -941,7 +976,7 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
     if (measure->type() == DataType::kInt64 && options.use_compression) {
       EXPLOREDB_ASSIGN_OR_RETURN(const CompressedColumn* cc,
                                  entry->GetCompressed(idx));
-      if (cc != nullptr && cc->scan_enabled()) measure_comp = cc->i64();
+      if (cc != nullptr) measure_comp = cc->i64();
     }
   } else if (agg.kind != AggKind::kCount) {
     return Status::InvalidArgument("only COUNT may omit the column");
@@ -993,7 +1028,7 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
                                          Density::kSparse));
       stats->rows_scanned += selected.size();
       Predicate::Refine(query.where().conjuncts(), in.cols, &selected,
-                        {&in.comp});
+                        {&in.comp, in.codes});
       result.approximate = true;
     } else {
       EXPLOREDB_ASSIGN_OR_RETURN(
@@ -1039,11 +1074,8 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
     } else {
       // Exact modes: typed, morsel-parallel hash aggregation. The group
       // column's zone map supplies the key range that unlocks the dense
-      // int64 fast path; string keys aggregate over dictionary codes.
-      const DictEncoded* dict = nullptr;
-      if (gcol->type() == DataType::kString) {
-        EXPLOREDB_ASSIGN_OR_RETURN(dict, entry->GetDict(gidx));
-      }
+      // int64 fast path; string keys aggregate over the column's dictionary
+      // codes.
       std::optional<std::pair<int64_t, int64_t>> key_range;
       if (gcol->type() == DataType::kInt64) {
         EXPLOREDB_ASSIGN_OR_RETURN(const ZoneMap* zm, entry->GetZoneMap(gidx));
@@ -1051,7 +1083,7 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
       }
       EXPLOREDB_ASSIGN_OR_RETURN(
           result.groups,
-          HashGroupBy(*gcol, dict, measure, agg.kind, options.confidence,
+          HashGroupBy(*gcol, measure, agg.kind, options.confidence,
                       *positions, key_range, ctx, stats));
       // The scan's selection becomes the session's next focus.
       if (focus != nullptr && positions == &selected) {
@@ -1079,7 +1111,7 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
         stats->rows_scanned += sample.size();
         hits = sample;
         Predicate::Refine(query.where().conjuncts(), in.cols, &hits,
-                          {&in.comp});
+                          {&in.comp, in.codes});
         result.approximate = true;
       }
       TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);

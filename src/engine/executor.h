@@ -42,6 +42,14 @@ class Executor {
   /// which picks the cheapest plan expected to meet ctx.options().budget.
   Result<QueryResult> Execute(const Query& query, const ExecContext& ctx = {});
 
+  /// The positions a selection query matches, without projecting its rows:
+  /// Execute's plan and select phases, counted in the same executor metrics,
+  /// with `rows` left empty. A kBudgeted selection runs as the planner runs
+  /// one: kAuto, under the budget's deadline. Fails with InvalidArgument on
+  /// an aggregate or GROUP BY query.
+  Result<QueryResult> ExecuteSelection(const Query& query,
+                                       const ExecContext& ctx);
+
   /// Resolves a name-based QueryBuilder against the catalog, then executes.
   Result<QueryResult> Execute(const QueryBuilder& builder,
                               const ExecContext& ctx = {});
@@ -104,9 +112,10 @@ class Executor {
 
   /// Execute without the planner: runs `query` under ctx's (resolved) mode,
   /// with `online` as the online loop's rule. The planner's online rung
-  /// enters here with its own rule.
+  /// enters here with its own rule. Without `project`, a selection returns
+  /// its positions only.
   Result<QueryResult> Run(const Query& query, const ExecContext& ctx,
-                          const OnlineRule& online);
+                          const OnlineRule& online, bool project = true);
 
   /// The zone-map plan of a dense scan of `pred` over the first `n` rows of
   /// `entry`, one unit per zone (ZoneMap::kDefaultZoneRows rows). The

@@ -97,9 +97,8 @@ double DoubleFromBits(uint64_t bits) {
 }  // namespace
 
 Result<std::vector<GroupValue>> HashGroupBy(
-    const ColumnVector& keys, const DictEncoded* dict,
-    const ColumnVector* measure, AggKind kind, double confidence,
-    const std::vector<uint32_t>& positions,
+    const ColumnVector& keys, const ColumnVector* measure, AggKind kind,
+    double confidence, const std::vector<uint32_t>& positions,
     std::optional<std::pair<int64_t, int64_t>> key_range,
     const ExecContext& ctx, ExecStats* stats) {
   std::vector<GroupValue> out;
@@ -212,19 +211,17 @@ Result<std::vector<GroupValue>> HashGroupBy(
   Status st = Status::OK();
   switch (keys.type()) {
     case DataType::kString: {
-      if (dict == nullptr) {
-        return Status::InvalidArgument(
-            "string group-by requires a dictionary-encoded key column");
-      }
-      const uint32_t* codes = dict->codes.data();
-      const size_t span = dict->values.size();
+      const uint32_t* codes = keys.codes().data();
+      const StringDictionary& dict = keys.dictionary();
+      const size_t span = dict.size();
       if (span > 0 && span * num_morsels <= kDenseBudget) {
         st = run_dense(
             span, [&](uint32_t row) { return codes[row]; },
-            [&](size_t k) { return dict->values[k]; }, codes);
+            [&](size_t k) { return dict.value(static_cast<uint32_t>(k)); },
+            codes);
       } else {
         st = run_sparse([&](uint32_t row) { return codes[row]; },
-                        [&](uint32_t k) { return dict->values[k]; });
+                        [&](uint32_t k) { return dict.value(k); });
       }
       break;
     }

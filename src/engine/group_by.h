@@ -22,8 +22,7 @@ namespace exploredb {
 ///              column's zone-map min/max) spans a small domain, open-
 ///              addressed hash otherwise;
 ///  - double  — hashed by bit pattern;
-///  - string  — dense array over dictionary codes (`dict` is required and
-///              must encode the key column).
+///  - string  — dense array over the column's dictionary codes.
 /// Display strings are produced only at result build, and the output is
 /// sorted by display key — the same ordering the historical
 /// `std::map<std::string, Acc>` accumulator produced.
@@ -32,9 +31,8 @@ namespace exploredb {
 /// `confidence` is copied into each group's Estimate. Exact answers carry a
 /// zero CI width.
 Result<std::vector<GroupValue>> HashGroupBy(
-    const ColumnVector& keys, const DictEncoded* dict,
-    const ColumnVector* measure, AggKind kind, double confidence,
-    const std::vector<uint32_t>& positions,
+    const ColumnVector& keys, const ColumnVector* measure, AggKind kind,
+    double confidence, const std::vector<uint32_t>& positions,
     std::optional<std::pair<int64_t, int64_t>> key_range,
     const ExecContext& ctx, ExecStats* stats);
 

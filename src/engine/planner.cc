@@ -99,6 +99,12 @@ double EwmaUpdate(double current, double observed, double alpha) {
   return current + alpha * (observed - current);
 }
 
+int64_t ElapsedNanos(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -348,12 +354,14 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     // ---- Run the chosen plan ----------------------------------------------
     Result<QueryResult> run = Status::Internal("planner: no plan executed");
     bool rescued = false;
+    int64_t abandoned_nanos = 0;  // the exact attempt a rescue gave up on
     uint64_t streamed = 0;  // online deliveries before the final one
     switch (choice) {
       case PlannerChoice::kExact: {
         ExecContext sub = ctx;
         sub.SetMode(ExecutionMode::kAuto);
         sub.SetDeadline(deadline);
+        const auto attempt = std::chrono::steady_clock::now();
         run = executor_->Execute(query, sub);
         if (!run.ok() && run.status().code() == StatusCode::kDeadlineExceeded &&
             (scalar_agg || grouped)) {
@@ -364,12 +372,9 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
           // rescue pushes the estimate up until exact stops being chosen).
           rescued = true;
           ExactRescueCounter()->Add();
-          cost_model_.ObserveExact(
-              live_rows,
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count(),
-              scan.compressed);
+          abandoned_nanos = ElapsedNanos(attempt);
+          cost_model_.ObserveExact(live_rows, ElapsedNanos(start),
+                                   scan.compressed);
           ExecContext rescue = ctx;
           rescue.SetMode(ExecutionMode::kSampled);
           rescue.options().sample_fraction =
@@ -419,13 +424,17 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     if (!run.ok()) return run.status();
     QueryResult result = std::move(run).ValueOrDie();
 
-    // Overlay planner provenance on the sub-execution's stats.
+    // Overlay planner provenance on the sub-execution's stats. The total
+    // runs from the planner's start, so it holds an abandoned exact attempt
+    // too; the cost model learns from the plan that answered.
     ExecStats& stats = result.exec_stats;
+    const int64_t run_nanos = stats.total_nanos;
     stats.planner_choice = rescued ? PlannerChoice::kSample : choice;
     stats.plans_considered = planned.plans_considered;
     stats.promised_error = planned.promised_error;
     stats.plan_nanos += planner_nanos;
-    stats.total_nanos += planner_nanos;
+    stats.abandoned_nanos = abandoned_nanos;
+    stats.total_nanos = ElapsedNanos(start);
     if (result.scalar.has_value()) {
       stats.achieved_error = RelativeError(*result.scalar);
       if (result.approximate) {
@@ -443,19 +452,17 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     // nothing about the scan rate.
     if (stats.planner_choice == PlannerChoice::kExact &&
         stats.path != AccessPath::kFocus) {
-      cost_model_.ObserveExact(stats.rows_scanned,
-                               stats.total_nanos - planner_nanos,
+      cost_model_.ObserveExact(stats.rows_scanned, run_nanos,
                                stats.compressed_morsels > 0);
     } else if (stats.planner_choice == PlannerChoice::kSample) {
-      cost_model_.ObserveSample(stats.rows_scanned,
-                                stats.total_nanos - planner_nanos);
+      cost_model_.ObserveSample(stats.rows_scanned, run_nanos);
     } else if (stats.planner_choice == PlannerChoice::kOnline) {
-      cost_model_.ObserveOnline(n, stats.rows_scanned,
-                                stats.total_nanos - planner_nanos);
+      cost_model_.ObserveOnline(n, stats.rows_scanned, run_nanos);
     }
     PlannerChoiceCounter(stats.planner_choice)->Add();
-    const auto wall = std::chrono::steady_clock::now() - start;
-    (wall <= budget.latency ? BudgetMetCounter() : BudgetMissedCounter())
+    (std::chrono::nanoseconds(stats.total_nanos) <= budget.latency
+         ? BudgetMetCounter()
+         : BudgetMissedCounter())
         ->Add();
 
     // The final delivery repeats the returned answer bit-identically, with

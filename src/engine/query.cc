@@ -121,6 +121,9 @@ std::string ExecStats::Summary() const {
     out += " decompress=" + FormatDurationNanos(decompress_nanos);
   }
   out += " project=" + FormatDurationNanos(project_nanos);
+  if (abandoned_nanos > 0) {
+    out += " abandoned=" + FormatDurationNanos(abandoned_nanos);
+  }
   out += " total=" + FormatDurationNanos(total_nanos);
   if (queue_nanos > 0) {
     out += " queue=" + FormatDurationNanos(queue_nanos);

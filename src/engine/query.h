@@ -150,6 +150,10 @@ struct ExecStats {
   /// phase; ExplainAnalyze surfaces it so "how much did decompression cost"
   /// has a number.
   int64_t decompress_nanos = 0;
+  /// Wall time of an exact attempt the planner abandoned at its deadline
+  /// before answering from a sample (0 when none was). A part of
+  /// total_nanos, which for a budgeted query runs from the planner's start.
+  int64_t abandoned_nanos = 0;
   int64_t total_nanos = 0;
   /// Time the query waited in the SessionScheduler's fair queue before
   /// execution started (0 when it ran without a scheduler). Not part of

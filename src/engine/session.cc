@@ -486,8 +486,9 @@ void Session::SpeculateAround(const Query& query, const ExecContext& ctx) {
       utility = trajectory_.TransitionProbability(last_key_, key);
     }
     ExecContext spec_ctx = ctx;
+    // Only the positions are cached, so the run projects no rows.
     speculator_.Enqueue(key, utility, [this, shifted, spec_ctx, key]() {
-      auto result = executor_.Execute(shifted, spec_ctx);
+      auto result = executor_.ExecuteSelection(shifted, spec_ctx);
       if (result.ok()) {
         cache_->Put(key, std::move(result).ValueOrDie().positions);
       }

@@ -69,7 +69,7 @@ Status RawTable::EnsureColumnLoaded(size_t col) {
         break;
       }
       case DataType::kString:
-        out.AppendString(std::string(field));
+        out.AppendString(field);
         break;
     }
   }

@@ -222,6 +222,7 @@ Result<JournalRecord> RecordFromJson(const JsonValue& doc) {
       s.*member = stats->Get<int64_t>(key);
     }
     s.queue_nanos = stats->Get<int64_t>("queue_ns");
+    s.abandoned_nanos = stats->Get<int64_t>("abandoned_ns");
   }
   return r;
 }
@@ -355,6 +356,7 @@ std::string WorkloadJournal::ToJsonLine(const JournalRecord& r) {
   w.Key("simd").String(TokenFor(kSimdTokens, s.simd_path));
   for (const auto& [key, member] : kPhaseFields) w.Key(key).Int(s.*member);
   if (s.queue_nanos != 0) w.Key("queue_ns").Int(s.queue_nanos);
+  if (s.abandoned_nanos != 0) w.Key("abandoned_ns").Int(s.abandoned_nanos);
   w.EndObject().EndObject();
   return w.Take();
 }

@@ -523,112 +523,22 @@ Status CompressedInt64Column::Validate(
   return Status::OK();
 }
 
-CompressedStringColumn CompressedStringColumn::Encode(
-    const std::vector<std::string>& data) {
-  CompressedStringColumn col;
-  col.dict_ = DictEncode(data);
-  col.code_of_.reserve(col.dict_.values.size());
-  for (uint32_t c = 0; c < col.dict_.values.size(); ++c) {
-    col.code_of_.emplace(col.dict_.values[c], c);
-  }
-  return col;
-}
-
-std::optional<uint32_t> CompressedStringColumn::CodeOf(
-    const std::string& s) const {
-  const auto it = code_of_.find(s);
-  if (it == code_of_.end()) return std::nullopt;
-  return it->second;
-}
-
-void CompressedStringColumn::FilterEqCode(uint32_t begin, uint32_t end,
-                                          uint32_t code, bool negate,
-                                          std::vector<uint32_t>* out) const {
-  const uint32_t* codes = dict_.codes.data();
-  const uint32_t lim =
-      std::min(end, static_cast<uint32_t>(dict_.codes.size()));
-  if (negate) {
-    for (uint32_t r = begin; r < lim; ++r) {
-      if (codes[r] != code) out->push_back(r);
-    }
-  } else {
-    for (uint32_t r = begin; r < lim; ++r) {
-      if (codes[r] == code) out->push_back(r);
-    }
-  }
-}
-
-size_t CompressedStringColumn::raw_bytes() const {
-  size_t bytes = 0;
-  for (uint32_t c : dict_.codes) bytes += dict_.values[c].size();
-  return bytes;
-}
-
-size_t CompressedStringColumn::compressed_bytes() const {
-  size_t bytes = dict_.codes.size() * sizeof(uint32_t);
-  for (const std::string& v : dict_.values) bytes += v.size();
-  return bytes;
-}
-
-Status CompressedStringColumn::Validate(
-    const std::vector<std::string>* data) const {
-  for (size_t i = 0; i < dict_.codes.size(); ++i) {
-    if (dict_.codes[i] >= dict_.values.size()) {
-      return Status::Internal("dict column: code out of range at row " +
-                              std::to_string(i));
-    }
-  }
-  if (code_of_.size() != dict_.values.size()) {
-    return Status::Internal("dict column: reverse map size mismatch");
-  }
-  for (uint32_t c = 0; c < dict_.values.size(); ++c) {
-    const auto it = code_of_.find(dict_.values[c]);
-    if (it == code_of_.end() || it->second != c) {
-      return Status::Internal("dict column: reverse map disagrees at code " +
-                              std::to_string(c));
-    }
-  }
-  if (data != nullptr) {
-    if (data->size() != dict_.codes.size()) {
-      return Status::Internal("dict column: row count changed since encode");
-    }
-    for (size_t i = 0; i < data->size(); ++i) {
-      if (dict_.values[dict_.codes[i]] != (*data)[i]) {
-        return Status::Internal("dict column: decode mismatch at row " +
-                                std::to_string(i));
-      }
-    }
-  }
-  return Status::OK();
-}
-
 std::unique_ptr<CompressedColumn> CompressedColumn::Build(
     const ColumnVector& col) {
+  // Doubles have no codec (yet), and strings are stored as dictionary codes
+  // already: both scan their raw column.
   const CompressionPolicy policy = CompressionPolicyFromEnv();
-  auto out = std::unique_ptr<CompressedColumn>(new CompressedColumn());
-  switch (col.type()) {
-    case DataType::kDouble:
-      return nullptr;  // no double codec (yet): raw scan path
-    case DataType::kInt64: {
-      if (policy == CompressionPolicy::kOff) return nullptr;
-      auto enc = std::make_unique<CompressedInt64Column>(
-          CompressedInt64Column::Encode(col.int64_data()));
-      if (policy == CompressionPolicy::kAdaptive &&
-          enc->compression_ratio() < 1.25) {
-        return nullptr;  // not worth the extra copy; caller caches the miss
-      }
-      out->i64_ = std::move(enc);
-      break;
-    }
-    case DataType::kString: {
-      // Always built: the dictionary doubles as the GROUP BY input, which
-      // must exist even with compression off; kOff only disables scans.
-      out->str_ = std::make_unique<CompressedStringColumn>(
-          CompressedStringColumn::Encode(col.string_data()));
-      out->scan_enabled_ = policy != CompressionPolicy::kOff;
-      break;
-    }
+  if (col.type() != DataType::kInt64 || policy == CompressionPolicy::kOff) {
+    return nullptr;
   }
+  auto enc = std::make_unique<CompressedInt64Column>(
+      CompressedInt64Column::Encode(col.int64_data()));
+  if (policy == CompressionPolicy::kAdaptive &&
+      enc->compression_ratio() < 1.25) {
+    return nullptr;  // not worth the extra copy; caller caches the miss
+  }
+  auto out = std::unique_ptr<CompressedColumn>(new CompressedColumn());
+  out->i64_ = std::move(enc);
   static Counter* blocks = Metrics().GetCounter(
       "exploredb_storage_compressed_blocks_total",
       "8192-row blocks encoded into a compressed representation");
@@ -638,42 +548,23 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
   static Counter* bytes_comp = Metrics().GetCounter(
       "exploredb_storage_compressed_bytes_total",
       "bytes of the compressed representations");
-  if (out->i64_ != nullptr) blocks->Add(out->i64_->num_blocks());
-  if (out->str_ != nullptr) {
-    blocks->Add((out->str_->num_rows() + kCompressionBlockRows - 1) /
-                kCompressionBlockRows);
-  }
+  blocks->Add(out->i64_->num_blocks());
   bytes_raw->Add(out->raw_bytes());
   bytes_comp->Add(out->compressed_bytes());
   return out;
 }
 
-size_t CompressedColumn::raw_bytes() const {
-  if (i64_ != nullptr) return i64_->raw_bytes();
-  if (str_ != nullptr) return str_->raw_bytes();
-  return 0;
-}
+size_t CompressedColumn::raw_bytes() const { return i64_->raw_bytes(); }
 
 size_t CompressedColumn::compressed_bytes() const {
-  if (i64_ != nullptr) return i64_->compressed_bytes();
-  if (str_ != nullptr) return str_->compressed_bytes();
-  return 0;
+  return i64_->compressed_bytes();
 }
 
 Status CompressedColumn::Validate(const ColumnVector& col) const {
-  if (i64_ != nullptr) {
-    if (col.type() != DataType::kInt64) {
-      return Status::Internal("compressed column: int64 rep over non-int64");
-    }
-    return i64_->Validate(&col.int64_data());
+  if (col.type() != DataType::kInt64) {
+    return Status::Internal("compressed column: int64 rep over non-int64");
   }
-  if (str_ != nullptr) {
-    if (col.type() != DataType::kString) {
-      return Status::Internal("compressed column: dict rep over non-string");
-    }
-    return str_->Validate(&col.string_data());
-  }
-  return Status::Internal("compressed column: no representation");
+  return i64_->Validate(&col.int64_data());
 }
 
 }  // namespace exploredb

@@ -15,19 +15,15 @@
 //           evaluated once per run header; matching runs emit position
 //           ranges without touching row data at all.
 //
-// String columns promote the former GROUP BY-only `DictEncoded` cache to a
-// first-class representation: codes + dictionary live here, equality
-// predicates compare uint32 codes, and HashGroupBy reads codes straight from
-// storage.
+// String columns need no codec here: ColumnVector stores them as
+// dictionary codes from the first append, and equality predicates and
+// HashGroupBy read those codes directly.
 //
 // All codecs are exact (integers, no quantization), so compressed scans are
 // bit-identical to raw scans on every SIMD tier and thread count.
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -70,8 +66,8 @@ struct Int64Block {
   uint32_t num_runs = 0;   // kRle: run count
 };
 
-/// How EXPLOREDB_COMPRESS gates the int64 representations:
-///   "0"    -> kOff      never scan compressed (dictionaries still built)
+/// How EXPLOREDB_COMPRESS gates the compressed scans:
+///   "0"    -> kOff      never scan compressed (string filters compare values)
 ///   "1"    -> kForced   compress every int64 column regardless of ratio
 ///   unset  -> kAdaptive compress when the achieved ratio clears ~1.25x
 enum class CompressionPolicy { kOff, kAdaptive, kForced };
@@ -134,50 +130,15 @@ class CompressedInt64Column {
   std::vector<RleRun> runs_;
 };
 
-/// A string column stored as dictionary codes: `DictEncoded` promoted to the
-/// storage layer. Equality/inequality predicates compare uint32 codes (a
-/// constant absent from the dictionary matches nothing / everything);
-/// ordering predicates are not served — codes are first-appearance order.
-class CompressedStringColumn {
- public:
-  static CompressedStringColumn Encode(const std::vector<std::string>& data);
-
-  size_t num_rows() const { return dict_.codes.size(); }
-  const DictEncoded& dict() const { return dict_; }
-
-  /// Code of `s`, or nullopt when the value never occurs in the column.
-  std::optional<uint32_t> CodeOf(const std::string& s) const;
-
-  /// Appends row ids r in [begin, end) with code(r) == `code` (or != when
-  /// `negate`).
-  void FilterEqCode(uint32_t begin, uint32_t end, uint32_t code, bool negate,
-                    std::vector<uint32_t>* out) const;
-
-  size_t raw_bytes() const;
-  size_t compressed_bytes() const;
-
-  Status Validate(const std::vector<std::string>* data = nullptr) const;
-
- private:
-  DictEncoded dict_;
-  std::unordered_map<std::string, uint32_t> code_of_;
-};
-
 /// Type-dispatching wrapper a TableEntry caches per column. Build() returns
-/// nullptr when the column has no compressed representation (doubles; int64
-/// under kOff, or under kAdaptive when the achieved ratio is too small).
-/// String columns always build — the dictionary is the GROUP BY input — but
-/// scanning on codes still honors the policy via scan_enabled().
+/// nullptr when the column has no compressed representation (doubles and
+/// strings; int64 under kOff, or under kAdaptive when the achieved ratio is
+/// too small).
 class CompressedColumn {
  public:
   static std::unique_ptr<CompressedColumn> Build(const ColumnVector& col);
 
   const CompressedInt64Column* i64() const { return i64_.get(); }
-  const CompressedStringColumn* str() const { return str_.get(); }
-
-  /// False when EXPLOREDB_COMPRESS=0: the representation exists (dict for
-  /// GROUP BY) but scans must not use it.
-  bool scan_enabled() const { return scan_enabled_; }
 
   size_t raw_bytes() const;
   size_t compressed_bytes() const;
@@ -186,8 +147,6 @@ class CompressedColumn {
 
  private:
   std::unique_ptr<CompressedInt64Column> i64_;
-  std::unique_ptr<CompressedStringColumn> str_;
-  bool scan_enabled_ = true;
 };
 
 }  // namespace exploredb

@@ -49,7 +49,7 @@ Result<Table> ReadCsv(const std::string& path, const Schema& schema,
           break;
         }
         case DataType::kString:
-          col->AppendString(std::string(fields[c]));
+          col->AppendString(fields[c]);
           break;
       }
     }

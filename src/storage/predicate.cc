@@ -69,6 +69,11 @@ bool Compare(const T& lhs, CompareOp op, const T& rhs) {
 
 }  // namespace
 
+bool ServedByCodes(const Condition& c, DataType column_type) {
+  return column_type == DataType::kString && c.constant.is_string() &&
+         (c.op == CompareOp::kEq || c.op == CompareOp::kNe);
+}
+
 bool Condition::Matches(const Table& table, size_t row) const {
   return MatchesColumn(table.column(column), row);
 }
@@ -146,6 +151,12 @@ const CompressedColumn* CompressedFor(const CompressedInputs& compressed,
   return compressed.comp != nullptr ? (*compressed.comp)[i] : nullptr;
 }
 
+/// Whether `c` runs on its column's dictionary codes.
+bool OnCodes(const Condition& c, const ColumnVector& col,
+             const CompressedInputs& compressed) {
+  return compressed.codes && ServedByCodes(c, col.type());
+}
+
 /// Appends every row id in [begin, end).
 void AppendAll(uint32_t begin, uint32_t end, std::vector<uint32_t>* out) {
   const size_t old = out->size();
@@ -162,14 +173,14 @@ std::vector<int64_t>& GatherScratch() {
 
 /// The refine step: narrows the ascending selection vector sel[0, n) in
 /// place to the rows satisfying `c` and returns how many survive. `comp`,
-/// when non-null, is the compressed representation serving `c`.
+/// when non-null, is the compressed int64 representation serving `c`.
 uint32_t RefineStep(const Condition& c, const ColumnVector& col,
                     const CompressedColumn* comp,
                     const CompressedInputs& compressed, uint32_t* sel,
                     uint32_t n) {
   if (n == 0) return 0;
   uint32_t kept = 0;
-  if (comp != nullptr && comp->i64() != nullptr) {
+  if (comp != nullptr) {
     // Decode just the surviving rows (128-row sub-blocks), then compare.
     std::vector<int64_t>& vals = GatherScratch();
     vals.resize(n);
@@ -184,13 +195,13 @@ uint32_t RefineStep(const Condition& c, const ColumnVector& col,
     }
     return kept;
   }
-  if (comp != nullptr && comp->str() != nullptr) {
+  if (OnCodes(c, col, compressed)) {
     const bool negate = c.op == CompareOp::kNe;
-    std::optional<uint32_t> code = comp->str()->CodeOf(c.constant.str());
+    std::optional<uint32_t> code = col.dictionary().Find(c.constant.str());
     // A constant absent from the dictionary: == matches nothing, != matches
     // every row.
     if (!code.has_value()) return negate ? n : 0;
-    const std::vector<uint32_t>& codes = comp->str()->dict().codes;
+    const uint32_t* codes = col.codes().data();
     for (uint32_t i = 0; i < n; ++i) {
       if ((codes[sel[i]] == *code) != negate) sel[kept++] = sel[i];
     }
@@ -258,7 +269,8 @@ void Predicate::FilterRange(const std::vector<Condition>& conditions,
   // serves; else with every row.
   size_t seed = conditions.size();
   for (size_t i = 0; i < conditions.size(); ++i) {
-    if (CompressedFor(compressed, i) != nullptr) {
+    if (CompressedFor(compressed, i) != nullptr ||
+        OnCodes(conditions[i], *cols[i], compressed)) {
       seed = i;
       break;
     }
@@ -271,16 +283,25 @@ void Predicate::FilterRange(const std::vector<Condition>& conditions,
     AppendAll(begin, end, out);
   } else if (const CompressedColumn* cc = CompressedFor(compressed, seed)) {
     const Condition& c = conditions[seed];
-    if (cc->i64() != nullptr) {
-      cc->i64()->FilterCmp(begin, end, c.op, c.constant.int64(), out);
-    } else {
-      const bool negate = c.op == CompareOp::kNe;
-      std::optional<uint32_t> code = cc->str()->CodeOf(c.constant.str());
-      if (code.has_value()) {
-        cc->str()->FilterEqCode(begin, end, *code, negate, out);
-      } else if (negate) {
-        AppendAll(begin, end, out);  // absent from the dictionary
+    cc->i64()->FilterCmp(begin, end, c.op, c.constant.int64(), out);
+  } else if (OnCodes(conditions[seed], *cols[seed], compressed)) {
+    const Condition& c = conditions[seed];
+    const ColumnVector& col = *cols[seed];
+    const bool negate = c.op == CompareOp::kNe;
+    std::optional<uint32_t> code = col.dictionary().Find(c.constant.str());
+    if (code.has_value()) {
+      const uint32_t* codes = col.codes().data();
+      if (negate) {
+        for (uint32_t r = begin; r < end; ++r) {
+          if (codes[r] != *code) out->push_back(r);
+        }
+      } else {
+        for (uint32_t r = begin; r < end; ++r) {
+          if (codes[r] == *code) out->push_back(r);
+        }
       }
+    } else if (negate) {
+      AppendAll(begin, end, out);  // absent from the dictionary
     }
   } else {
     const Condition& c = conditions[seed];

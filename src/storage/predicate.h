@@ -37,16 +37,21 @@ struct Condition {
   std::string ToString(const Schema& schema) const;
 };
 
+/// Whether dictionary codes can serve `c` over a column of `column_type`:
+/// a string column compared with a string constant for (in)equality.
+bool ServedByCodes(const Condition& c, DataType column_type);
+
 /// Compressed inputs of a conjunction, for Predicate::FilterRange and
 /// Predicate::Refine. `comp`, when non-null, runs parallel to the
-/// conditions: a non-null comp[i] is a representation that serves
-/// conditions[i] — an int64 one for an int64 constant, or a dictionary for a
-/// string (in)equality — and nullptr leaves that condition on its raw
-/// column. Values gathered out of compressed int64 blocks are timed into
-/// *decompress_nanos (when non-null) and traced as "decompress" spans when
-/// `tracing`.
+/// conditions: a non-null comp[i] is an int64 representation that serves
+/// conditions[i] (an int64 constant), and nullptr leaves that condition on
+/// its raw column. With `codes`, a string (in)equality compares the
+/// column's dictionary codes; without it, it compares values. Values
+/// gathered out of compressed int64 blocks are timed into *decompress_nanos
+/// (when non-null) and traced as "decompress" spans when `tracing`.
 struct CompressedInputs {
   const std::vector<const CompressedColumn*>* comp = nullptr;
+  bool codes = false;
   bool tracing = false;
   int64_t* decompress_nanos = nullptr;
 };
@@ -99,8 +104,8 @@ class Predicate {
   /// uses a compressed int64 gather and compare, dictionary codes, or the
   /// dispatched refine_i64_cmp/refine_f64_cmp kernels. Conditions none of
   /// these reproduce (an int64 column against a double constant, string
-  /// comparisons without a dictionary) test the raw column row by row with
-  /// Condition::MatchesColumn.
+  /// ordering, string (in)equality without `codes`) test the column row by
+  /// row with Condition::MatchesColumn.
   static void Refine(const std::vector<Condition>& conditions,
                      const std::vector<const ColumnVector*>& cols,
                      std::vector<uint32_t>* sel,

@@ -51,7 +51,12 @@ double PearsonCorrelation(const std::vector<double>& x,
   return sxy / std::sqrt(sxx * syy);
 }
 
-double CategoricalInterest(const std::vector<std::string>& values) {
+namespace {
+
+/// CategoricalInterest over any sized range of strings (a vector, or a
+/// string column's cells).
+template <typename Strings>
+double Interest(const Strings& values) {
   if (values.empty()) return 0.0;
   std::unordered_map<std::string, uint64_t> counts;
   for (const std::string& v : values) ++counts[v];
@@ -67,6 +72,12 @@ double CategoricalInterest(const std::vector<std::string>& values) {
   // Near-key columns (cardinality ~ rows) make useless bar charts.
   double key_penalty = 1.0 - distinct / n;
   return normalized * std::max(key_penalty, 0.0);
+}
+
+}  // namespace
+
+double CategoricalInterest(const std::vector<std::string>& values) {
+  return Interest(values);
 }
 
 double NumericInterest(const std::vector<double>& values) {
@@ -96,7 +107,7 @@ Result<std::vector<VizCard>> RankVizCards(const Table& table, size_t limit) {
     const ColumnVector& col = table.column(c);
     if (col.type() == DataType::kString) {
       deck.push_back({ChartKind::kBarChart, c, 0,
-                      CategoricalInterest(col.string_data())});
+                      Interest(col.string_data())});
       continue;
     }
     numeric_cols.push_back(c);

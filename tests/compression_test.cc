@@ -332,27 +332,43 @@ TEST(CompressedInt64Test, RleSelectivityIsExact) {
   EXPECT_EQ(zm.EstimateSelectivity(c, nullptr), zm.EstimateSelectivity(c));
 }
 
-// ---- string columns: dictionary as first-class storage ---------------------
+// ---- string columns: dictionary codes are the storage ----------------------
 
 TEST(CompressedStringTest, CodesRoundTripAndFilter) {
   std::vector<std::string> data;
   const char* vals[] = {"alpha", "beta", "gamma", "delta"};
   Random rng(31);
-  for (size_t i = 0; i < 10'000; ++i) data.push_back(vals[rng.Uniform(4)]);
-  const CompressedStringColumn col = CompressedStringColumn::Encode(data);
-  ASSERT_TRUE(col.Validate(&data).ok());
-  ASSERT_EQ(col.num_rows(), data.size());
-  EXPECT_LT(col.compressed_bytes(), col.raw_bytes());
-  ASSERT_TRUE(col.CodeOf("beta").has_value());
-  EXPECT_FALSE(col.CodeOf("omega").has_value());
-  for (bool negate : {false, true}) {
-    std::vector<uint32_t> got;
-    col.FilterEqCode(100, 9'000, *col.CodeOf("beta"), negate, &got);
-    std::vector<uint32_t> want;
-    for (uint32_t r = 100; r < 9'000; ++r) {
-      if ((data[r] == "beta") != negate) want.push_back(r);
+  ColumnVector col(DataType::kString);
+  for (size_t i = 0; i < 10'000; ++i) {
+    data.push_back(vals[rng.Uniform(4)]);
+    col.AppendString(data.back());
+  }
+  ASSERT_TRUE(col.dictionary().Validate().ok());
+  ASSERT_EQ(col.size(), data.size());
+  for (size_t r = 0; r < data.size(); ++r) {
+    ASSERT_EQ(col.string_data()[r], data[r]) << r;
+  }
+  EXPECT_EQ(col.dictionary().size(), 4u);
+  ASSERT_TRUE(col.dictionary().Find("beta").has_value());
+  EXPECT_FALSE(col.dictionary().Find("omega").has_value());
+  // Filtering on codes and on values selects the same rows.
+  const std::vector<const ColumnVector*> cols = {&col};
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe}) {
+    for (const char* constant : {"beta", "omega"}) {
+      const std::vector<Condition> conds = {{0, op, Value(constant)}};
+      std::vector<uint32_t> want;
+      for (uint32_t r = 100; r < 9'000; ++r) {
+        if ((data[r] == constant) == (op == CompareOp::kEq)) {
+          want.push_back(r);
+        }
+      }
+      for (bool codes : {false, true}) {
+        std::vector<uint32_t> got;
+        Predicate::FilterRange(conds, cols, 100, 9'000, &got,
+                               {nullptr, codes});
+        EXPECT_EQ(got, want) << CompareOpName(op) << constant << codes;
+      }
     }
-    EXPECT_EQ(got, want) << "negate=" << negate;
   }
 }
 
@@ -373,22 +389,26 @@ TEST(CompressedColumnTest, BuildDispatchesByTypeAndCachesOnEntry) {
   TableEntry* entry = db.GetTable("t").ValueOrDie();
 
   const CompressedColumn* ci = entry->GetCompressed(0).ValueOrDie();
-  ASSERT_NE(ci, nullptr);
-  ASSERT_NE(ci->i64(), nullptr);
-  EXPECT_GT(ci->i64()->compression_ratio(), 1.25);
+  if (CompressionPolicyFromEnv() == CompressionPolicy::kOff) {
+    // Compression off: no int64 representation (a cached nullptr verdict).
+    EXPECT_EQ(ci, nullptr);
+  } else {
+    ASSERT_NE(ci, nullptr);
+    ASSERT_NE(ci->i64(), nullptr);
+    EXPECT_GT(ci->i64()->compression_ratio(), 1.25);
+  }
   // Second fetch serves the cached instance.
   EXPECT_EQ(entry->GetCompressed(0).ValueOrDie(), ci);
 
   // Doubles have no compressed representation (cached nullptr verdict).
   EXPECT_EQ(entry->GetCompressed(1).ValueOrDie(), nullptr);
 
-  // The string column's dictionary is the first-class one: GetDict serves
-  // the same DictEncoded the compressed representation holds.
-  const CompressedColumn* cs = entry->GetCompressed(2).ValueOrDie();
-  ASSERT_NE(cs, nullptr);
-  ASSERT_NE(cs->str(), nullptr);
-  const DictEncoded* dict = entry->GetDict(2).ValueOrDie();
-  EXPECT_EQ(dict, &cs->str()->dict());
+  // Nor do strings: the column stores codes already, and GetDict serves the
+  // column's own dictionary.
+  EXPECT_EQ(entry->GetCompressed(2).ValueOrDie(), nullptr);
+  const StringDictionary* dict = entry->GetDict(2).ValueOrDie();
+  EXPECT_EQ(dict, &entry->GetColumn(2).ValueOrDie()->dictionary());
+  EXPECT_EQ(dict->size(), 3u);
 
   // Deep validation covers the compressed representations too.
   ASSERT_TRUE(entry->ValidateAdaptiveState().ok());
@@ -408,6 +428,14 @@ TEST(CompressedColumnTest, BuildMetricsAccumulate) {
     ASSERT_TRUE(cv.Append(Value(static_cast<int64_t>(i / 50))).ok());
   }
   std::unique_ptr<CompressedColumn> built = CompressedColumn::Build(cv);
+  if (CompressionPolicyFromEnv() == CompressionPolicy::kOff) {
+    // Compression off: nothing is encoded, so nothing is counted.
+    EXPECT_EQ(built, nullptr);
+    EXPECT_EQ(blocks->Value(), blocks0);
+    EXPECT_EQ(raw->Value(), raw0);
+    EXPECT_EQ(comp->Value(), comp0);
+    return;
+  }
   ASSERT_NE(built, nullptr);
   EXPECT_EQ(blocks->Value() - blocks0, built->i64()->num_blocks());
   EXPECT_EQ(raw->Value() - raw0, built->raw_bytes());
@@ -485,6 +513,17 @@ TEST_F(CompressedQueryTest, BitIdenticalToRawAcrossPathsAndThreads) {
   cnt.Aggregate(AggKind::kCount);
   Query grouped = queries[0];
   grouped.Aggregate(AggKind::kSum, "val").GroupBy("kind");
+  // String GROUP BYs under string (in)equalities: the same codes filter and
+  // group.
+  Query grouped_eq = queries[2];
+  grouped_eq.Aggregate(AggKind::kAvg, "load").GroupBy("kind");
+  Query grouped_ne = Query::On("events")
+                         .Where(Predicate({{3, CompareOp::kNe, Value("beta")},
+                                           {3, CompareOp::kNe, Value("")}}))
+                         .Aggregate(AggKind::kCount)
+                         .GroupBy("kind");
+  const bool compression_off =
+      CompressionPolicyFromEnv() == CompressionPolicy::kOff;
 
   // Reference: raw scans (compression off), scalar path, serial.
   ASSERT_TRUE(simd::SetActivePathForTest(SimdPath::kScalar));
@@ -506,6 +545,15 @@ TEST_F(CompressedQueryTest, BitIdenticalToRawAcrossPathsAndThreads) {
   auto want_grp = exec.Execute(grouped, raw);
   ASSERT_TRUE(want_sum_i.ok() && want_avg_i.ok() && want_sum_d.ok() &&
               want_cnt.ok() && want_grp.ok());
+  std::vector<QueryResult> want_str_grp;
+  for (const Query* q : {&grouped_eq, &grouped_ne}) {
+    auto r = exec.Execute(*q, raw);
+    ASSERT_TRUE(r.ok());
+    ASSERT_FALSE(r.ValueOrDie().groups.empty());
+    want_str_grp.push_back(std::move(r).ValueOrDie());
+  }
+  EXPECT_EQ(want_str_grp[0].groups.size(), 1u);
+  EXPECT_EQ(want_str_grp[1].groups.size(), 4u);
 
   for (SimdPath path : SupportedPaths()) {
     ASSERT_TRUE(simd::SetActivePathForTest(path));
@@ -527,8 +575,13 @@ TEST_F(CompressedQueryTest, BitIdenticalToRawAcrossPathsAndThreads) {
         ASSERT_TRUE(r.ok()) << tag << " q=" << q;
         EXPECT_EQ(r.ValueOrDie().positions, want_sel[q].positions)
             << tag << " q=" << q;
-        EXPECT_GT(r.ValueOrDie().stats().compressed_morsels, 0u)
-            << tag << " q=" << q;
+        if (compression_off) {
+          EXPECT_EQ(r.ValueOrDie().stats().compressed_morsels, 0u)
+              << tag << " q=" << q;
+        } else {
+          EXPECT_GT(r.ValueOrDie().stats().compressed_morsels, 0u)
+              << tag << " q=" << q;
+        }
       }
       auto sum_i_r = exec.Execute(sum_i, ctx);
       ASSERT_TRUE(sum_i_r.ok()) << tag;
@@ -558,6 +611,18 @@ TEST_F(CompressedQueryTest, BitIdenticalToRawAcrossPathsAndThreads) {
       for (size_t g = 0; g < wg.size(); ++g) {
         EXPECT_EQ(gg[g].key, wg[g].key) << tag;
         EXPECT_EQ(Bits(gg[g].value.value), Bits(wg[g].value.value)) << tag;
+      }
+      for (size_t q = 0; q < want_str_grp.size(); ++q) {
+        auto r = exec.Execute(q == 0 ? grouped_eq : grouped_ne, ctx);
+        ASSERT_TRUE(r.ok()) << tag << " string group-by " << q;
+        const auto& want = want_str_grp[q].groups;
+        const auto& got = r.ValueOrDie().groups;
+        ASSERT_EQ(got.size(), want.size()) << tag;
+        for (size_t g = 0; g < want.size(); ++g) {
+          EXPECT_EQ(got[g].key, want[g].key) << tag;
+          EXPECT_EQ(Bits(got[g].value.value), Bits(want[g].value.value))
+              << tag << " string group-by " << q;
+        }
       }
     }
   }
@@ -813,6 +878,14 @@ TEST_F(CompressedQueryTest, RleFilteringSkipsRowDataAndReportsStats) {
   auto r = exec.Execute(q, ctx);
   ASSERT_TRUE(r.ok());
   const ExecStats& stats = r.ValueOrDie().stats();
+  if (CompressionPolicyFromEnv() == CompressionPolicy::kOff) {
+    // Compression off: the raw window kernel ran, no block was consulted,
+    // and the summary names no compressed morsel.
+    EXPECT_EQ(stats.compressed_morsels, 0u);
+    EXPECT_EQ(skipped->Value(), before);
+    EXPECT_EQ(stats.Summary().find("compressed="), std::string::npos);
+    return;
+  }
   EXPECT_GT(stats.compressed_morsels, 0u);
   // The clustered ts column produces RLE blocks; filtering them consults run
   // headers only, which the storage counter records.
@@ -833,7 +906,12 @@ TEST_F(CompressedQueryTest, UseCompressionOffMatchesAndDisablesStats) {
   auto r_off = exec.Execute(q, off);
   ASSERT_TRUE(r_on.ok() && r_off.ok());
   EXPECT_EQ(r_on.ValueOrDie().positions, r_off.ValueOrDie().positions);
-  EXPECT_GT(r_on.ValueOrDie().stats().compressed_morsels, 0u);
+  if (CompressionPolicyFromEnv() == CompressionPolicy::kOff) {
+    // The policy overrides the option: neither run scans compressed data.
+    EXPECT_EQ(r_on.ValueOrDie().stats().compressed_morsels, 0u);
+  } else {
+    EXPECT_GT(r_on.ValueOrDie().stats().compressed_morsels, 0u);
+  }
   EXPECT_EQ(r_off.ValueOrDie().stats().compressed_morsels, 0u);
 }
 

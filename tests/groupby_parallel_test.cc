@@ -63,7 +63,9 @@ std::vector<GroupValue> ReferenceGroupBy(const Table& table, size_t key_col,
 /// dense_key: small int64 domain (dense-array path). wide_key: the same
 /// group structure scaled out to a huge sparse domain (hash path). fkey:
 /// a handful of distinct doubles. tag: low-cardinality strings. fine_key:
-/// doubles that differ only past the sixth decimal.
+/// doubles that differ only past the sixth decimal. label: 12 strings,
+/// among them the empty string and ones past the 15-byte inline buffer.
+/// uid: a distinct string per row.
 Table GroupTable(size_t n, uint64_t seed) {
   Table t(Schema({{"dense_key", DataType::kInt64},
                   {"wide_key", DataType::kInt64},
@@ -71,10 +73,15 @@ Table GroupTable(size_t n, uint64_t seed) {
                   {"tag", DataType::kString},
                   {"value", DataType::kDouble},
                   {"ivalue", DataType::kInt64},
-                  {"fine_key", DataType::kDouble}}));
+                  {"fine_key", DataType::kDouble},
+                  {"label", DataType::kString},
+                  {"uid", DataType::kString}}));
   Random rng(seed);
   const char* tags[] = {"red", "green", "blue", "cyan", "mauve"};
   const double fine[] = {0.1234561, 0.1234562, 0.1234563, 0.1234564};
+  const char* labels[] = {"",   "a long label past the inline buffer",
+                          "UA", "AA", "DL", "WN", "B6", "AS", "NK", "F9",
+                          "HA", "another-label-longer-than-15"};
   for (size_t i = 0; i < n; ++i) {
     int64_t g = rng.UniformInt(0, 99);
     EXPECT_TRUE(t.AppendRow({Value(g),
@@ -83,7 +90,9 @@ Table GroupTable(size_t n, uint64_t seed) {
                              Value(tags[g % 5]),
                              Value(rng.NextDouble() * 100),
                              Value(rng.UniformInt(0, 1000)),
-                             Value(fine[g % 4])})
+                             Value(fine[g % 4]),
+                             Value(labels[g % 12]),
+                             Value("uid-" + std::to_string(i))})
                     .ok());
   }
   return t;
@@ -109,28 +118,36 @@ class GroupByParallelTest : public ::testing::Test {
 TEST_F(GroupByParallelTest, MatchesReferenceForEveryKeyTypeAndKind) {
   auto* entry = db_.GetTable("g").ValueOrDie();
   const Table* table = entry->Materialized().ValueOrDie();
-  Predicate pred({{4, CompareOp::kLt, Value(80.0)}});  // ~80% of rows
-  for (const char* key :
-       {"dense_key", "wide_key", "fkey", "tag", "fine_key"}) {
-    size_t key_col = table->schema().FieldIndex(key).ValueOrDie();
-    for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg}) {
-      std::string measure = kind == AggKind::kCount ? "" : "value";
-      Query q = Query::On("g").Where(pred).Aggregate(kind, measure).GroupBy(key);
-      auto got = Run(q, nullptr);
-      ASSERT_TRUE(got.ok()) << key;
-      auto want = ReferenceGroupBy(*table, key_col, pred, kind, measure);
-      ASSERT_EQ(got.ValueOrDie().groups.size(), want.size())
-          << key << "/" << AggKindName(kind);
-      for (size_t i = 0; i < want.size(); ++i) {
-        const GroupValue& g = got.ValueOrDie().groups[i];
-        EXPECT_EQ(g.key, want[i].key) << key << "/" << AggKindName(kind);
-        // Morsel-partial summation may differ from row-at-a-time summation
-        // in the last ulps; values must agree to relative 1e-12.
-        EXPECT_NEAR(g.value.value, want[i].value.value,
-                    1e-12 * (1.0 + std::abs(want[i].value.value)))
-            << key << "/" << AggKindName(kind) << " group " << g.key;
-        EXPECT_EQ(g.value.sample_size, want[i].value.sample_size);
-        EXPECT_EQ(g.value.ci_half_width, 0.0);
+  // ~80% of rows; then the same under string (in)equalities.
+  const Predicate value_lt({{4, CompareOp::kLt, Value(80.0)}});
+  const Predicate with_strings({{4, CompareOp::kLt, Value(80.0)},
+                                {7, CompareOp::kNe, Value("")},
+                                {3, CompareOp::kNe, Value("blue")}});
+  const Predicate one_label({{7, CompareOp::kEq, Value("UA")}});
+  for (const Predicate& pred : {value_lt, with_strings, one_label}) {
+    for (const char* key : {"dense_key", "wide_key", "fkey", "tag", "fine_key",
+                            "label", "uid"}) {
+      size_t key_col = table->schema().FieldIndex(key).ValueOrDie();
+      for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg}) {
+        std::string measure = kind == AggKind::kCount ? "" : "value";
+        Query q =
+            Query::On("g").Where(pred).Aggregate(kind, measure).GroupBy(key);
+        auto got = Run(q, nullptr);
+        ASSERT_TRUE(got.ok()) << key;
+        auto want = ReferenceGroupBy(*table, key_col, pred, kind, measure);
+          ASSERT_EQ(got.ValueOrDie().groups.size(), want.size())
+            << key << "/" << AggKindName(kind) << " " << pred.CacheKey();
+        for (size_t i = 0; i < want.size(); ++i) {
+          const GroupValue& g = got.ValueOrDie().groups[i];
+          EXPECT_EQ(g.key, want[i].key) << key << "/" << AggKindName(kind);
+          // Morsel-partial summation may differ from row-at-a-time summation
+          // in the last ulps; values must agree to relative 1e-12.
+          EXPECT_NEAR(g.value.value, want[i].value.value,
+                      1e-12 * (1.0 + std::abs(want[i].value.value)))
+              << key << "/" << AggKindName(kind) << " group " << g.key;
+          EXPECT_EQ(g.value.sample_size, want[i].value.sample_size);
+          EXPECT_EQ(g.value.ci_half_width, 0.0);
+        }
       }
     }
   }

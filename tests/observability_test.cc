@@ -27,6 +27,7 @@
 #include "journal_records.h"
 #include "obs/http_exporter.h"
 #include "obs/journal.h"
+#include "storage/compression/compressed_column.h"
 
 namespace exploredb {
 namespace {
@@ -337,14 +338,20 @@ TEST(ObservabilityTest, ExplainAnalyzeReportsCompressionBreakdown) {
   Executor exec(&db);
   auto direct = exec.Execute(query, ExecContext{});
   ASSERT_TRUE(direct.ok());
-  ASSERT_GT(direct.ValueOrDie().stats().compressed_morsels, 0u);
-
   Session session(&db);
   auto report = session.ExplainAnalyze(query);
   ASSERT_TRUE(report.ok());
   const std::string& text = report.ValueOrDie();
-  EXPECT_NE(text.find("compression: compressed="), std::string::npos);
-  EXPECT_NE(text.find("decompress="), std::string::npos);
+  if (CompressionPolicyFromEnv() == CompressionPolicy::kOff) {
+    // Compression off: the scan is raw, and the report has no compression
+    // line.
+    EXPECT_EQ(direct.ValueOrDie().stats().compressed_morsels, 0u);
+    EXPECT_EQ(text.find("compression:"), std::string::npos);
+  } else {
+    ASSERT_GT(direct.ValueOrDie().stats().compressed_morsels, 0u);
+    EXPECT_NE(text.find("compression: compressed="), std::string::npos);
+    EXPECT_NE(text.find("decompress="), std::string::npos);
+  }
 
   // And a query that never touches compressed data omits the line.
   SessionOptions no_spec;

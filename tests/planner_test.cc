@@ -28,6 +28,7 @@
 #include "engine/query.h"
 #include "engine/session.h"
 #include "journal_records.h"
+#include "obs/slo.h"
 
 namespace exploredb {
 namespace {
@@ -192,6 +193,64 @@ TEST(PlannerTest, HopelessBudgetStillAnswersApproximately) {
   ASSERT_TRUE(r.ValueOrDie().scalar.has_value());
   EXPECT_GT(r.ValueOrDie().scalar->sample_size, 0u);
   EXPECT_EQ(r.ValueOrDie().stats().planner_choice, PlannerChoice::kSample);
+}
+
+TEST(PlannerTest, RescuedPlanCountsTheAbandonedAttempt) {
+  // A grouped SUM into 1M hash groups. The cost model prices the exact plan
+  // as a 1 ns/row scan (1 ms), so it fits a 3 ms budget on paper, but
+  // hashing every row into its own group takes far longer: the exact
+  // attempt blows its deadline and the planner answers from the minimum
+  // sample. The answer's total must cover the abandoned attempt, so the SLO
+  // monitor sees the breach the user saw.
+  Database db;
+  {
+    Table t(Schema({{"key", DataType::kInt64}, {"value", DataType::kDouble}}));
+    constexpr int64_t kRows = 1'000'000;
+    t.Reserve(kRows);
+    for (int64_t i = 0; i < kRows; ++i) {
+      t.mutable_column(0)->AppendInt64(i * 7'919);
+      t.mutable_column(1)->AppendDouble(static_cast<double>(i % 100));
+    }
+    ASSERT_TRUE(db.CreateTable("wide", std::move(t)).ok());
+  }
+  const Query grouped_sum =
+      Query::On("wide").Aggregate(AggKind::kSum, "value").GroupBy("key");
+  ScopedMemoryJournal journal;
+  SloMonitor::Global().ResetForTest();
+  SessionOptions options;
+  options.speculate = false;
+  Session session(&db, options);
+  ExecContext budgeted;
+  budgeted.SetBudget({.latency = milliseconds(3)});
+
+  const auto start = std::chrono::steady_clock::now();
+  auto r = session.Execute(grouped_sum, budgeted);
+  const int64_t wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const ExecStats& stats = r.ValueOrDie().stats();
+  EXPECT_EQ(stats.planner_choice, PlannerChoice::kSample);
+  EXPECT_TRUE(r.ValueOrDie().approximate);
+  EXPECT_GT(stats.abandoned_nanos, 0);
+  EXPECT_GE(stats.total_nanos, stats.abandoned_nanos);
+  // Everything but the session's own bookkeeping is in the total.
+  constexpr int64_t kSlackNs = 1'000'000;
+  EXPECT_LE(wall_ns, stats.total_nanos + kSlackNs)
+      << "wall " << wall_ns << " ns, " << stats.Summary();
+  EXPECT_NE(stats.Summary().find("abandoned="), std::string::npos);
+
+  const SloClassSnapshot slo = SloMonitor::Global().Snapshot(30).classes
+      [static_cast<size_t>(QueryClass::kBudgeted)];
+  EXPECT_EQ(slo.total, 1u);
+  EXPECT_EQ(slo.within, 0u);
+  SloMonitor::Global().ResetForTest();
+
+  // The journal keeps the abandoned attempt as its own field.
+  std::vector<JournalRecord> log = SessionJournal(session.id());
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].stats.abandoned_nanos, stats.abandoned_nanos);
+  EXPECT_EQ(log[0].stats.total_nanos, stats.total_nanos);
 }
 
 // ---- (d) progressive deliveries: monotone CIs, bit-identical final --------

@@ -6,7 +6,8 @@
 // speculation it triggers, as a miss's does. A sampled COUNT whose sample
 // holds no matching row reports a bounded relative error to the SLO monitor
 // and leaves the planner's cv alone. Queries whose constants differ in
-// digits, separator bytes or type never share a cache entry.
+// digits, separator bytes or type never share a cache entry. A speculated
+// neighbour caches the positions a fresh selection returns.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -190,6 +192,43 @@ TEST(SessionPathTest, CacheHitTotalExcludesTheSpeculationItTriggers) {
   const int64_t hit_ns = hit.ValueOrDie().stats().total_nanos;
   EXPECT_GT(hit_ns, 0);
   EXPECT_LT(hit_ns * 4, miss.ValueOrDie().stats().total_nanos);
+}
+
+TEST(SessionPathTest, SpeculatedNeighbourCachesAFreshSelectionsPositions) {
+  // Speculation computes positions only, through the executor's own entry:
+  // each neighbour's cache entry equals a fresh selection's positions, and
+  // each speculative run counts as an executor query.
+  std::unique_ptr<Database> db = EventsDb(64 * 1024);
+  Counter* executed = Metrics().GetCounter("exploredb_queries_total");
+  for (ExecutionMode mode : {ExecutionMode::kScan, ExecutionMode::kCracking,
+                             ExecutionMode::kBudgeted}) {
+    SCOPED_TRACE(ExecutionModeName(mode));
+    QueryResultCache cache(64);
+    SessionOptions options;
+    options.shared_cache = &cache;
+    Session session(db.get(), options);
+    ExecContext ctx;
+    ctx.SetMode(mode);
+    if (mode == ExecutionMode::kBudgeted) {
+      ctx.SetBudget({.latency = std::chrono::seconds(1)});
+    }
+    const uint64_t before = executed->Value();
+    ASSERT_TRUE(session.Execute(Window(10'000, 12'000), ctx).ok());
+    ASSERT_EQ(session.stats().speculative_queries, 2u);
+    EXPECT_EQ(executed->Value() - before, 3u);
+
+    Executor fresh(db.get());
+    for (const Query& neighbour :
+         {Window(12'000, 14'000), Window(8'000, 10'000)}) {
+      std::optional<std::vector<uint32_t>> cached =
+          cache.Get(neighbour.CacheKey());
+      ASSERT_TRUE(cached.has_value());
+      Result<QueryResult> want = fresh.Execute(neighbour);
+      ASSERT_TRUE(want.ok());
+      ASSERT_FALSE(want.ValueOrDie().positions.empty());
+      EXPECT_EQ(*cached, want.ValueOrDie().positions);
+    }
+  }
 }
 
 TEST(SessionPathTest, ZeroMatchSampleReportsBoundedErrorAndKeepsCv) {
