@@ -129,21 +129,13 @@ Result<const ZoneMap*> TableEntry::GetZoneMap(size_t idx) {
                         });
 }
 
-Result<const StringDictionary*> TableEntry::GetDict(size_t idx) {
-  EXPLOREDB_ASSIGN_OR_RETURN(DataType type, ColumnType(idx));
-  if (type != DataType::kString) {
-    return WrongType(idx, "dictionary requires a string column");
-  }
-  EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* col, GetColumn(idx));
-  return &col->dictionary();
-}
-
-Result<const CompressedColumn*> TableEntry::GetCompressed(size_t idx) {
+Result<const CompressedInt64Column*> TableEntry::GetCompressed(size_t idx) {
   EXPLOREDB_RETURN_NOT_OK(ColumnType(idx).status());
   // Build() may return nullptr: published as the "incompressible" verdict.
-  return GetOrBuildOver(
-      slots_[idx].compressed, idx,
-      [](const ColumnVector& col) { return CompressedColumn::Build(col); });
+  return GetOrBuildOver(slots_[idx].compressed, idx,
+                        [](const ColumnVector& col) {
+                          return CompressedInt64Column::Build(col);
+                        });
 }
 
 Result<const Table*> TableEntry::Materialized() {
@@ -171,7 +163,7 @@ Status TableEntry::ValidateAdaptiveState() {
     const SortedIndex* index = slots.sorted_index.Published();
     const ZoneMap* zm = slots.zone_map.Published();
     // nullptr also when published as the "incompressible" verdict.
-    const CompressedColumn* comp = slots.compressed.Published();
+    const CompressedInt64Column* comp = slots.compressed.Published();
     if (cracker == nullptr && index == nullptr && zm == nullptr &&
         comp == nullptr) {
       continue;  // nothing built over this column; do not load it
@@ -193,7 +185,9 @@ Status TableEntry::ValidateAdaptiveState() {
       }
     }
     if (zm != nullptr) EXPLOREDB_RETURN_NOT_OK(zm->Validate(col));
-    if (comp != nullptr) EXPLOREDB_RETURN_NOT_OK(comp->Validate(*col));
+    if (comp != nullptr) {
+      EXPLOREDB_RETURN_NOT_OK(comp->Validate(&col->int64_data()));
+    }
   }
   return Status::OK();
 }

@@ -70,16 +70,13 @@ class TableEntry {
   /// consult it to skip morsels a predicate cannot match.
   Result<const ZoneMap*> GetZoneMap(size_t idx) EXCLUDES(mu_);
 
-  /// The dictionary of a string column: the column's own, filled as its
-  /// rows were appended, so nothing is built here.
-  Result<const StringDictionary*> GetDict(size_t idx) EXCLUDES(mu_);
-
   /// Lazily built compressed representation of a column. Returns nullptr
   /// (not an error) when the column has none — doubles, strings (stored as
   /// dictionary codes already), or int64 columns the adaptive policy judged
   /// incompressible; the verdict is cached so the encode cost is paid at
   /// most once per column.
-  Result<const CompressedColumn*> GetCompressed(size_t idx) EXCLUDES(mu_);
+  Result<const CompressedInt64Column*> GetCompressed(size_t idx)
+      EXCLUDES(mu_);
 
   /// Fully materialized Table view. A raw-backed entry loads every column
   /// and copies them into a Table built once; the raw columns stay, so
@@ -123,7 +120,7 @@ class TableEntry {
     BuildOnce<EpochCrackerColumn> cracker;
     BuildOnce<const SortedIndex> sorted_index;
     BuildOnce<const ZoneMap> zone_map;
-    BuildOnce<const CompressedColumn> compressed;
+    BuildOnce<const CompressedInt64Column> compressed;
   };
 
   TableEntry(Table table, std::optional<RawTable> raw)

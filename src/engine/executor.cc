@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -118,28 +119,25 @@ Result<std::vector<const ColumnVector*>> FetchConditionColumns(
   return cols;
 }
 
-/// How many rows of a column a selection touches. A morsel scan is dense. A
-/// sparse selection (index candidates, a sample) would decode a whole 128-row
-/// sub-block of a compressed int64 column for each row it touches, which
-/// costs more than the raw compare, so it uses dictionary codes only.
-enum class Density { kDense, kSparse };
-
-/// The compressed int64 column serving each condition, nullptr where none
-/// does. A condition is served when compression is on, the selection is
-/// dense, and an int64 column with a compressed representation is compared
-/// with an int64 constant; anything else runs raw. Reads the schema and the
-/// published representations, never a column.
-Result<std::vector<const CompressedColumn*>> FetchCompressed(
+/// The compressed int64 column serving each condition of a dense morsel
+/// scan, nullptr where none does. A condition is served when compression is
+/// on and an int64 column with a compressed representation is compared
+/// with an int64 constant; anything else runs raw. Sparse selections (index
+/// candidates, a focus, a sample) would decode a whole 128-row sub-block
+/// per row they touch, which costs more than the raw compare, so they use
+/// dictionary codes only. Reads the schema and the published
+/// representations, never a column.
+Result<std::vector<const CompressedInt64Column*>> FetchCompressed(
     TableEntry* entry, const std::vector<Condition>& conds,
-    const ExecContext& ctx, Density density) {
-  std::vector<const CompressedColumn*> comp(conds.size(), nullptr);
+    const ExecContext& ctx) {
+  std::vector<const CompressedInt64Column*> comp(conds.size(), nullptr);
   const Schema& schema = entry->schema();
   for (size_t i = 0; i < conds.size(); ++i) {
     const Condition& c = conds[i];
     if (c.column >= schema.num_fields()) {
       return Status::OutOfRange("column " + std::to_string(c.column));
     }
-    if (!ctx.options().use_compression || density == Density::kSparse ||
+    if (!ctx.options().use_compression ||
         schema.field(c.column).type != DataType::kInt64 ||
         !c.constant.is_int64()) {
       continue;
@@ -149,32 +147,11 @@ Result<std::vector<const CompressedColumn*>> FetchCompressed(
   return comp;
 }
 
-/// Per-condition scan inputs: the column (always), the compressed int64
-/// column serving the condition (FetchCompressed; nullptr entries run on
-/// the raw kernels), and whether string (in)equalities compare dictionary
-/// codes (compression on) or values.
-struct CondInputs {
-  std::vector<const ColumnVector*> cols;
-  std::vector<const CompressedColumn*> comp;
-  bool codes = false;
-  bool any_compressed = false;
-};
-
-Result<CondInputs> FetchCondInputs(TableEntry* entry,
-                                   const std::vector<Condition>& conds,
-                                   const ExecContext& ctx, Density density) {
-  CondInputs in;
-  EXPLOREDB_ASSIGN_OR_RETURN(in.cols, FetchConditionColumns(entry, conds));
-  EXPLOREDB_ASSIGN_OR_RETURN(in.comp,
-                             FetchCompressed(entry, conds, ctx, density));
-  in.codes = ctx.options().use_compression &&
-             CompressionPolicyFromEnv() != CompressionPolicy::kOff;
-  for (size_t i = 0; i < conds.size(); ++i) {
-    in.any_compressed |=
-        in.comp[i] != nullptr ||
-        (in.codes && ServedByCodes(conds[i], in.cols[i]->type()));
-  }
-  return in;
+/// Whether string (in)equalities compare dictionary codes (compression on)
+/// or values.
+bool ScansOnCodes(const ExecContext& ctx) {
+  return ctx.options().use_compression &&
+         CompressionPolicyFromEnv() != CompressionPolicy::kOff;
 }
 
 /// Reusable per-thread decode buffer for measure values gathered out of
@@ -203,8 +180,6 @@ Status InterruptedStatus(const ExecContext& ctx) {
                          : Status::DeadlineExceeded("query deadline exceeded");
 }
 
-size_t MorselCount(size_t n, size_t morsel) { return (n + morsel - 1) / morsel; }
-
 /// Reusable per-thread selection-vector buffer for morsel kernels. Cleared
 /// (never shrunk) between morsels, so a steady-state scan allocates only on
 /// its first morsel per worker.
@@ -214,17 +189,14 @@ std::vector<uint32_t>& MorselScratch() {
 }
 
 using MorselPlan = Executor::MorselPlan;
+using AccessPlan = Executor::AccessPlan;
 
-/// The one zone-map planner: the scans plan their morsels with it, and the
-/// planner prices its exact rung with it (Executor::PlanScan). `comp` is
-/// FetchCompressed's answer for `conds`.
-Result<MorselPlan> PlanMorsels(TableEntry* entry,
-                               const std::vector<Condition>& conds,
-                               const std::vector<const CompressedColumn*>& comp,
-                               size_t n, size_t morsel,
-                               const ExecContext& ctx) {
-  MorselPlan plan;
-  plan.num_morsels = MorselCount(n, morsel);
+/// The one zone-map planner: fills `plan`'s live morsels of its rows, cut
+/// into its morsels. `comp` is FetchCompressed's answer for `conds`.
+Status PlanMorsels(TableEntry* entry, const std::vector<Condition>& conds,
+                   const std::vector<const CompressedInt64Column*>& comp,
+                   const ExecContext& ctx, MorselPlan* plan) {
+  plan->num_morsels = (plan->rows + plan->morsel - 1) / plan->morsel;
 
   // Zone-map pruning: every numeric conjunct gets the column's min/max
   // synopsis (built lazily, cached on the entry), and a morsel is skipped
@@ -242,92 +214,128 @@ Result<MorselPlan> PlanMorsels(TableEntry* entry,
       if (conds[i].constant.is_string()) continue;
       EXPLOREDB_ASSIGN_OR_RETURN(const ZoneMap* zm,
                                  entry->GetZoneMap(conds[i].column));
-      pruners.push_back(
-          {zm, &conds[i], comp[i] != nullptr ? comp[i]->i64() : nullptr});
+      pruners.push_back({zm, &conds[i], comp[i]});
     }
   }
-  if (!pruners.empty()) plan.checked = plan.num_morsels;
-  plan.live.reserve(plan.num_morsels);
-  for (size_t m = 0; m < plan.num_morsels; ++m) {
-    const uint32_t begin = static_cast<uint32_t>(m * morsel);
-    const uint32_t end =
-        static_cast<uint32_t>(std::min(n, m * morsel + morsel));
+  if (!pruners.empty()) plan->checked = plan->num_morsels;
+  plan->live.reserve(plan->num_morsels);
+  for (size_t m = 0; m < plan->num_morsels; ++m) {
+    const auto [begin, end] = plan->Rows(m);
     if (std::all_of(pruners.begin(), pruners.end(), [&](const Pruner& p) {
           return p.zm->MayMatch(*p.c, begin, end);
         })) {
-      plan.live.push_back(m);
+      plan->live.push_back(m);
     } else {
-      ++plan.pruned;
-      plan.rows_pruned += end - begin;
+      ++plan->pruned;
+      plan->rows_pruned += end - begin;
     }
   }
   // Independence across conjuncts is the standard (wrong but serviceable)
   // assumption for a capacity hint. Compressed columns sharpen the estimate:
   // exact match counts for RLE blocks, per-block uniform for FOR blocks.
   for (const Pruner& p : pruners) {
-    plan.selectivity *= p.zm->EstimateSelectivity(*p.c, p.comp);
-    plan.compressed |= p.comp != nullptr;
+    plan->selectivity *= p.zm->EstimateSelectivity(*p.c, p.comp);
+    plan->compressed |= p.comp != nullptr;
   }
-  return plan;
+  return Status::OK();
 }
 
-/// Folds one scan's zone-map pruning into its stats and the process-wide
-/// prune counters (planning alone never counts as pruning).
-void CountPruning(const MorselPlan& plan, ExecStats* stats) {
-  stats->morsels_pruned += plan.pruned;
-  ZoneMapCheckedCounter()->Add(plan.checked);
-  ZoneMapPrunedCounter()->Add(plan.pruned);
+/// Folds the reads of a scan or focus plan into its stats and the
+/// process-wide prune counters (planning alone never counts as pruning).
+void CountMorselReads(const AccessPlan& plan, ExecStats* stats) {
+  stats->morsels_pruned += plan.morsels.pruned;
+  ZoneMapCheckedCounter()->Add(plan.morsels.checked);
+  ZoneMapPrunedCounter()->Add(plan.morsels.pruned);
+  stats->rows_scanned += plan.focus != nullptr ? plan.focus_rows
+                                               : plan.morsels.live_rows();
+  if (plan.on_compressed) stats->compressed_morsels += plan.morsels.live.size();
 }
 
-/// A focus seed resolved against one scan's morsel plan: the focus, the
-/// residual conjuncts and their inputs, and per live morsel the slice
-/// [first, last) of focus indexes that fall in the morsel's row range.
-struct SeededScan {
-  const std::vector<uint32_t>* focus = nullptr;  ///< nullptr: filter the table
-  const std::vector<Condition>* residual = nullptr;
-  CondInputs in;
-  std::vector<std::pair<size_t, size_t>> slices;
-  uint64_t rows = 0;  ///< focus rows the residual refines (0 without one)
-};
+/// The conjuncts a scan or focus plan's morsels apply: the query's, or the
+/// residual the focus lacks.
+const std::vector<Condition>& MorselConds(const AccessPlan& plan,
+                                          const Predicate& where) {
+  return plan.focus != nullptr ? plan.residual : where.conjuncts();
+}
 
-/// Seeds the scan with `focus` when the focus holds no more rows than the
-/// pruned scan touches; otherwise returns an unseeded SeededScan.
-Result<SeededScan> SeedMorsels(TableEntry* entry,
-                               const std::vector<uint32_t>* focus,
-                               const std::vector<Condition>& residual,
-                               const MorselPlan& plan, size_t n, size_t morsel,
-                               const ExecContext& ctx) {
-  SeededScan seeded;
-  if (focus == nullptr || focus->size() > n - plan.rows_pruned) return seeded;
-  seeded.focus = focus;
-  seeded.residual = &residual;
-  EXPLOREDB_ASSIGN_OR_RETURN(
-      seeded.in, FetchCondInputs(entry, residual, ctx, Density::kSparse));
-  seeded.slices.reserve(plan.live.size());
-  auto next = focus->begin();
-  for (size_t m : plan.live) {
-    const auto lo = std::lower_bound(next, focus->end(), m * morsel);
-    next = std::lower_bound(lo, focus->end(), std::min(n, m * morsel + morsel));
-    seeded.slices.emplace_back(lo - focus->begin(), next - focus->begin());
-    if (!residual.empty()) seeded.rows += next - lo;
+/// Appends the matches in live morsel i of a scan or focus plan to *out:
+/// FilterRange over the morsel's rows, or the morsel's focus slice narrowed
+/// by the residual. `cols` holds the columns of MorselConds.
+void AppendMorsel(const AccessPlan& plan, const std::vector<Condition>& conds,
+                  const std::vector<const ColumnVector*>& cols, size_t i,
+                  std::vector<uint32_t>* out, bool tracing,
+                  int64_t* decompress) {
+  if (plan.focus == nullptr) {
+    const auto [begin, end] = plan.morsels.Rows(plan.morsels.live[i]);
+    Predicate::FilterRange(conds, cols, begin, end, out,
+                           {&plan.comp, plan.codes, tracing, decompress});
+    return;
   }
-  return seeded;
-}
-
-/// The seeded stand-in for FilterRange: appends live morsel i's focus slice,
-/// narrowed by the residual, to *out.
-void AppendSeed(const SeededScan& seeded, size_t i, std::vector<uint32_t>* out,
-                bool tracing, int64_t* decompress) {
-  const auto [first, last] = seeded.slices[i];
+  const auto [first, last] = plan.slices[i];
   const size_t old = out->size();
-  out->insert(out->end(), seeded.focus->begin() + first,
-              seeded.focus->begin() + last);
-  if (seeded.residual->empty()) return;
-  out->resize(old + Predicate::Refine(
-                        *seeded.residual, seeded.in.cols, out->data() + old,
-                        static_cast<uint32_t>(last - first),
-                        {&seeded.in.comp, seeded.in.codes, tracing,
-                         decompress}));
+  out->insert(out->end(), plan.focus->begin() + first,
+              plan.focus->begin() + last);
+  if (conds.empty()) return;
+  out->resize(old + Predicate::Refine(conds, cols, out->data() + old,
+                                      static_cast<uint32_t>(last - first),
+                                      {nullptr, plan.codes, tracing,
+                                       decompress}));
+}
+
+/// The positions an index plan selects, ascending: the cracker's or the
+/// sorted index's candidates in [lo, hi), narrowed by the residual.
+Result<std::vector<uint32_t>> ProbeIndex(TableEntry* entry,
+                                         const AccessPlan& plan,
+                                         ExecStats* stats) {
+  std::vector<uint32_t> candidates;
+  if (plan.path == AccessPath::kCracker) {
+    EXPLOREDB_ASSIGN_OR_RETURN(EpochCrackerColumn * cracker,
+                               entry->GetCracker(plan.column));
+    // Converged bounds answer under the cracker's shared lock (readers
+    // don't block each other); cracking serializes inside the cracker and
+    // publishes a new epoch. Candidates are sorted below, so the answer is
+    // independent of the physical crack state — concurrent sessions over
+    // one database stay bit-identical to serial runs.
+    stats->rows_scanned +=
+        cracker->RangeSelectInto(plan.lo, plan.hi, &candidates).rows_touched;
+  } else {
+    EXPLOREDB_ASSIGN_OR_RETURN(const SortedIndex* index,
+                               entry->GetSortedIndex(plan.column));
+    candidates = index->RangeSelect(plan.lo, plan.hi);
+    stats->rows_scanned += candidates.size();
+  }
+  std::sort(candidates.begin(), candidates.end());
+  if (plan.residual.empty()) return candidates;
+  EXPLOREDB_ASSIGN_OR_RETURN(std::vector<const ColumnVector*> cols,
+                             FetchConditionColumns(entry, plan.residual));
+  stats->rows_scanned += candidates.size();
+  Predicate::Refine(plan.residual, cols, &candidates, {nullptr, plan.codes});
+  return candidates;
+}
+
+/// Cuts the ascending `positions` into one slice [first, last) per table
+/// morsel of `morsel` rows that holds any, in morsel order.
+std::vector<std::pair<size_t, size_t>> SliceByMorsel(
+    const std::vector<uint32_t>& positions, size_t morsel) {
+  std::vector<std::pair<size_t, size_t>> slices;
+  for (size_t first = 0; first < positions.size();) {
+    const uint64_t end = (positions[first] / morsel + 1) * morsel;
+    const size_t last = static_cast<size_t>(
+        std::lower_bound(positions.begin() + first, positions.end(), end) -
+        positions.begin());
+    slices.emplace_back(first, last);
+    first = last;
+  }
+  return slices;
+}
+
+/// Whether `mode` answers `query` from its own input, a sample or the
+/// online loop's, instead of an access plan. A grouped query has no online
+/// estimator, so kOnline scans it exactly.
+bool ReadsOwnInput(const Query& query, ExecutionMode mode) {
+  return query.aggregate().has_value() &&
+         (mode == ExecutionMode::kSampled ||
+          (mode == ExecutionMode::kOnline && !query.group_by().has_value()));
 }
 
 /// EXPLOREDB_VALIDATE=1 deep-validates every adaptive structure of the
@@ -376,15 +384,15 @@ Executor::Executor(Database* db)
 
 Executor::~Executor() = default;
 
-std::optional<Executor::RangePlan> Executor::ExtractRange(
-    const Predicate& pred, const Schema& schema) {
+bool Executor::ExtractRange(const Predicate& pred, const Schema& schema,
+                            AccessPlan* plan) {
   // Find a column with both a lower and an upper int64 bound (Eq counts as
   // both). All other conjuncts become the residual.
   std::unordered_map<size_t, std::pair<std::optional<int64_t>,
                                        std::optional<int64_t>>>
       bounds;  // column -> (lo, hi) as half-open [lo, hi)
   for (const Condition& c : pred.conjuncts()) {
-    if (c.column >= schema.num_fields()) return std::nullopt;
+    if (c.column >= schema.num_fields()) return false;
     if (!FoldsIntoRange(c, schema)) continue;
     int64_t v = c.constant.int64();
     auto& [lo, hi] = bounds[c.column];
@@ -417,117 +425,133 @@ std::optional<Executor::RangePlan> Executor::ExtractRange(
     if (!range.first.has_value() || !range.second.has_value()) continue;
     if (!best.has_value() || col < *best) best = col;
   }
-  if (best.has_value()) {
-    RangePlan plan;
-    plan.column = *best;
-    plan.lo = *bounds[*best].first;
-    plan.hi = *bounds[*best].second;
-    for (const Condition& c : pred.conjuncts()) {
-      if (c.column != *best || !FoldsIntoRange(c, schema)) {
-        plan.residual.push_back(c);
-      }
+  if (!best.has_value()) return false;
+  plan->column = *best;
+  plan->lo = *bounds[*best].first;
+  plan->hi = *bounds[*best].second;
+  for (const Condition& c : pred.conjuncts()) {
+    if (c.column != *best || !FoldsIntoRange(c, schema)) {
+      plan->residual.push_back(c);
     }
+  }
+  return true;
+}
+
+Result<Executor::AccessPlan> Executor::ChooseAccess(TableEntry* entry,
+                                                    const Query& query,
+                                                    const ExecContext& ctx,
+                                                    bool priced) {
+  AccessPlan plan;
+  plan.mode = ctx.options().mode;
+  plan.codes = ScansOnCodes(ctx);
+  EXPLOREDB_ASSIGN_OR_RETURN(plan.morsels.rows, entry->NumRows());
+  plan.morsels.morsel = std::max<size_t>(1, ctx.morsel_size());
+  const Schema& schema = entry->schema();
+  const Predicate& where = query.where();
+
+  // An index probe. It never takes the focus: a converged cracker answers
+  // in O(log n + result), which can beat a refine of the focus.
+  const bool probes = plan.mode == ExecutionMode::kCracking ||
+                      plan.mode == ExecutionMode::kFullIndex ||
+                      plan.mode == ExecutionMode::kAuto;
+  if (probes && ExtractRange(where, schema, &plan)) {
+    plan.path = plan.mode == ExecutionMode::kFullIndex ? AccessPath::kSorted
+                                                       : AccessPath::kCracker;
+    if (plan.mode == ExecutionMode::kAuto) plan.mode = ExecutionMode::kCracking;
+    if (!priced) return plan;
+  } else if (plan.mode == ExecutionMode::kAuto) {
+    plan.mode = ExecutionMode::kScan;
+  }
+
+  // The zone-map-pruned scan (for an index plan, the one it replaces).
+  EXPLOREDB_ASSIGN_OR_RETURN(plan.comp,
+                             FetchCompressed(entry, where.conjuncts(), ctx));
+  EXPLOREDB_RETURN_NOT_OK(
+      PlanMorsels(entry, where.conjuncts(), plan.comp, ctx, &plan.morsels));
+  if (plan.index()) return plan;
+  auto on_codes = [&](const Condition& c) {
+    return plan.codes && ServedByCodes(c, schema.field(c.column).type);
+  };
+
+  // A covering focus no larger than the pruned scan seeds each live morsel
+  // with its slice of the focus, narrowed by the conjuncts the focus lacks.
+  const Focus* focus = ctx.focus();
+  std::optional<std::vector<Condition>> residual;
+  if (focus != nullptr &&
+      focus->positions.size() <= plan.morsels.live_rows()) {
+    residual = focus->Residual(entry, where);
+  }
+  if (residual.has_value()) {
+    plan.path = AccessPath::kFocus;
+    plan.focus = &focus->positions;
+    plan.residual = std::move(*residual);
+    plan.slices.reserve(plan.morsels.live.size());
+    const auto first = focus->positions.begin();
+    auto next = first;
+    for (size_t m : plan.morsels.live) {
+      const auto [begin, end] = plan.morsels.Rows(m);
+      const auto lo = std::lower_bound(next, focus->positions.end(), begin);
+      next = std::lower_bound(lo, focus->positions.end(), end);
+      plan.slices.emplace_back(lo - first, next - first);
+      if (!plan.residual.empty()) plan.focus_rows += next - lo;
+    }
+    plan.on_compressed =
+        std::any_of(plan.residual.begin(), plan.residual.end(), on_codes);
     return plan;
   }
-  return std::nullopt;
+
+  // A scan. A scalar aggregate gathers an int64 measure out of its
+  // compressed column.
+  for (size_t i = 0; i < plan.comp.size(); ++i) {
+    plan.on_compressed |=
+        plan.comp[i] != nullptr || on_codes(where.conjuncts()[i]);
+  }
+  const std::optional<AggregateExpr>& agg = query.aggregate();
+  if (agg.has_value() && !agg->column.empty() &&
+      !query.group_by().has_value() && ctx.options().use_compression) {
+    EXPLOREDB_ASSIGN_OR_RETURN(size_t idx, schema.FieldIndex(agg->column));
+    if (schema.field(idx).type == DataType::kInt64) {
+      EXPLOREDB_ASSIGN_OR_RETURN(plan.measure_comp,
+                                 entry->GetCompressed(idx));
+      plan.on_compressed |= plan.measure_comp != nullptr;
+    }
+  }
+  return plan;
 }
 
 Result<std::vector<uint32_t>> Executor::SelectPositions(
-    TableEntry* entry, const Predicate& pred, ExecutionMode mode,
-    const ExecContext& ctx, ExecStats* stats, const FocusSeed& seed) {
+    TableEntry* entry, const AccessPlan& plan, const Predicate& where,
+    const ExecContext& ctx, ExecStats* stats) {
   const bool tracing = ctx.tracing();
   TraceSpan select_span("select", tracing, &stats->select_nanos);
-  EXPLOREDB_ASSIGN_OR_RETURN(size_t n, entry->NumRows());
+  if (plan.index()) return ProbeIndex(entry, plan, stats);
 
-  if (mode == ExecutionMode::kCracking || mode == ExecutionMode::kFullIndex) {
-    std::optional<RangePlan> plan = ExtractRange(pred, entry->schema());
-    if (plan.has_value()) {
-      std::vector<uint32_t> candidates;
-      if (mode == ExecutionMode::kCracking) {
-        stats->path = AccessPath::kCracker;
-        EXPLOREDB_ASSIGN_OR_RETURN(EpochCrackerColumn * cracker,
-                                   entry->GetCracker(plan->column));
-        // Converged bounds answer under the cracker's shared lock (readers
-        // don't block each other); cracking serializes inside the cracker
-        // and publishes a new epoch. Candidates are sorted below, so the
-        // answer is independent of the physical crack state — concurrent
-        // sessions over one database stay bit-identical to serial runs.
-        EpochCrackerColumn::ReadStats crs =
-            cracker->RangeSelectInto(plan->lo, plan->hi, &candidates);
-        stats->rows_scanned += crs.rows_touched;
-      } else {
-        stats->path = AccessPath::kSorted;
-        EXPLOREDB_ASSIGN_OR_RETURN(const SortedIndex* index,
-                                   entry->GetSortedIndex(plan->column));
-        candidates = index->RangeSelect(plan->lo, plan->hi);
-        stats->rows_scanned += candidates.size();
-      }
-      std::sort(candidates.begin(), candidates.end());
-      if (plan->residual.empty()) return candidates;
-      EXPLOREDB_ASSIGN_OR_RETURN(
-          CondInputs in,
-          FetchCondInputs(entry, plan->residual, ctx, Density::kSparse));
-      stats->rows_scanned += candidates.size();
-      Predicate::Refine(plan->residual, in.cols, &candidates,
-                        {&in.comp, in.codes});
-      return candidates;
-    }
-    // No indexable range: fall through to a scan.
-  }
-
-  stats->path = AccessPath::kScan;
-  const std::vector<Condition>& conds = pred.conjuncts();
-  EXPLOREDB_ASSIGN_OR_RETURN(
-      CondInputs in, FetchCondInputs(entry, conds, ctx, Density::kDense));
-  const size_t morsel = std::max<size_t>(1, ctx.morsel_size());
-  ThreadPool* pool = ctx.thread_pool();
-  EXPLOREDB_ASSIGN_OR_RETURN(
-      MorselPlan plan, PlanMorsels(entry, conds, in.comp, n, morsel, ctx));
-  EXPLOREDB_ASSIGN_OR_RETURN(
-      SeededScan seeded,
-      SeedMorsels(entry, seed.positions, seed.residual, plan, n, morsel, ctx));
-  CountPruning(plan, stats);
-  const size_t live_rows = n - plan.rows_pruned;
-  if (seeded.focus != nullptr) {
-    stats->path = AccessPath::kFocus;
-    stats->rows_scanned += seeded.rows;
-    if (seeded.in.any_compressed) {
-      stats->compressed_morsels += plan.live.size();
-    }
-  } else {
-    stats->rows_scanned += live_rows;
-    if (in.any_compressed) stats->compressed_morsels += plan.live.size();
-  }
-
+  const std::vector<Condition>& conds = MorselConds(plan, where);
+  EXPLOREDB_ASSIGN_OR_RETURN(std::vector<const ColumnVector*> cols,
+                             FetchConditionColumns(entry, conds));
+  CountMorselReads(plan, stats);
+  const MorselPlan& morsels = plan.morsels;
   auto filter_morsel = [&](size_t i, std::vector<uint32_t>* buf,
                            int64_t* decompress) {
     TraceSpan span("morsel", tracing);
-    if (seeded.focus != nullptr) {
-      AppendSeed(seeded, i, buf, tracing, decompress);
-      return;
-    }
-    const size_t m = plan.live[i];
-    const uint32_t begin = static_cast<uint32_t>(m * morsel);
-    const uint32_t end =
-        static_cast<uint32_t>(std::min(n, m * morsel + morsel));
-    Predicate::FilterRange(conds, in.cols, begin, end, buf,
-                           {&in.comp, in.codes, tracing, decompress});
+    AppendMorsel(plan, conds, cols, i, buf, tracing, decompress);
   };
 
   // Serial kernel: one pass appending straight into the output, pre-sized
   // from the zone maps' selectivity estimate (+1 morsel of slack because
   // FilterRange transiently resizes to the worst case for the morsel in
   // flight).
-  if (pool == nullptr || plan.live.size() <= 1) {
+  ThreadPool* pool = ctx.thread_pool();
+  if (pool == nullptr || morsels.live.size() <= 1) {
     std::vector<uint32_t> out;
     const auto estimated = static_cast<size_t>(
-        plan.selectivity * static_cast<double>(live_rows));
-    out.reserve(std::min(live_rows, estimated + morsel));
-    for (size_t i = 0; i < plan.live.size(); ++i) {
+        morsels.selectivity * static_cast<double>(morsels.live_rows()));
+    out.reserve(std::min(morsels.live_rows(), estimated + morsels.morsel));
+    for (size_t i = 0; i < morsels.live.size(); ++i) {
       if (ctx.Interrupted()) return InterruptedStatus(ctx);
       filter_morsel(i, &out, &stats->decompress_nanos);
     }
-    stats->morsels_dispatched += plan.live.size();
+    stats->morsels_dispatched += morsels.live.size();
     return out;
   }
 
@@ -537,15 +561,16 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
   // exactly the surviving positions, so per-morsel buffers are allocated at
   // their final size instead of growing geometrically. Decompress time is
   // accumulated per morsel and folded in morsel order below.
-  std::vector<std::vector<uint32_t>> parts(plan.live.size());
-  std::vector<int64_t> decompress(plan.live.size(), 0);
-  ThreadPool::ForStats fs = pool->ParallelFor(plan.live.size(), [&](size_t i) {
-    if (ctx.Interrupted()) return;
-    std::vector<uint32_t>& scratch = MorselScratch();
-    scratch.clear();
-    filter_morsel(i, &scratch, &decompress[i]);
-    parts[i].assign(scratch.begin(), scratch.end());
-  });
+  std::vector<std::vector<uint32_t>> parts(morsels.live.size());
+  std::vector<int64_t> decompress(morsels.live.size(), 0);
+  ThreadPool::ForStats fs =
+      pool->ParallelFor(morsels.live.size(), [&](size_t i) {
+        if (ctx.Interrupted()) return;
+        std::vector<uint32_t>& scratch = MorselScratch();
+        scratch.clear();
+        filter_morsel(i, &scratch, &decompress[i]);
+        parts[i].assign(scratch.begin(), scratch.end());
+      });
   stats->morsels_dispatched += fs.chunks;
   stats->threads_used = std::max(stats->threads_used, fs.threads_used);
   if (ctx.Interrupted()) return InterruptedStatus(ctx);
@@ -559,112 +584,39 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
   return out;
 }
 
-Result<Estimate> Executor::AggregatePositions(
-    const std::vector<uint32_t>& positions, const ColumnVector* measure,
-    AggKind kind, const ExecContext& ctx, ExecStats* stats) {
-  Estimate e;
-  e.confidence = ctx.options().confidence;
-  e.sample_size = positions.size();
-  if (kind == AggKind::kCount) {
-    e.value = static_cast<double>(positions.size());
-    return e;
-  }
-
-  // SUM/AVG: per-morsel partial sums merged in morsel order. The serial path
-  // is the same computation with one worker, and every kernel table follows
-  // the same striped accumulation order, so every thread count and SIMD path
-  // produces bit-identical doubles.
-  const double* dbl = measure->type() == DataType::kDouble
-                          ? measure->double_data().data()
-                          : nullptr;
-  const int64_t* i64 = measure->type() == DataType::kInt64
-                           ? measure->int64_data().data()
-                           : nullptr;
-  const simd::KernelTable& kt = simd::ActiveKernels();
-  auto sum_slice = [&](size_t begin, size_t end) {
-    const uint32_t* sel = positions.data() + begin;
-    const auto cnt = static_cast<uint32_t>(end - begin);
-    return dbl != nullptr ? kt.sum_f64_sel(dbl, sel, cnt)
-                          : kt.sum_i64_sel(i64, sel, cnt);
-  };
-
-  const size_t morsel = std::max<size_t>(1, ctx.morsel_size());
-  const size_t num_morsels = MorselCount(positions.size(), morsel);
-  ThreadPool* pool = ctx.thread_pool();
-  std::vector<double> partials(num_morsels, 0.0);
-  const bool tracing = ctx.tracing();
-  auto body = [&](size_t m) {
-    if (ctx.Interrupted()) return;
-    TraceSpan span("agg_morsel", tracing);
-    partials[m] = sum_slice(m * morsel,
-                            std::min(positions.size(), m * morsel + morsel));
-  };
-  if (pool != nullptr && num_morsels > 1) {
-    ThreadPool::ForStats fs = pool->ParallelFor(num_morsels, body);
-    stats->morsels_dispatched += fs.chunks;
-    stats->threads_used = std::max(stats->threads_used, fs.threads_used);
-  } else {
-    for (size_t m = 0; m < num_morsels; ++m) body(m);
-    stats->morsels_dispatched += num_morsels;
-  }
-  if (ctx.Interrupted()) return InterruptedStatus(ctx);
-
-  double sum = 0;
-  for (double p : partials) sum += p;
-  switch (kind) {
-    case AggKind::kSum:
-      e.value = sum;
-      break;
-    case AggKind::kAvg:
-      e.value = positions.empty()
-                    ? 0.0
-                    : sum / static_cast<double>(positions.size());
-      break;
-    case AggKind::kCount:
-      break;  // handled above
-  }
-  return e;
-}
-
 Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
-                                         const Predicate& pred,
+                                         const AccessPlan& plan,
+                                         const Predicate& where,
                                          const ColumnVector* measure,
-                                         const CompressedInt64Column* measure_comp,
                                          AggKind kind, const ExecContext& ctx,
-                                         ExecStats* stats,
-                                         const FocusSeed& seed) {
+                                         ExecStats* stats) {
   const bool tracing = ctx.tracing();
-  stats->path = AccessPath::kScan;
 
-  // Select span: column fetch + zone-map pruning (the per-morsel filter runs
-  // fused inside the aggregate loop below, so planning is what "select"
-  // means here).
+  // Select span: the index probe, or the column fetch (the per-morsel
+  // filter runs fused inside the aggregate loop below).
   TraceSpan select_span("select", tracing, &stats->select_nanos);
-  EXPLOREDB_ASSIGN_OR_RETURN(size_t n, entry->NumRows());
-  const std::vector<Condition>& conds = pred.conjuncts();
-  EXPLOREDB_ASSIGN_OR_RETURN(
-      CondInputs in, FetchCondInputs(entry, conds, ctx, Density::kDense));
-  const size_t morsel = std::max<size_t>(1, ctx.morsel_size());
-  EXPLOREDB_ASSIGN_OR_RETURN(
-      MorselPlan plan, PlanMorsels(entry, conds, in.comp, n, morsel, ctx));
-  EXPLOREDB_ASSIGN_OR_RETURN(
-      SeededScan seeded,
-      SeedMorsels(entry, seed.positions, seed.residual, plan, n, morsel, ctx));
-  CountPruning(plan, stats);
-  if (seeded.focus != nullptr) {
-    // A focus is a sparse selection: like index candidates, it reads the
-    // measure raw instead of decoding a compressed sub-block per row (the
-    // same values, so the same sums).
-    stats->path = AccessPath::kFocus;
-    measure_comp = nullptr;
+  const std::vector<Condition>& conds = MorselConds(plan, where);
+  std::vector<const ColumnVector*> cols;
+  // An index probe's positions, cut per table morsel, seed the reduce the
+  // way a focus plan's slices do.
+  const std::vector<uint32_t>* seed = plan.focus;
+  const std::vector<std::pair<size_t, size_t>>* slices = &plan.slices;
+  size_t units = plan.morsels.live.size();
+  std::vector<uint32_t> probed;
+  std::vector<std::pair<size_t, size_t>> probed_slices;
+  if (plan.index()) {
+    EXPLOREDB_ASSIGN_OR_RETURN(probed, ProbeIndex(entry, plan, stats));
+    probed_slices = SliceByMorsel(probed, plan.morsels.morsel);
+    seed = &probed;
+    slices = &probed_slices;
+    units = probed_slices.size();
+  } else {
+    EXPLOREDB_ASSIGN_OR_RETURN(cols, FetchConditionColumns(entry, conds));
+    CountMorselReads(plan, stats);
   }
-  stats->rows_scanned +=
-      seeded.focus != nullptr ? seeded.rows : n - plan.rows_pruned;
-  if ((seeded.focus != nullptr ? seeded.in.any_compressed
-                               : in.any_compressed) ||
-      measure_comp != nullptr) {
-    stats->compressed_morsels += plan.live.size();
-  }
+  // A probe's positions (its residual applied) and a focus with no
+  // conjunct left to apply are each morsel's selection as they stand.
+  const bool as_is = plan.index() || (seed != nullptr && conds.empty());
   select_span.Stop();
 
   TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
@@ -678,47 +630,35 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
           ? measure->int64_data().data()
           : nullptr;
 
-  // One fused pass per morsel: filter into the worker's reusable selection
-  // vector, reduce it with the dispatched masked-sum kernel, keep only the
-  // (sum, count, decompress) partial. Partials merge in morsel order below,
-  // so the result is bit-identical for any thread count (serial is the same
+  // One fused pass per morsel: take the morsel's selection, reduce it with
+  // the dispatched masked-sum kernel, keep only the (sum, count,
+  // decompress) partial. Partials merge in morsel order below, so the
+  // result is bit-identical for any thread count (serial is the same
   // computation with one worker).
   struct Partial {
     double sum = 0;
     uint64_t count = 0;
     int64_t decompress_nanos = 0;
   };
-  std::vector<Partial> partials(plan.live.size());
+  std::vector<Partial> partials(units);
   auto agg_morsel = [&](size_t i) {
     TraceSpan span("morsel", tracing);
     const uint32_t* sel = nullptr;
     uint32_t cnt = 0;
-    if (seeded.focus != nullptr && seeded.residual->empty()) {
-      // The focus slice is the morsel's selection: reduce it in place.
-      sel = seeded.focus->data() + seeded.slices[i].first;
-      cnt = static_cast<uint32_t>(seeded.slices[i].second -
-                                  seeded.slices[i].first);
+    if (as_is) {
+      sel = seed->data() + (*slices)[i].first;
+      cnt = static_cast<uint32_t>((*slices)[i].second - (*slices)[i].first);
     } else {
       std::vector<uint32_t>& scratch = MorselScratch();
       scratch.clear();
-      if (seeded.focus != nullptr) {
-        AppendSeed(seeded, i, &scratch, tracing,
+      AppendMorsel(plan, conds, cols, i, &scratch, tracing,
                    &partials[i].decompress_nanos);
-      } else {
-        const size_t m = plan.live[i];
-        const uint32_t begin = static_cast<uint32_t>(m * morsel);
-        const uint32_t end =
-            static_cast<uint32_t>(std::min(n, m * morsel + morsel));
-        Predicate::FilterRange(
-            conds, in.cols, begin, end, &scratch,
-            {&in.comp, in.codes, tracing, &partials[i].decompress_nanos});
-      }
       sel = scratch.data();
       cnt = static_cast<uint32_t>(scratch.size());
     }
     partials[i].count = cnt;
     if (kind != AggKind::kCount && cnt > 0) {
-      if (measure_comp != nullptr) {
+      if (plan.measure_comp != nullptr) {
         // Decode only the surviving rows of the compressed measure, then
         // reduce the dense decode with an identity selection: the masked-sum
         // kernel sees the same value sequence (and stripe order) as the raw
@@ -728,7 +668,7 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
         {
           TraceSpan dspan("decompress", tracing,
                           &partials[i].decompress_nanos);
-          measure_comp->Gather(sel, cnt, vals.data());
+          plan.measure_comp->Gather(sel, cnt, vals.data());
         }
         partials[i].sum =
             kt.sum_i64_sel(vals.data(), IotaScratch(cnt).data(), cnt);
@@ -739,19 +679,19 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
     }
   };
   ThreadPool* pool = ctx.thread_pool();
-  if (pool != nullptr && plan.live.size() > 1) {
-    ThreadPool::ForStats fs = pool->ParallelFor(plan.live.size(), [&](size_t i) {
+  if (pool != nullptr && units > 1) {
+    ThreadPool::ForStats fs = pool->ParallelFor(units, [&](size_t i) {
       if (ctx.Interrupted()) return;
       agg_morsel(i);
     });
     stats->morsels_dispatched += fs.chunks;
     stats->threads_used = std::max(stats->threads_used, fs.threads_used);
   } else {
-    for (size_t i = 0; i < plan.live.size(); ++i) {
+    for (size_t i = 0; i < units; ++i) {
       if (ctx.Interrupted()) return InterruptedStatus(ctx);
       agg_morsel(i);
     }
-    stats->morsels_dispatched += plan.live.size();
+    stats->morsels_dispatched += units;
   }
   if (ctx.Interrupted()) return InterruptedStatus(ctx);
 
@@ -809,37 +749,41 @@ Result<QueryResult> Executor::ExecuteSelection(const Query& query,
 }
 
 Result<QueryResult> Executor::Run(const Query& query, const ExecContext& ctx,
-                                  const OnlineRule& online, bool project) {
+                                  const OnlineRule& online, bool project,
+                                  const AccessPlan* access) {
   const bool tracing = ctx.tracing();
   ExecStats stats;
   TraceSpan query_span("query", tracing, &stats.total_nanos);
   TableEntry* entry = nullptr;
   ExecutionMode mode = ctx.options().mode;
   stats.simd_path = simd::ActivePath();
+  AccessPlan chosen;
   {
     TraceSpan plan_span("plan", tracing, &stats.plan_nanos);
     EXPLOREDB_ASSIGN_OR_RETURN(entry, db_->GetTable(query.table()));
-    if (mode == ExecutionMode::kAuto) {
-      // Self-organizing default: let adaptive indexing grow under predicates
-      // it can serve (a two-sided int64 range); everything else scans.
-      mode = ExtractRange(query.where(), entry->schema()).has_value()
-                 ? ExecutionMode::kCracking
-                 : ExecutionMode::kScan;
+    // Cancellation aborts every path, but an expired deadline still admits
+    // online aggregation: its contract is to answer with the current
+    // estimate (approximate) rather than fail.
+    if (ctx.cancelled() ||
+        (ctx.DeadlineExceeded() && mode != ExecutionMode::kOnline)) {
+      return InterruptedStatus(ctx);
+    }
+    if (access == nullptr && !ReadsOwnInput(query, mode)) {
+      EXPLOREDB_ASSIGN_OR_RETURN(chosen,
+                                 ChooseAccess(entry, query, ctx, false));
+      access = &chosen;
+    }
+    if (access != nullptr) {
+      mode = access->mode;
+      stats.path = access->path;
     }
     stats.resolved_mode = mode;
-  }
-  // Cancellation aborts every path, but an expired deadline still admits
-  // online aggregation: its contract is to answer with the current estimate
-  // (approximate) rather than fail.
-  if (ctx.cancelled() ||
-      (ctx.DeadlineExceeded() && mode != ExecutionMode::kOnline)) {
-    return InterruptedStatus(ctx);
   }
 
   if (query.aggregate().has_value() || query.group_by().has_value()) {
     EXPLOREDB_ASSIGN_OR_RETURN(
         QueryResult result,
-        ExecuteAggregate(entry, query, mode, ctx, online, &stats));
+        ExecuteAggregate(entry, query, mode, access, ctx, online, &stats));
     query_span.Stop();  // finalize total_nanos before publishing stats
     result.exec_stats = stats;
     RecordQueryMetrics(stats);
@@ -851,7 +795,7 @@ Result<QueryResult> Executor::Run(const Query& query, const ExecContext& ctx,
   QueryResult result;
   EXPLOREDB_ASSIGN_OR_RETURN(
       result.positions,
-      SelectPositions(entry, query.where(), mode, ctx, &stats, {}));
+      SelectPositions(entry, *access, query.where(), ctx, &stats));
 
   if (project) {
     TraceSpan project_span("project", tracing, &stats.project_nanos);
@@ -922,17 +866,6 @@ Result<Table> Executor::Project(TableEntry* entry,
   return projected;
 }
 
-Result<Executor::MorselPlan> Executor::PlanScan(TableEntry* entry,
-                                               const Predicate& pred,
-                                               size_t n,
-                                               const ExecContext& ctx) {
-  EXPLOREDB_ASSIGN_OR_RETURN(
-      std::vector<const CompressedColumn*> comp,
-      FetchCompressed(entry, pred.conjuncts(), ctx, Density::kDense));
-  return PlanMorsels(entry, pred.conjuncts(), comp, n,
-                     ZoneMap::kDefaultZoneRows, ctx);
-}
-
 Result<QueryResult> Executor::ExecuteProgressive(
     const Query& query, const ExecContext& ctx,
     const ProgressiveCallback& callback) {
@@ -944,6 +877,7 @@ Result<QueryResult> Executor::ExecuteProgressive(
 Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
                                                const Query& query,
                                                ExecutionMode mode,
+                                               const AccessPlan* access,
                                                const ExecContext& ctx,
                                                const OnlineRule& online,
                                                ExecStats* stats) {
@@ -960,11 +894,8 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
   }
   EXPLOREDB_ASSIGN_OR_RETURN(size_t n, entry->NumRows());
 
-  // Resolve the measure column (COUNT may omit it), plus its compressed
-  // representation when scans may use one (feeds the fused scan-aggregate's
-  // gather-from-compressed path).
+  // Resolve the measure column (COUNT may omit it).
   const ColumnVector* measure = nullptr;
-  const CompressedInt64Column* measure_comp = nullptr;
   if (!agg.column.empty()) {
     EXPLOREDB_ASSIGN_OR_RETURN(size_t idx,
                                entry->schema().FieldIndex(agg.column));
@@ -973,11 +904,6 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
       return Status::InvalidArgument("aggregate over string column '" +
                                      agg.column + "'");
     }
-    if (measure->type() == DataType::kInt64 && options.use_compression) {
-      EXPLOREDB_ASSIGN_OR_RETURN(const CompressedColumn* cc,
-                                 entry->GetCompressed(idx));
-      if (cc != nullptr) measure_comp = cc->i64();
-    }
   } else if (agg.kind != AggKind::kCount) {
     return Status::InvalidArgument("only COUNT may omit the column");
   }
@@ -985,55 +911,35 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
   QueryResult result;
   const bool tracing = ctx.tracing();
 
-  // Index-serviceable predicates keep the two-phase shape (index probe, then
-  // aggregation over the probe's positions) and leave the focus alone: a
-  // converged cracker answers in O(log n + result), which can beat a refine
-  // of the focus. Exact scan plans take their seed from a covering focus.
-  const bool exact = mode == ExecutionMode::kScan ||
-                     mode == ExecutionMode::kCracking ||
-                     mode == ExecutionMode::kFullIndex;
-  const bool indexed =
-      (mode == ExecutionMode::kCracking || mode == ExecutionMode::kFullIndex) &&
-      ExtractRange(query.where(), entry->schema()).has_value();
-  Focus* focus = exact && !indexed ? ctx.focus() : nullptr;
-  FocusSeed seed;
-  if (focus != nullptr) {
-    if (auto residual = focus->Residual(entry, query.where())) {
-      seed.positions = &focus->positions;
-      seed.residual = std::move(*residual);
-    }
-  }
-
   // ---- Grouped aggregates -------------------------------------------------
   if (query.group_by().has_value()) {
     EXPLOREDB_ASSIGN_OR_RETURN(size_t gidx,
                                entry->schema().FieldIndex(*query.group_by()));
     EXPLOREDB_ASSIGN_OR_RETURN(const ColumnVector* gcol,
                                entry->GetColumn(gidx));
-    // Which rows participate? A focus with no conjunct left to apply is the
-    // selection itself (it holds no row outside the query's live morsels),
-    // and aggregates in place.
+    // Which rows participate? A focus plan with no conjunct left to apply
+    // is the selection itself (it holds no row outside the query's live
+    // morsels), and aggregates in place.
     std::vector<uint32_t> selected;
     const std::vector<uint32_t>* positions = &selected;
-    if (seed.positions != nullptr && seed.residual.empty()) {
-      stats->path = AccessPath::kFocus;
-      positions = seed.positions;
-    } else if (mode == ExecutionMode::kSampled) {
+    if (mode == ExecutionMode::kSampled) {
       TraceSpan select_span("select", tracing, &stats->select_nanos);
       stats->path = AccessPath::kSample;
       Random rng(42);
       selected = BernoulliSample(n, options.sample_fraction, &rng);
       EXPLOREDB_ASSIGN_OR_RETURN(
-          CondInputs in, FetchCondInputs(entry, query.where().conjuncts(), ctx,
-                                         Density::kSparse));
+          std::vector<const ColumnVector*> cols,
+          FetchConditionColumns(entry, query.where().conjuncts()));
       stats->rows_scanned += selected.size();
-      Predicate::Refine(query.where().conjuncts(), in.cols, &selected,
-                        {&in.comp, in.codes});
+      Predicate::Refine(query.where().conjuncts(), cols, &selected,
+                        {nullptr, ScansOnCodes(ctx)});
       result.approximate = true;
+    } else if (access->focus != nullptr && access->residual.empty()) {
+      positions = access->focus;
     } else {
       EXPLOREDB_ASSIGN_OR_RETURN(
           selected,
-          SelectPositions(entry, query.where(), mode, ctx, stats, seed));
+          SelectPositions(entry, *access, query.where(), ctx, stats));
     }
     TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
     if (result.approximate) {
@@ -1085,8 +991,9 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
           result.groups,
           HashGroupBy(*gcol, measure, agg.kind, options.confidence,
                       *positions, key_range, ctx, stats));
-      // The scan's selection becomes the session's next focus.
-      if (focus != nullptr && positions == &selected) {
+      // A scan or focus plan's selection becomes the session's next focus.
+      if (Focus* focus = ctx.focus();
+          focus != nullptr && !access->index() && positions == &selected) {
         focus->entry = entry;
         focus->conjuncts = query.where().conjuncts();
         focus->positions = std::move(selected);
@@ -1106,12 +1013,12 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
         TraceSpan select_span("select", tracing, &stats->select_nanos);
         sample = BernoulliSample(n, options.sample_fraction, &rng);
         EXPLOREDB_ASSIGN_OR_RETURN(
-            CondInputs in, FetchCondInputs(entry, query.where().conjuncts(),
-                                           ctx, Density::kSparse));
+            std::vector<const ColumnVector*> cols,
+            FetchConditionColumns(entry, query.where().conjuncts()));
         stats->rows_scanned += sample.size();
         hits = sample;
-        Predicate::Refine(query.where().conjuncts(), in.cols, &hits,
-                          {&in.comp, in.codes});
+        Predicate::Refine(query.where().conjuncts(), cols, &hits,
+                          {nullptr, ScansOnCodes(ctx)});
         result.approximate = true;
       }
       TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
@@ -1197,26 +1104,12 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
       return result;
     }
     default: {
-      // Scan plans run the fused scan-aggregate, which filters and reduces
-      // each morsel in one pass without materializing the full position
-      // list (so it leaves the focus as it is).
-      if (!indexed) {
-        EXPLOREDB_ASSIGN_OR_RETURN(
-            Estimate e,
-            ScanAggregate(entry, query.where(), measure, measure_comp,
-                          agg.kind, ctx, stats, seed));
-        result.scalar = e;
-        return result;
-      }
-      std::vector<uint32_t> positions;
+      // Every access plan runs the fused scan-aggregate, which reduces each
+      // table morsel's selection in one pass without materializing the full
+      // position list (so it leaves the focus as it is).
       EXPLOREDB_ASSIGN_OR_RETURN(
-          positions,
-          SelectPositions(entry, query.where(), mode, ctx, stats, {}));
-      TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
-      EXPLOREDB_ASSIGN_OR_RETURN(
-          Estimate e,
-          AggregatePositions(positions, measure, agg.kind, ctx, stats));
-      result.scalar = e;
+          result.scalar, ScanAggregate(entry, *access, query.where(), measure,
+                                       agg.kind, ctx, stats));
       return result;
     }
   }

@@ -1,10 +1,11 @@
 #ifndef EXPLOREDB_ENGINE_EXECUTOR_H_
 #define EXPLOREDB_ENGINE_EXECUTOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -19,7 +20,7 @@ class Planner;
 /// mode. The executor is where the tutorial's layers meet: selection paths
 /// route through adaptive indexes (cracking), columns stream in through
 /// adaptive loading, and approximate modes answer from samples or online
-/// aggregation.
+/// aggregation. Every exact query runs one AccessPlan, chosen once.
 ///
 /// Full-column predicate scans and exact aggregation run morsel-parallel
 /// over the ExecContext's thread pool: columns split into fixed-size morsels
@@ -77,13 +78,15 @@ class Executor {
   /// The budgeted planner (exposed for calibration inspection and tests).
   Planner& planner() { return *planner_; }
 
-  /// Zone-map plan for one scan: the morsels that survive pruning (in morsel
-  /// order — the merge contract depends on it), prune accounting, and the
-  /// predicate's estimated selectivity under the zone maps' uniform-within-
-  /// zone model (sharpened by compressed int64 columns). The estimate
-  /// pre-sizes selection vectors and prices the planner's exact rung; it is
-  /// never a correctness input.
+  /// Zone-map plan for one scan: the table's rows cut into morsels, the
+  /// morsels that survive pruning (in morsel order — the merge contract
+  /// depends on it), prune accounting, and the predicate's estimated
+  /// selectivity under the zone maps' uniform-within-zone model (sharpened
+  /// by compressed int64 columns). The estimate pre-sizes selection vectors
+  /// and prices the planner's exact rung; it is never a correctness input.
   struct MorselPlan {
+    size_t rows = 0;    ///< table rows
+    size_t morsel = 1;  ///< rows per morsel
     std::vector<size_t> live;
     size_t num_morsels = 0;
     size_t checked = 0;  ///< morsels tested against zone maps
@@ -93,6 +96,55 @@ class Executor {
     /// Some zone-map pruner has a compressed int64 column (the planner then
     /// prices the scan at the compressed rate).
     bool compressed = false;
+
+    size_t live_rows() const { return rows - rows_pruned; }
+    /// Rows [begin, end) of morsel m.
+    std::pair<uint32_t, uint32_t> Rows(size_t m) const {
+      return {static_cast<uint32_t>(m * morsel),
+              static_cast<uint32_t>(std::min(rows, m * morsel + morsel))};
+    }
+  };
+
+  /// How one exact query reads its table, chosen once by ChooseAccess: an
+  /// index probe, a refine of the session's focus, or a zone-map-pruned
+  /// scan, with every input its path needs that is not a column. The
+  /// executor runs it; the planner prices it and hands the same plan down.
+  struct AccessPlan {
+    /// kScan, kFocus, kCracker or kSorted.
+    AccessPath path = AccessPath::kScan;
+    /// The mode that ran: kAuto resolved, every other mode as requested.
+    ExecutionMode mode = ExecutionMode::kScan;
+    /// Scan and focus plans; an index plan fills it only when priced, as
+    /// the pruned scan it replaces, and otherwise only `rows` and `morsel`.
+    MorselPlan morsels;
+    /// Scan plans: per conjunct, the compressed int64 column its morsel
+    /// filter reads (nullptr: the raw column).
+    std::vector<const CompressedInt64Column*> comp;
+    /// Scan plans of a scalar aggregate: the compressed int64 measure the
+    /// reduce gathers from (nullptr: the raw column).
+    const CompressedInt64Column* measure_comp = nullptr;
+    /// String (in)equalities compare dictionary codes instead of values.
+    bool codes = false;
+    /// A filter or the measure reads compressed data, so every live morsel
+    /// counts in ExecStats::compressed_morsels.
+    bool on_compressed = false;
+    /// Index plans: the int64 range [lo, hi) probed on `column`.
+    size_t column = 0;
+    int64_t lo = 0;
+    int64_t hi = 0;
+    /// Index and focus plans: the query's conjuncts the probe or the focus
+    /// does not apply.
+    std::vector<Condition> residual;
+    /// Focus plans: the focus positions, per live morsel the slice
+    /// [first, last) of them in the morsel's rows, and the slices' rows
+    /// when the residual refines them (0 when it is empty).
+    const std::vector<uint32_t>* focus = nullptr;
+    std::vector<std::pair<size_t, size_t>> slices;
+    uint64_t focus_rows = 0;
+
+    bool index() const {
+      return path == AccessPath::kCracker || path == AccessPath::kSorted;
+    }
   };
 
  private:
@@ -110,78 +162,62 @@ class Executor {
     const ProgressiveCallback* deliver = nullptr;
   };
 
-  /// Execute without the planner: runs `query` under ctx's (resolved) mode,
-  /// with `online` as the online loop's rule. The planner's online rung
-  /// enters here with its own rule. Without `project`, a selection returns
-  /// its positions only.
+  /// Execute without the planner: runs `query` under ctx's mode, with
+  /// `online` as the online loop's rule. The planner's online rung enters
+  /// here with its own rule, and its exact rung with the `access` plan it
+  /// priced; without one, Run chooses it. Without `project`, a selection
+  /// returns its positions only.
   Result<QueryResult> Run(const Query& query, const ExecContext& ctx,
-                          const OnlineRule& online, bool project = true);
+                          const OnlineRule& online, bool project = true,
+                          const AccessPlan* access = nullptr);
 
-  /// The zone-map plan of a dense scan of `pred` over the first `n` rows of
-  /// `entry`, one unit per zone (ZoneMap::kDefaultZoneRows rows). The
-  /// planner costs its exact rung with it; it counts no pruning.
-  static Result<MorselPlan> PlanScan(TableEntry* entry, const Predicate& pred,
-                                     size_t n, const ExecContext& ctx);
+  /// The one access-path chooser. Under kCracking or kFullIndex, or kAuto,
+  /// a predicate with a two-sided int64 range (ExtractRange) probes an
+  /// index: the sorted index under kFullIndex, else the cracker. Otherwise
+  /// a covering ctx.focus() no larger than the zone-map-pruned scan seeds
+  /// each live morsel, and failing that the pruned scan filters the table.
+  /// Reads the schema, the zone maps and the published compressed columns,
+  /// never a column. An index plan walks no zone map unless `priced`: the
+  /// planner prices a probe at the pruned scan it replaces.
+  static Result<AccessPlan> ChooseAccess(TableEntry* entry, const Query& query,
+                                         const ExecContext& ctx, bool priced);
 
-  /// An int64 range [lo, hi) extracted from a predicate, plus the conjuncts
-  /// the index cannot serve.
-  struct RangePlan {
-    size_t column;
-    int64_t lo;
-    int64_t hi;
-    std::vector<Condition> residual;
-  };
+  /// Folds the predicate into an int64 range [lo, hi) on one column, the
+  /// shape cracking and sorted indexes accelerate, and sets the plan's
+  /// column, bounds and residual; false when no column is bounded on both
+  /// sides.
+  static bool ExtractRange(const Predicate& pred, const Schema& schema,
+                           AccessPlan* plan);
 
-  /// A covering session focus, as one scan plan uses it: `positions` takes
-  /// the table's place as the seed of each live morsel, narrowed by
-  /// `residual`, the query's conjuncts the focus lacks. A null `positions`
-  /// filters the table.
-  struct FocusSeed {
-    const std::vector<uint32_t>* positions = nullptr;
-    std::vector<Condition> residual;
-  };
-
-  /// Tries to turn the predicate into a single-column int64 range (the shape
-  /// cracking and sorted indexes accelerate).
-  static std::optional<RangePlan> ExtractRange(const Predicate& pred,
-                                               const Schema& schema);
-
-  /// Positions matching `pred` under `mode` (kAuto already resolved).
-  /// Full scans are morsel-parallel, seeded by `seed` when it is no larger
-  /// than the zone-map-pruned scan; index paths record which index served
-  /// the query in stats->path.
+  /// The positions `where` matches, in row order, by `plan`: its index
+  /// probe, or its morsels, morsel-parallel. Records the path's work in
+  /// `stats`.
   Result<std::vector<uint32_t>> SelectPositions(TableEntry* entry,
-                                                const Predicate& pred,
-                                                ExecutionMode mode,
+                                                const AccessPlan& plan,
+                                                const Predicate& where,
                                                 const ExecContext& ctx,
-                                                ExecStats* stats,
-                                                const FocusSeed& seed);
+                                                ExecStats* stats);
 
-  /// Exact scalar aggregate over `positions`, morsel-parallel with
-  /// deterministic per-morsel partials (identical result for any thread
-  /// count, including serial).
-  Result<Estimate> AggregatePositions(const std::vector<uint32_t>& positions,
-                                      const ColumnVector* measure,
-                                      AggKind kind, const ExecContext& ctx,
-                                      ExecStats* stats);
+  /// Fused select + scalar aggregate by `plan`, one reduce per table
+  /// morsel: a scan filters each live morsel into a reusable selection
+  /// vector and reduces it with the dispatched masked-sum kernels in one
+  /// pass, never materializing the full position list; a focus plan does
+  /// the same from its slice, and an index plan from its probe's positions
+  /// in the morsel. Per-morsel partials merge in morsel order, so every
+  /// plan returns the same bits, at any thread count and kernel path. A
+  /// scan's compressed measure is gathered out of the compressed
+  /// representation (only surviving sub-blocks are decoded) instead of the
+  /// raw array — same values, same accumulation order.
+  Result<Estimate> ScanAggregate(TableEntry* entry, const AccessPlan& plan,
+                                 const Predicate& where,
+                                 const ColumnVector* measure, AggKind kind,
+                                 const ExecContext& ctx, ExecStats* stats);
 
-  /// Fused scan + scalar aggregate for predicates no index serves: each
-  /// morsel filters into a reusable selection vector and reduces it with the
-  /// dispatched masked-sum kernels in one pass, never materializing the
-  /// full position list. Per-morsel partials merge in morsel order, so the
-  /// answer is bit-identical for any thread count and kernel path. When
-  /// `measure_comp` is non-null the measure values are gathered out of the
-  /// compressed representation (only surviving sub-blocks are decoded)
-  /// instead of the raw array — same values, same accumulation order.
-  /// `seed` replaces the per-morsel filter as in SelectPositions.
-  Result<Estimate> ScanAggregate(TableEntry* entry, const Predicate& pred,
-                                 const ColumnVector* measure,
-                                 const CompressedInt64Column* measure_comp,
-                                 AggKind kind, const ExecContext& ctx,
-                                 ExecStats* stats, const FocusSeed& seed);
-
+  /// `access` is null exactly for the modes that read their own input: a
+  /// sample, or the online loop's.
   Result<QueryResult> ExecuteAggregate(TableEntry* entry, const Query& query,
                                        ExecutionMode mode,
+                                       const AccessPlan* access,
                                        const ExecContext& ctx,
                                        const OnlineRule& online,
                                        ExecStats* stats);

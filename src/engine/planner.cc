@@ -130,6 +130,12 @@ double CostModel::PredictRelativeError(uint64_t sample_rows,
          std::sqrt(static_cast<double>(sample_rows));
 }
 
+double CostModel::OnlineCostNs(uint64_t rows, uint64_t consumed) const {
+  MutexLock lock(mu_);
+  return static_cast<double>(rows) * online_build_ns_per_row_ +
+         static_cast<double>(consumed) * online_ns_per_row_;
+}
+
 uint64_t CostModel::OnlineRowsWithin(double ns, uint64_t rows) const {
   MutexLock lock(mu_);
   double build = static_cast<double>(rows) * online_build_ns_per_row_;
@@ -212,6 +218,12 @@ double CostModel::exact_compressed_ns_per_row() const {
 // Planner
 // ---------------------------------------------------------------------------
 
+void Planner::CountCacheHit() {
+  PlannerQueriesCounter()->Add();
+  PlannerChoiceCounter(PlannerChoice::kCache)->Add();
+  BudgetMetCounter()->Add();
+}
+
 Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
                                      const ProgressiveCallback* callback) {
   if (ctx.cancelled()) return Status::Cancelled("query cancelled");
@@ -235,32 +247,29 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
   {
     TraceSpan plan_span("planner", tracing, &planner_nanos);
     EXPLOREDB_ASSIGN_OR_RETURN(TableEntry * entry, db_->GetTable(query.table()));
-    EXPLOREDB_ASSIGN_OR_RETURN(size_t num_rows, entry->NumRows());
-    const auto n = static_cast<uint64_t>(num_rows);
     const bool scalar_agg =
         query.aggregate().has_value() && !query.group_by().has_value();
     const bool grouped = query.group_by().has_value();
 
-    // The rows a zone-map pruned scan touches, per 8K-row zone.
-    EXPLOREDB_ASSIGN_OR_RETURN(
-        Executor::MorselPlan scan,
-        Executor::PlanScan(entry, query.where(), num_rows, ctx));
-    const uint64_t live_rows = n - scan.rows_pruned;
-
     // Rung 2: exact plan. Always costed; cache (rung 1) is consulted by the
-    // Session before the planner runs. A covering session focus no larger
-    // than the pruned scan seeds the exact plan, which then costs the focus
-    // rows it refines (none when no conjunct is left to apply).
+    // Session before the planner runs. The plan is the executor's own, the
+    // one the rung runs, and is priced by the rows it reads: a focus plan
+    // by the focus rows it refines (none when no conjunct is left to
+    // apply), a scan by its live rows. An index probe is priced as the
+    // zone-map-pruned scan it replaces.
+    ExecContext exact_ctx = ctx;
+    exact_ctx.SetMode(ExecutionMode::kAuto);
+    exact_ctx.SetDeadline(deadline);
+    EXPLOREDB_ASSIGN_OR_RETURN(
+        Executor::AccessPlan access,
+        Executor::ChooseAccess(entry, query, exact_ctx, /*priced=*/true));
+    const Executor::MorselPlan& scan = access.morsels;
+    const auto n = static_cast<uint64_t>(scan.rows);
+    const uint64_t live_rows = scan.live_rows();
     uint32_t plans = 1;
-    uint64_t exact_rows = live_rows;
-    if (const Focus* focus = ctx.focus();
-        focus != nullptr && focus->positions.size() <= live_rows) {
-      if (auto residual = focus->Residual(entry, query.where())) {
-        exact_rows = residual->empty() ? 0 : focus->positions.size();
-      }
-    }
-    const double exact_cost =
-        cost_model_.ExactCostNs(exact_rows, scan.compressed);
+    const double exact_cost = cost_model_.ExactCostNs(
+        access.focus != nullptr ? access.focus_rows : live_rows,
+        scan.compressed);
     const bool exact_fits = exact_cost <= budget_ns * kBudgetHeadroom;
 
     // Rung 3: uniform-sample estimate sized to the budget (the row-at-a-time
@@ -345,9 +354,18 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     // a position list has no anytime estimator, so the budget only informs
     // the deadline.
 
+    // The cost the chosen rung was priced at, kept beside the actual one.
+    double predicted = exact_cost;
+    if (choice == PlannerChoice::kSample) {
+      predicted = cost_model_.SampleCostNs(sample_rows);
+    } else if (choice == PlannerChoice::kOnline) {
+      predicted = cost_model_.OnlineCostNs(n, online_rows);
+    }
+
     planned.planner_choice = choice;
     planned.plans_considered = plans;
     planned.promised_error = promised;
+    planned.predicted_nanos = std::llround(predicted);
     PlansConsideredCounter()->Add(plans);
     plan_span.Stop();
 
@@ -358,11 +376,8 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     uint64_t streamed = 0;  // online deliveries before the final one
     switch (choice) {
       case PlannerChoice::kExact: {
-        ExecContext sub = ctx;
-        sub.SetMode(ExecutionMode::kAuto);
-        sub.SetDeadline(deadline);
         const auto attempt = std::chrono::steady_clock::now();
-        run = executor_->Execute(query, sub);
+        run = executor_->Run(query, exact_ctx, {}, /*project=*/true, &access);
         if (!run.ok() && run.status().code() == StatusCode::kDeadlineExceeded &&
             (scalar_agg || grouped)) {
           // The cost model was wrong and the exact plan blew its deadline:
@@ -432,6 +447,7 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     stats.planner_choice = rescued ? PlannerChoice::kSample : choice;
     stats.plans_considered = planned.plans_considered;
     stats.promised_error = planned.promised_error;
+    stats.predicted_nanos = planned.predicted_nanos;
     stats.plan_nanos += planner_nanos;
     stats.abandoned_nanos = abandoned_nanos;
     stats.total_nanos = ElapsedNanos(start);

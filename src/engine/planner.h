@@ -37,6 +37,9 @@ class CostModel {
   double PredictRelativeError(uint64_t sample_rows, double confidence) const
       EXCLUDES(mu_);
 
+  /// Predicted wall cost of the online aggregator: its input build over
+  /// `rows` rows, then consuming `consumed` of them.
+  double OnlineCostNs(uint64_t rows, uint64_t consumed) const EXCLUDES(mu_);
   /// How many rows the online aggregator can consume in `ns` after paying
   /// its input-build cost over `rows` rows (0 when even the build does not
   /// fit).
@@ -91,9 +94,9 @@ class CostModel {
 ///   estimate -> online agg
 ///
 /// (the cache rung lives in Session, which consults its result cache before
-/// the planner runs; the session's focus reaches the exact rung through
-/// ExecContext::focus(), and a covered exact plan is priced by the focus
-/// rows it refines, and a scan by the executor's zone-map plan). When no
+/// the planner runs; the exact rung is the executor's own access plan,
+/// which ExecContext::focus() may make a focus refine, priced by the rows
+/// it reads and then run as priced). When no
 /// exact plan fits and a ProgressiveCallback is given, the online rung runs
 /// the executor's online loop, which streams refining partials through it
 /// until the target error or the deadline; the best answer so far is
@@ -114,6 +117,11 @@ class Planner {
                               const ProgressiveCallback* callback);
 
   CostModel& cost_model() { return cost_model_; }
+
+  /// Accounts a budgeted query the session's result cache answered, the
+  /// lattice's cache rung, in the planner's series: a planner query, a
+  /// cache choice, and a budget met.
+  static void CountCacheHit();
 
  private:
   Database* db_;

@@ -125,6 +125,9 @@ std::string ExecStats::Summary() const {
     out += " abandoned=" + FormatDurationNanos(abandoned_nanos);
   }
   out += " total=" + FormatDurationNanos(total_nanos);
+  if (predicted_nanos > 0) {
+    out += " predicted=" + FormatDurationNanos(predicted_nanos);
+  }
   if (queue_nanos > 0) {
     out += " queue=" + FormatDurationNanos(queue_nanos);
   }

@@ -141,7 +141,7 @@ struct ExecStats {
   simd::SimdPath simd_path = simd::SimdPath::kScalar;
 
   // Per-phase wall times (nanoseconds; zero when the phase did not run).
-  int64_t plan_nanos = 0;       ///< mode resolution + range extraction
+  int64_t plan_nanos = 0;       ///< access-path choice (and the planner's)
   int64_t select_nanos = 0;     ///< predicate evaluation / index probe
   int64_t aggregate_nanos = 0;  ///< accumulator evaluation + merge
   int64_t project_nanos = 0;    ///< gathering output columns
@@ -155,6 +155,10 @@ struct ExecStats {
   /// total_nanos, which for a budgeted query runs from the planner's start.
   int64_t abandoned_nanos = 0;
   int64_t total_nanos = 0;
+  /// The cost the budgeted planner priced its chosen rung at, beside the
+  /// actual total_nanos (0 outside the planner). An exact scan is priced at
+  /// its calibrated rate times the rows it scans.
+  int64_t predicted_nanos = 0;
   /// Time the query waited in the SessionScheduler's fair queue before
   /// execution started (0 when it ran without a scheduler). Not part of
   /// total_nanos: queueing is the serving layer's cost, execution the

@@ -11,6 +11,7 @@
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "common/trace.h"
+#include "engine/planner.h"
 #include "obs/journal.h"
 #include "obs/slo.h"
 
@@ -43,29 +44,6 @@ Counter* SpeculativeCounter() {
   static Counter* c = Metrics().GetCounter(
       "exploredb_session_speculative_total",
       "Speculative prefetch queries executed during idle time");
-  return c;
-}
-
-// Budgeted-planner series shared with planner.cc (the registry dedups by
-// name): the cache rung of the plan lattice lives here in the session, so
-// cache-served budgeted queries are accounted at the hit site.
-Counter* PlannerQueriesCounter() {
-  static Counter* c = Metrics().GetCounter(
-      "exploredb_planner_queries_total", "Queries routed through the planner");
-  return c;
-}
-
-Counter* PlannerCacheChoiceCounter() {
-  static Counter* c = Metrics().GetCounter(
-      "exploredb_planner_choice_cache_total",
-      "Budgeted queries served from the result cache");
-  return c;
-}
-
-Counter* PlannerBudgetMetCounter() {
-  static Counter* c = Metrics().GetCounter(
-      "exploredb_planner_budget_met_total",
-      "Budgeted queries whose wall time stayed within their latency budget");
   return c;
 }
 
@@ -250,9 +228,7 @@ Result<QueryResult> Session::ServeFromCache(const Query& query,
     // wins, always meets the budget, and answers exactly.
     result.exec_stats.planner_choice = PlannerChoice::kCache;
     result.exec_stats.plans_considered = 1;
-    PlannerQueriesCounter()->Add();
-    PlannerCacheChoiceCounter()->Add();
-    PlannerBudgetMetCounter()->Add();
+    Planner::CountCacheHit();
   }
   // The cache hit is still a (cheap) execution: the span doubles as the
   // total-time stopwatch and shows up in traces next to real queries. It

@@ -223,6 +223,7 @@ Result<JournalRecord> RecordFromJson(const JsonValue& doc) {
     }
     s.queue_nanos = stats->Get<int64_t>("queue_ns");
     s.abandoned_nanos = stats->Get<int64_t>("abandoned_ns");
+    s.predicted_nanos = stats->Get<int64_t>("predicted_ns");
   }
   return r;
 }
@@ -357,6 +358,7 @@ std::string WorkloadJournal::ToJsonLine(const JournalRecord& r) {
   for (const auto& [key, member] : kPhaseFields) w.Key(key).Int(s.*member);
   if (s.queue_nanos != 0) w.Key("queue_ns").Int(s.queue_nanos);
   if (s.abandoned_nanos != 0) w.Key("abandoned_ns").Int(s.abandoned_nanos);
+  if (s.predicted_nanos != 0) w.Key("predicted_ns").Int(s.predicted_nanos);
   w.EndObject().EndObject();
   return w.Take();
 }

@@ -523,7 +523,7 @@ Status CompressedInt64Column::Validate(
   return Status::OK();
 }
 
-std::unique_ptr<CompressedColumn> CompressedColumn::Build(
+std::unique_ptr<CompressedInt64Column> CompressedInt64Column::Build(
     const ColumnVector& col) {
   // Doubles have no codec (yet), and strings are stored as dictionary codes
   // already: both scan their raw column.
@@ -531,14 +531,11 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
   if (col.type() != DataType::kInt64 || policy == CompressionPolicy::kOff) {
     return nullptr;
   }
-  auto enc = std::make_unique<CompressedInt64Column>(
-      CompressedInt64Column::Encode(col.int64_data()));
+  auto out = std::make_unique<CompressedInt64Column>(Encode(col.int64_data()));
   if (policy == CompressionPolicy::kAdaptive &&
-      enc->compression_ratio() < 1.25) {
+      out->compression_ratio() < 1.25) {
     return nullptr;  // not worth the extra copy; caller caches the miss
   }
-  auto out = std::unique_ptr<CompressedColumn>(new CompressedColumn());
-  out->i64_ = std::move(enc);
   static Counter* blocks = Metrics().GetCounter(
       "exploredb_storage_compressed_blocks_total",
       "8192-row blocks encoded into a compressed representation");
@@ -548,23 +545,10 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
   static Counter* bytes_comp = Metrics().GetCounter(
       "exploredb_storage_compressed_bytes_total",
       "bytes of the compressed representations");
-  blocks->Add(out->i64_->num_blocks());
+  blocks->Add(out->num_blocks());
   bytes_raw->Add(out->raw_bytes());
   bytes_comp->Add(out->compressed_bytes());
   return out;
-}
-
-size_t CompressedColumn::raw_bytes() const { return i64_->raw_bytes(); }
-
-size_t CompressedColumn::compressed_bytes() const {
-  return i64_->compressed_bytes();
-}
-
-Status CompressedColumn::Validate(const ColumnVector& col) const {
-  if (col.type() != DataType::kInt64) {
-    return Status::Internal("compressed column: int64 rep over non-int64");
-  }
-  return i64_->Validate(&col.int64_data());
 }
 
 }  // namespace exploredb

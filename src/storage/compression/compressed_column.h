@@ -83,6 +83,12 @@ class CompressedInt64Column {
  public:
   static CompressedInt64Column Encode(const std::vector<int64_t>& data);
 
+  /// The representation a TableEntry publishes for `col`, or nullptr when
+  /// it has none: doubles and strings (stored as dictionary codes already),
+  /// any column under kOff, and under kAdaptive an int64 column whose
+  /// achieved ratio is too small.
+  static std::unique_ptr<CompressedInt64Column> Build(const ColumnVector& col);
+
   size_t num_rows() const { return num_rows_; }
   size_t num_blocks() const { return blocks_.size(); }
   const Int64Block& block(size_t i) const { return blocks_[i]; }
@@ -128,25 +134,6 @@ class CompressedInt64Column {
   std::vector<Int64Block> blocks_;
   std::vector<uint64_t> words_;  // packed FOR deltas (+1 guard word/block)
   std::vector<RleRun> runs_;
-};
-
-/// Type-dispatching wrapper a TableEntry caches per column. Build() returns
-/// nullptr when the column has no compressed representation (doubles and
-/// strings; int64 under kOff, or under kAdaptive when the achieved ratio is
-/// too small).
-class CompressedColumn {
- public:
-  static std::unique_ptr<CompressedColumn> Build(const ColumnVector& col);
-
-  const CompressedInt64Column* i64() const { return i64_.get(); }
-
-  size_t raw_bytes() const;
-  size_t compressed_bytes() const;
-
-  Status Validate(const ColumnVector& col) const;
-
- private:
-  std::unique_ptr<CompressedInt64Column> i64_;
 };
 
 }  // namespace exploredb

@@ -146,8 +146,8 @@ KernelKind KernelKindFor(const Condition& c, const ColumnVector& col) {
   return KernelKind::kNone;
 }
 
-const CompressedColumn* CompressedFor(const CompressedInputs& compressed,
-                                      size_t i) {
+const CompressedInt64Column* CompressedFor(
+    const CompressedInputs& compressed, size_t i) {
   return compressed.comp != nullptr ? (*compressed.comp)[i] : nullptr;
 }
 
@@ -175,7 +175,7 @@ std::vector<int64_t>& GatherScratch() {
 /// place to the rows satisfying `c` and returns how many survive. `comp`,
 /// when non-null, is the compressed int64 representation serving `c`.
 uint32_t RefineStep(const Condition& c, const ColumnVector& col,
-                    const CompressedColumn* comp,
+                    const CompressedInt64Column* comp,
                     const CompressedInputs& compressed, uint32_t* sel,
                     uint32_t n) {
   if (n == 0) return 0;
@@ -187,7 +187,7 @@ uint32_t RefineStep(const Condition& c, const ColumnVector& col,
     {
       TraceSpan span("decompress", compressed.tracing,
                      compressed.decompress_nanos);
-      comp->i64()->Gather(sel, n, vals.data());
+      comp->Gather(sel, n, vals.data());
     }
     const int64_t k = c.constant.int64();
     for (uint32_t i = 0; i < n; ++i) {
@@ -250,8 +250,8 @@ void Predicate::FilterRange(const std::vector<Condition>& conditions,
     if (ge != nullptr && lt != nullptr) {
       const int64_t lo = ge->constant.int64();
       const int64_t hi = lt->constant.int64();
-      if (const CompressedColumn* cc = CompressedFor(compressed, 0)) {
-        cc->i64()->FilterRange(begin, end, lo, hi, out);
+      if (const CompressedInt64Column* cc = CompressedFor(compressed, 0)) {
+        cc->FilterRange(begin, end, lo, hi, out);
       } else {
         out->resize(old + (end - begin));
         const uint32_t n = kt.filter_i64_range(
@@ -281,9 +281,10 @@ void Predicate::FilterRange(const std::vector<Condition>& conditions,
   }
   if (seed == conditions.size()) {
     AppendAll(begin, end, out);
-  } else if (const CompressedColumn* cc = CompressedFor(compressed, seed)) {
+  } else if (const CompressedInt64Column* cc =
+                 CompressedFor(compressed, seed)) {
     const Condition& c = conditions[seed];
-    cc->i64()->FilterCmp(begin, end, c.op, c.constant.int64(), out);
+    cc->FilterCmp(begin, end, c.op, c.constant.int64(), out);
   } else if (OnCodes(conditions[seed], *cols[seed], compressed)) {
     const Condition& c = conditions[seed];
     const ColumnVector& col = *cols[seed];

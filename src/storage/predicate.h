@@ -11,7 +11,7 @@
 
 namespace exploredb {
 
-class CompressedColumn;
+class CompressedInt64Column;
 
 /// Comparison operators for single-column conditions.
 enum class CompareOp { kLt, kLe, kGt, kGe, kEq, kNe };
@@ -50,7 +50,7 @@ bool ServedByCodes(const Condition& c, DataType column_type);
 /// gathered out of compressed int64 blocks are timed into *decompress_nanos
 /// (when non-null) and traced as "decompress" spans when `tracing`.
 struct CompressedInputs {
-  const std::vector<const CompressedColumn*>* comp = nullptr;
+  const std::vector<const CompressedInt64Column*>* comp = nullptr;
   bool codes = false;
   bool tracing = false;
   int64_t* decompress_nanos = nullptr;

@@ -388,14 +388,13 @@ TEST(CompressedColumnTest, BuildDispatchesByTypeAndCachesOnEntry) {
   ASSERT_TRUE(db.CreateTable("t", std::move(t)).ok());
   TableEntry* entry = db.GetTable("t").ValueOrDie();
 
-  const CompressedColumn* ci = entry->GetCompressed(0).ValueOrDie();
+  const CompressedInt64Column* ci = entry->GetCompressed(0).ValueOrDie();
   if (CompressionPolicyFromEnv() == CompressionPolicy::kOff) {
     // Compression off: no int64 representation (a cached nullptr verdict).
     EXPECT_EQ(ci, nullptr);
   } else {
     ASSERT_NE(ci, nullptr);
-    ASSERT_NE(ci->i64(), nullptr);
-    EXPECT_GT(ci->i64()->compression_ratio(), 1.25);
+    EXPECT_GT(ci->compression_ratio(), 1.25);
   }
   // Second fetch serves the cached instance.
   EXPECT_EQ(entry->GetCompressed(0).ValueOrDie(), ci);
@@ -403,12 +402,9 @@ TEST(CompressedColumnTest, BuildDispatchesByTypeAndCachesOnEntry) {
   // Doubles have no compressed representation (cached nullptr verdict).
   EXPECT_EQ(entry->GetCompressed(1).ValueOrDie(), nullptr);
 
-  // Nor do strings: the column stores codes already, and GetDict serves the
-  // column's own dictionary.
+  // Nor do strings: the column stores codes in its own dictionary already.
   EXPECT_EQ(entry->GetCompressed(2).ValueOrDie(), nullptr);
-  const StringDictionary* dict = entry->GetDict(2).ValueOrDie();
-  EXPECT_EQ(dict, &entry->GetColumn(2).ValueOrDie()->dictionary());
-  EXPECT_EQ(dict->size(), 3u);
+  EXPECT_EQ(entry->GetColumn(2).ValueOrDie()->dictionary().size(), 3u);
 
   // Deep validation covers the compressed representations too.
   ASSERT_TRUE(entry->ValidateAdaptiveState().ok());
@@ -427,7 +423,8 @@ TEST(CompressedColumnTest, BuildMetricsAccumulate) {
   for (size_t i = 0; i < 20'000; ++i) {
     ASSERT_TRUE(cv.Append(Value(static_cast<int64_t>(i / 50))).ok());
   }
-  std::unique_ptr<CompressedColumn> built = CompressedColumn::Build(cv);
+  std::unique_ptr<CompressedInt64Column> built =
+      CompressedInt64Column::Build(cv);
   if (CompressionPolicyFromEnv() == CompressionPolicy::kOff) {
     // Compression off: nothing is encoded, so nothing is counted.
     EXPECT_EQ(built, nullptr);
@@ -437,7 +434,7 @@ TEST(CompressedColumnTest, BuildMetricsAccumulate) {
     return;
   }
   ASSERT_NE(built, nullptr);
-  EXPECT_EQ(blocks->Value() - blocks0, built->i64()->num_blocks());
+  EXPECT_EQ(blocks->Value() - blocks0, built->num_blocks());
   EXPECT_EQ(raw->Value() - raw0, built->raw_bytes());
   EXPECT_EQ(comp->Value() - comp0, built->compressed_bytes());
 }

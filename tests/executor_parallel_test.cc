@@ -8,11 +8,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "engine/database.h"
@@ -473,6 +478,114 @@ TEST_F(ParallelExecutorTest, CacheHitRowsEqualMissRows) {
       ASSERT_TRUE(hit.ValueOrDie().rows.has_value()) << at;
       ExpectSameRows(*hit.ValueOrDie().rows, *miss.ValueOrDie().rows, at);
       ExpectSameRows(*miss.ValueOrDie().rows, *want.ValueOrDie().rows, at);
+    }
+  }
+}
+
+// ---- one access plan per query ---------------------------------------------
+
+// An index plan outside the planner walks no zone map: a kCracking window
+// on a fresh table builds its cracker and nothing else, and the next window
+// builds nothing.
+TEST_F(ParallelExecutorTest, CrackingWindowBuildsOnlyItsCracker) {
+  Counter* builds = Metrics().GetCounter("exploredb_synopsis_builds_total");
+  const uint64_t before = builds->Value();
+  Executor exec(&db_);
+  ExecContext ctx;
+  ctx.SetMode(ExecutionMode::kCracking);
+  ASSERT_TRUE(exec.Execute(WindowQuery(1000, 2000), ctx).ok());
+  EXPECT_EQ(builds->Value() - before, 1u);
+  ASSERT_TRUE(exec.Execute(WindowQuery(40000, 45000), ctx).ok());
+  EXPECT_EQ(builds->Value() - before, 1u);
+}
+
+/// 737,000 rows: `k` uniform in [0, 1e6), `g` = k mod 8, and `v` a
+/// heavy-tailed measure exp(6 N(0,1)) with a random sign. Its sums change
+/// in their last bits under any change of summation order, where sums of
+/// uniform values can happen to agree.
+Table HeavyTailTable() {
+  Table t(Schema({{"k", DataType::kInt64},
+                  {"g", DataType::kInt64},
+                  {"v", DataType::kDouble}}));
+  Random rng(1);
+  constexpr size_t kRows = 737'000;
+  t.Reserve(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    const int64_t k = rng.UniformInt(0, 999'999);
+    const double v = std::exp(6.0 * rng.NextGaussian());
+    t.mutable_column(0)->AppendInt64(k);
+    t.mutable_column(1)->AppendInt64(k % 8);
+    t.mutable_column(2)->AppendDouble(rng.Uniform(2) == 0 ? v : -v);
+  }
+  return t;
+}
+
+// Every exact plan reduces per table morsel and merges in morsel order, so
+// a scan, both index probes, the budgeted planner's exact rung and a
+// session's focus refine return the same SUM and AVG bits at any thread
+// count. (The scan's reduce is per morsel of ctx's size, so the bits are
+// compared per morsel size.)
+TEST(ExactBitsTest, EveryExactPlanReturnsTheSameBits) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("heavy", HeavyTailTable()).ok());
+  const Predicate window({{0, CompareOp::kGe, Value(int64_t{0})},
+                          {0, CompareOp::kLt, Value(int64_t{555'555})}});
+  const Query widest = Query::On("heavy")
+                           .Where(Predicate({window.conjuncts()[0]}))
+                           .Aggregate(AggKind::kCount)
+                           .GroupBy("g");
+  SessionOptions quiet;
+  quiet.speculate = false;
+  for (AggKind kind : {AggKind::kSum, AggKind::kAvg}) {
+    const Query q =
+        Query::On("heavy").Where(window).Aggregate(kind, "v");
+    for (size_t morsel : {ExecContext::kDefaultMorselSize, size_t{1000}}) {
+      std::optional<double> want;
+      for (size_t threads : {1u, 2u, 8u}) {
+        ThreadPool pool(threads);
+        ExecContext base = ParallelCtx(&pool, morsel);
+        auto check = [&](const std::string& how,
+                         const Result<QueryResult>& got, AccessPath path) {
+          SCOPED_TRACE(std::string(AggKindName(kind)) + " morsel=" +
+                       std::to_string(morsel) + " threads=" +
+                       std::to_string(threads) + " " + how);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const QueryResult& r = got.ValueOrDie();
+          EXPECT_EQ(r.stats().path, path);
+          EXPECT_FALSE(r.approximate);
+          ASSERT_TRUE(r.scalar.has_value());
+          if (!want.has_value()) want = r.scalar->value;
+          char bits[64];
+          std::snprintf(bits, sizeof(bits), "%.17g against %.17g",
+                        r.scalar->value, *want);
+          EXPECT_EQ(r.scalar->value, *want) << bits;
+        };
+        Executor exec(&db);
+        const std::pair<ExecutionMode, AccessPath> modes[] = {
+            {ExecutionMode::kScan, AccessPath::kScan},
+            {ExecutionMode::kCracking, AccessPath::kCracker},
+            {ExecutionMode::kFullIndex, AccessPath::kSorted},
+            {ExecutionMode::kAuto, AccessPath::kCracker}};
+        for (const auto& [mode, path] : modes) {
+          ExecContext ctx = base;
+          ctx.SetMode(mode);
+          check(ExecutionModeName(mode), exec.Execute(q, ctx), path);
+        }
+        ExecContext budgeted = base;
+        budgeted.SetBudget({.latency = std::chrono::seconds(5)});
+        Result<QueryResult> planned = exec.Execute(q, budgeted);
+        check("budgeted", planned, AccessPath::kCracker);
+        EXPECT_EQ(planned.ValueOrDie().stats().planner_choice,
+                  PlannerChoice::kExact);
+
+        // The grouped scan over `k >= 0` leaves the focus the window's
+        // aggregate refines.
+        Session session(&db, quiet);
+        ExecContext scan = base;
+        scan.SetMode(ExecutionMode::kScan);
+        ASSERT_TRUE(session.Execute(widest, scan).ok());
+        check("focus", session.Execute(q, scan), AccessPath::kFocus);
+      }
     }
   }
 }

@@ -147,6 +147,7 @@ TEST_F(JournalTest, JsonLineRoundTripsEveryField) {
   r.stats.project_nanos = 4444;
   r.stats.decompress_nanos = 5555;
   r.stats.total_nanos = 16665;
+  r.stats.predicted_nanos = 7777;
   r.result_fingerprint = 0xdeadbeefcafef00dULL;
   r.result_rows = 99;
   r.scalar = 3.25;
@@ -213,6 +214,7 @@ TEST_F(JournalTest, JsonLineRoundTripsEveryField) {
   EXPECT_EQ(p.stats.project_nanos, r.stats.project_nanos);
   EXPECT_EQ(p.stats.decompress_nanos, r.stats.decompress_nanos);
   EXPECT_EQ(p.stats.total_nanos, r.stats.total_nanos);
+  EXPECT_EQ(p.stats.predicted_nanos, r.stats.predicted_nanos);
 
   EXPECT_EQ(p.result_fingerprint, r.result_fingerprint);
   EXPECT_EQ(p.result_rows, r.result_rows);

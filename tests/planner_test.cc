@@ -493,6 +493,34 @@ TEST(PlannerTest, CostModelCalibratesFromExecutions) {
   EXPECT_GT(model.exact_compressed_ns_per_row(), 0.0);
 }
 
+// The exact rung prices the plan it runs: a budgeted scan's prediction is
+// its calibrated rate times exactly the rows it scans, at any morsel size.
+TEST(PlannerTest, ExactScanIsPricedAtTheRowsItScans) {
+  // The clustered `ts` prunes every morsel past 100,000, so the scan reads
+  // fewer rows than the table holds, and how many depends on the morsel.
+  const Query count =
+      Query::On("events")
+          .Where(Predicate({{0, CompareOp::kLt, Value(int64_t{100'000})}}))
+          .Aggregate(AggKind::kCount);
+  for (size_t morsel : {ExecContext::kDefaultMorselSize, size_t{1000}}) {
+    SCOPED_TRACE(morsel);
+    Executor executor(TestDb());
+    executor.planner().cost_model().SetExactNsPerRowForTest(3.0);
+    ExecContext budgeted;
+    budgeted.SetMorselSize(morsel).SetBudget({.latency = seconds(5)});
+    auto r = executor.Execute(count, budgeted);
+    ASSERT_TRUE(r.ok());
+    const ExecStats& stats = r.ValueOrDie().stats();
+    EXPECT_EQ(stats.planner_choice, PlannerChoice::kExact);
+    EXPECT_EQ(stats.path, AccessPath::kScan);
+    EXPECT_GE(stats.rows_scanned, 100'000u);
+    EXPECT_LT(stats.rows_scanned, 256u * 1024);
+    EXPECT_EQ(stats.predicted_nanos,
+              static_cast<int64_t>(3 * stats.rows_scanned));
+    EXPECT_NE(stats.Summary().find("predicted="), std::string::npos);
+  }
+}
+
 TEST(PlannerTest, CostModelSkipsInfiniteIntervals) {
   // An online AVG that has matched one row reports an infinite interval
   // around a nonzero value.

@@ -383,18 +383,16 @@ TEST(ServerStressTest, AdaptiveStructuresBuildOnceUnderRace) {
   // exactly once; a structure the column's type cannot carry is an
   // InvalidArgument every time and is never built. (Run under TSan, a
   // publish that is not a release store shows up here as a race.)
-  enum Kind { kCracker, kSortedIndex, kZoneMap, kCompressed, kDict, kKinds };
+  enum Kind { kCracker, kSortedIndex, kZoneMap, kCompressed, kKinds };
   constexpr size_t kColumns = 4;  // int64, int64, double, string
   // Which (kind, column) pairs succeed: int64-only crackers and sorted
-  // indexes, numeric zone maps, compressed for every column (a double's and
-  // a string's are the cached nullptr verdict), and a dictionary for the
-  // string column.
+  // indexes, numeric zone maps, and compressed for every column (a double's
+  // and a string's are the cached nullptr verdict). A string column's
+  // dictionary is no adaptive structure: the column fills it on append.
   constexpr bool kBuildable[kKinds][kColumns] = {{true, true, false, false},
                                                  {true, true, false, false},
                                                  {true, true, true, false},
-                                                 {true, true, true, true},
-                                                 {false, false, false, true}};
-  // kDict builds nothing: the string column fills its dictionary on append.
+                                                 {true, true, true, true}};
   constexpr uint64_t kStructures = 2 + 2 + 3 + 4;
   constexpr int kRacers = 8;
   constexpr int kValidatorPasses = 20;
@@ -451,11 +449,8 @@ TEST(ServerStressTest, AdaptiveStructuresBuildOnceUnderRace) {
               case kZoneMap:
                 take(entry->GetZoneMap(col));
                 break;
-              case kCompressed:
-                take(entry->GetCompressed(col));
-                break;
               default:
-                take(entry->GetDict(col));
+                take(entry->GetCompressed(col));
                 break;
             }
             const bool want_ok = kBuildable[kind][col];
@@ -489,15 +484,12 @@ TEST(ServerStressTest, AdaptiveStructuresBuildOnceUnderRace) {
         }
       }
     }
-    // The racers' instances are the published ones; the dictionary is the
-    // string column's own; neither a double nor a string has a compressed
-    // form.
+    // The racers' instances are the published ones; neither a double nor a
+    // string has a compressed form.
     EXPECT_EQ(got[0][kCracker][1], entry->GetCracker(1).ValueOrDie());
     EXPECT_EQ(got[0][kZoneMap][2], entry->GetZoneMap(2).ValueOrDie());
     EXPECT_EQ(got[0][kCompressed][2], nullptr);
     EXPECT_EQ(got[0][kCompressed][3], nullptr);
-    EXPECT_EQ(got[0][kDict][3],
-              &entry->GetColumn(3).ValueOrDie()->dictionary());
     EXPECT_TRUE(entry->ValidateAdaptiveState().ok());
     EXPECT_EQ(builds->Value() - builds_before, kStructures);
   }
