@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <map>
 #include <optional>
 #include <unordered_map>
 
@@ -147,13 +146,6 @@ Result<std::vector<const CompressedInt64Column*>> FetchCompressed(
   return comp;
 }
 
-/// Whether string (in)equalities compare dictionary codes (compression on)
-/// or values.
-bool ScansOnCodes(const ExecContext& ctx) {
-  return ctx.options().use_compression &&
-         CompressionPolicyFromEnv() != CompressionPolicy::kOff;
-}
-
 /// Reusable per-thread decode buffer for measure values gathered out of
 /// compressed blocks.
 std::vector<int64_t>& MorselValueScratch() {
@@ -190,6 +182,10 @@ std::vector<uint32_t>& MorselScratch() {
 
 using MorselPlan = Executor::MorselPlan;
 using AccessPlan = Executor::AccessPlan;
+
+/// The sample plan's fixed seed. Live morsel m draws from kSampleSeed + m,
+/// its index in the table, so a sample is the same at any thread count.
+constexpr uint64_t kSampleSeed = 42;
 
 /// The one zone-map planner: fills `plan`'s live morsels of its rows, cut
 /// into its morsels. `comp` is FetchCompressed's answer for `conds`.
@@ -240,46 +236,56 @@ Status PlanMorsels(TableEntry* entry, const std::vector<Condition>& conds,
   return Status::OK();
 }
 
-/// Folds the reads of a scan or focus plan into its stats and the
-/// process-wide prune counters (planning alone never counts as pruning).
-void CountMorselReads(const AccessPlan& plan, ExecStats* stats) {
+/// Folds the pruning and compressed morsels of a scan, focus or sample plan
+/// into its stats and the process-wide prune counters (planning alone never
+/// counts as pruning). AppendMorsel counts the rows each morsel reads.
+void CountPruning(const AccessPlan& plan, ExecStats* stats) {
   stats->morsels_pruned += plan.morsels.pruned;
   ZoneMapCheckedCounter()->Add(plan.morsels.checked);
   ZoneMapPrunedCounter()->Add(plan.morsels.pruned);
-  stats->rows_scanned += plan.focus != nullptr ? plan.focus_rows
-                                               : plan.morsels.live_rows();
   if (plan.on_compressed) stats->compressed_morsels += plan.morsels.live.size();
 }
 
-/// The conjuncts a scan or focus plan's morsels apply: the query's, or the
-/// residual the focus lacks.
+/// The conjuncts a scan, focus or sample plan's morsels apply: the query's,
+/// or the residual the focus lacks.
 const std::vector<Condition>& MorselConds(const AccessPlan& plan,
                                           const Predicate& where) {
   return plan.focus != nullptr ? plan.residual : where.conjuncts();
 }
 
-/// Appends the matches in live morsel i of a scan or focus plan to *out:
-/// FilterRange over the morsel's rows, or the morsel's focus slice narrowed
-/// by the residual. `cols` holds the columns of MorselConds.
-void AppendMorsel(const AccessPlan& plan, const std::vector<Condition>& conds,
-                  const std::vector<const ColumnVector*>& cols, size_t i,
-                  std::vector<uint32_t>* out, bool tracing,
-                  int64_t* decompress) {
-  if (plan.focus == nullptr) {
-    const auto [begin, end] = plan.morsels.Rows(plan.morsels.live[i]);
+/// Appends the matches in live morsel i of a scan, focus or sample plan to
+/// *out: FilterRange over the morsel's rows, or the morsel's focus slice or
+/// Bernoulli draw narrowed by `conds` (MorselConds, whose columns `cols`
+/// holds). Returns the rows it read: the morsel's rows, the slice or the
+/// draw.
+uint64_t AppendMorsel(const AccessPlan& plan,
+                      const std::vector<Condition>& conds,
+                      const std::vector<const ColumnVector*>& cols, size_t i,
+                      std::vector<uint32_t>* out, bool tracing,
+                      int64_t* decompress) {
+  const size_t m = plan.morsels.live[i];
+  const auto [begin, end] = plan.morsels.Rows(m);
+  if (plan.path == AccessPath::kScan) {
     Predicate::FilterRange(conds, cols, begin, end, out,
                            {&plan.comp, plan.codes, tracing, decompress});
-    return;
+    return end - begin;
   }
-  const auto [first, last] = plan.slices[i];
   const size_t old = out->size();
-  out->insert(out->end(), plan.focus->begin() + first,
-              plan.focus->begin() + last);
-  if (conds.empty()) return;
-  out->resize(old + Predicate::Refine(conds, cols, out->data() + old,
-                                      static_cast<uint32_t>(last - first),
-                                      {nullptr, plan.codes, tracing,
-                                       decompress}));
+  if (plan.path == AccessPath::kSample) {
+    Random rng(kSampleSeed + m);
+    BernoulliSample(begin, end, plan.fraction, &rng, out);
+  } else {
+    const auto [first, last] = plan.slices[i];
+    out->insert(out->end(), plan.focus->begin() + first,
+                plan.focus->begin() + last);
+  }
+  const auto read = static_cast<uint32_t>(out->size() - old);
+  if (!conds.empty()) {
+    out->resize(old + Predicate::Refine(conds, cols, out->data() + old, read,
+                                        {nullptr, plan.codes, tracing,
+                                         decompress}));
+  }
+  return read;
 }
 
 /// The positions an index plan selects, ascending: the cracker's or the
@@ -329,13 +335,12 @@ std::vector<std::pair<size_t, size_t>> SliceByMorsel(
   return slices;
 }
 
-/// Whether `mode` answers `query` from its own input, a sample or the
-/// online loop's, instead of an access plan. A grouped query has no online
-/// estimator, so kOnline scans it exactly.
+/// Whether `mode` answers `query` from the online loop's own input instead
+/// of an access plan. A grouped query has no online estimator, so kOnline
+/// scans it exactly.
 bool ReadsOwnInput(const Query& query, ExecutionMode mode) {
-  return query.aggregate().has_value() &&
-         (mode == ExecutionMode::kSampled ||
-          (mode == ExecutionMode::kOnline && !query.group_by().has_value()));
+  return mode == ExecutionMode::kOnline && query.aggregate().has_value() &&
+         !query.group_by().has_value();
 }
 
 /// EXPLOREDB_VALIDATE=1 deep-validates every adaptive structure of the
@@ -443,11 +448,22 @@ Result<Executor::AccessPlan> Executor::ChooseAccess(TableEntry* entry,
                                                     bool priced) {
   AccessPlan plan;
   plan.mode = ctx.options().mode;
-  plan.codes = ScansOnCodes(ctx);
+  // String (in)equalities compare dictionary codes when compression is on.
+  plan.codes = ctx.options().use_compression &&
+               CompressionPolicyFromEnv() != CompressionPolicy::kOff;
   EXPLOREDB_ASSIGN_OR_RETURN(plan.morsels.rows, entry->NumRows());
   plan.morsels.morsel = std::max<size_t>(1, ctx.morsel_size());
   const Schema& schema = entry->schema();
   const Predicate& where = query.where();
+  const bool sampled =
+      plan.mode == ExecutionMode::kSampled && query.aggregate().has_value();
+  if (sampled) {
+    plan.fraction = ctx.options().sample_fraction;
+    if (!(std::isfinite(plan.fraction) && plan.fraction > 0.0)) {
+      return Status::InvalidArgument(
+          "sample_fraction must be finite and positive");
+    }
+  }
 
   // An index probe. It never takes the focus: a converged cracker answers
   // in O(log n + result), which can beat a refine of the focus.
@@ -463,9 +479,14 @@ Result<Executor::AccessPlan> Executor::ChooseAccess(TableEntry* entry,
     plan.mode = ExecutionMode::kScan;
   }
 
-  // The zone-map-pruned scan (for an index plan, the one it replaces).
-  EXPLOREDB_ASSIGN_OR_RETURN(plan.comp,
-                             FetchCompressed(entry, where.conjuncts(), ctx));
+  // The zone-map-pruned scan (for an index plan, the one it replaces). A
+  // sample's draws are sparse, so it reads no compressed column.
+  if (sampled) {
+    plan.comp.assign(where.conjuncts().size(), nullptr);
+  } else {
+    EXPLOREDB_ASSIGN_OR_RETURN(plan.comp,
+                               FetchCompressed(entry, where.conjuncts(), ctx));
+  }
   EXPLOREDB_RETURN_NOT_OK(
       PlanMorsels(entry, where.conjuncts(), plan.comp, ctx, &plan.morsels));
   if (plan.index()) return plan;
@@ -475,7 +496,8 @@ Result<Executor::AccessPlan> Executor::ChooseAccess(TableEntry* entry,
 
   // A covering focus no larger than the pruned scan seeds each live morsel
   // with its slice of the focus, narrowed by the conjuncts the focus lacks.
-  const Focus* focus = ctx.focus();
+  // A sample draws from the table's rows, never the focus's.
+  const Focus* focus = sampled ? nullptr : ctx.focus();
   std::optional<std::vector<Condition>> residual;
   if (focus != nullptr &&
       focus->positions.size() <= plan.morsels.live_rows()) {
@@ -500,11 +522,17 @@ Result<Executor::AccessPlan> Executor::ChooseAccess(TableEntry* entry,
     return plan;
   }
 
-  // A scan. A scalar aggregate gathers an int64 measure out of its
-  // compressed column.
+  // A scan, or a sample of its live morsels, whose selection keeps the
+  // drawn share of the matches. A scalar aggregate scan gathers an int64
+  // measure out of its compressed column.
   for (size_t i = 0; i < plan.comp.size(); ++i) {
     plan.on_compressed |=
         plan.comp[i] != nullptr || on_codes(where.conjuncts()[i]);
+  }
+  if (sampled) {
+    plan.path = AccessPath::kSample;
+    plan.morsels.selectivity *= std::min(1.0, plan.fraction);
+    return plan;
   }
   const std::optional<AggregateExpr>& agg = query.aggregate();
   if (agg.has_value() && !agg->column.empty() &&
@@ -529,12 +557,12 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
   const std::vector<Condition>& conds = MorselConds(plan, where);
   EXPLOREDB_ASSIGN_OR_RETURN(std::vector<const ColumnVector*> cols,
                              FetchConditionColumns(entry, conds));
-  CountMorselReads(plan, stats);
+  CountPruning(plan, stats);
   const MorselPlan& morsels = plan.morsels;
   auto filter_morsel = [&](size_t i, std::vector<uint32_t>* buf,
                            int64_t* decompress) {
     TraceSpan span("morsel", tracing);
-    AppendMorsel(plan, conds, cols, i, buf, tracing, decompress);
+    return AppendMorsel(plan, conds, cols, i, buf, tracing, decompress);
   };
 
   // Serial kernel: one pass appending straight into the output, pre-sized
@@ -549,7 +577,7 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
     out.reserve(std::min(morsels.live_rows(), estimated + morsels.morsel));
     for (size_t i = 0; i < morsels.live.size(); ++i) {
       if (ctx.Interrupted()) return InterruptedStatus(ctx);
-      filter_morsel(i, &out, &stats->decompress_nanos);
+      stats->rows_scanned += filter_morsel(i, &out, &stats->decompress_nanos);
     }
     stats->morsels_dispatched += morsels.live.size();
     return out;
@@ -559,16 +587,17 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
   // order — byte-identical to the serial scan for any worker count. Each
   // worker filters into its reusable thread-local scratch and copies out
   // exactly the surviving positions, so per-morsel buffers are allocated at
-  // their final size instead of growing geometrically. Decompress time is
-  // accumulated per morsel and folded in morsel order below.
+  // their final size instead of growing geometrically. Decompress time and
+  // rows read are accumulated per morsel and folded in morsel order below.
   std::vector<std::vector<uint32_t>> parts(morsels.live.size());
   std::vector<int64_t> decompress(morsels.live.size(), 0);
+  std::vector<uint64_t> read(morsels.live.size(), 0);
   ThreadPool::ForStats fs =
       pool->ParallelFor(morsels.live.size(), [&](size_t i) {
         if (ctx.Interrupted()) return;
         std::vector<uint32_t>& scratch = MorselScratch();
         scratch.clear();
-        filter_morsel(i, &scratch, &decompress[i]);
+        read[i] = filter_morsel(i, &scratch, &decompress[i]);
         parts[i].assign(scratch.begin(), scratch.end());
       });
   stats->morsels_dispatched += fs.chunks;
@@ -578,6 +607,7 @@ Result<std::vector<uint32_t>> Executor::SelectPositions(
   size_t total = 0;
   for (const auto& p : parts) total += p.size();
   for (int64_t d : decompress) stats->decompress_nanos += d;
+  for (uint64_t r : read) stats->rows_scanned += r;
   std::vector<uint32_t> out;
   out.reserve(total);
   for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
@@ -612,7 +642,7 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
     units = probed_slices.size();
   } else {
     EXPLOREDB_ASSIGN_OR_RETURN(cols, FetchConditionColumns(entry, conds));
-    CountMorselReads(plan, stats);
+    CountPruning(plan, stats);
   }
   // A probe's positions (its residual applied) and a focus with no
   // conjunct left to apply are each morsel's selection as they stand.
@@ -631,14 +661,17 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
           : nullptr;
 
   // One fused pass per morsel: take the morsel's selection, reduce it with
-  // the dispatched masked-sum kernel, keep only the (sum, count,
-  // decompress) partial. Partials merge in morsel order below, so the
-  // result is bit-identical for any thread count (serial is the same
-  // computation with one worker).
+  // the dispatched masked-sum kernel, keep only the (sum, count, rows read,
+  // decompress) partial, and for a sample the selection's Moments. Partials
+  // merge in morsel order below, so the result is bit-identical for any
+  // thread count (serial is the same computation with one worker).
+  const bool sampled = plan.path == AccessPath::kSample;
   struct Partial {
     double sum = 0;
     uint64_t count = 0;
+    uint64_t read = 0;
     int64_t decompress_nanos = 0;
+    Moments matched;
   };
   std::vector<Partial> partials(units);
   auto agg_morsel = [&](size_t i) {
@@ -651,8 +684,8 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
     } else {
       std::vector<uint32_t>& scratch = MorselScratch();
       scratch.clear();
-      AppendMorsel(plan, conds, cols, i, &scratch, tracing,
-                   &partials[i].decompress_nanos);
+      partials[i].read = AppendMorsel(plan, conds, cols, i, &scratch, tracing,
+                                      &partials[i].decompress_nanos);
       sel = scratch.data();
       cnt = static_cast<uint32_t>(scratch.size());
     }
@@ -677,6 +710,16 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
                                          : kt.sum_i64_sel(i64, sel, cnt);
       }
     }
+    if (!sampled) return;
+    Moments& matched = partials[i].matched;
+    if (kind == AggKind::kCount) {
+      matched.count = cnt;
+      return;
+    }
+    for (uint32_t j = 0; j < cnt; ++j) {
+      matched.Add(dbl != nullptr ? dbl[sel[j]]
+                                 : static_cast<double>(i64[sel[j]]));
+    }
   };
   ThreadPool* pool = ctx.thread_pool();
   if (pool != nullptr && units > 1) {
@@ -697,26 +740,22 @@ Result<Estimate> Executor::ScanAggregate(TableEntry* entry,
 
   double sum = 0;
   uint64_t matches = 0;
+  uint64_t read = 0;
+  Moments matched;
   for (const Partial& p : partials) {
     sum += p.sum;
     matches += p.count;
+    read += p.read;
+    matched.Merge(p.matched);
     stats->decompress_nanos += p.decompress_nanos;
   }
-  Estimate e;
-  e.confidence = ctx.options().confidence;
-  e.sample_size = matches;
-  switch (kind) {
-    case AggKind::kCount:
-      e.value = static_cast<double>(matches);
-      break;
-    case AggKind::kSum:
-      e.value = sum;
-      break;
-    case AggKind::kAvg:
-      e.value = matches == 0 ? 0.0 : sum / static_cast<double>(matches);
-      break;
+  stats->rows_scanned += read;
+  // A sample that drew every live row is the scan, and answers exactly.
+  if (sampled && read < plan.morsels.live_rows()) {
+    return EstimateAggregate(kind, matched, read, plan.morsels.live_rows(),
+                             ctx.options().confidence);
   }
-  return e;
+  return ExactAggregate(kind, sum, matches, ctx.options().confidence);
 }
 
 Result<QueryResult> Executor::Execute(const Query& query,
@@ -783,7 +822,7 @@ Result<QueryResult> Executor::Run(const Query& query, const ExecContext& ctx,
   if (query.aggregate().has_value() || query.group_by().has_value()) {
     EXPLOREDB_ASSIGN_OR_RETURN(
         QueryResult result,
-        ExecuteAggregate(entry, query, mode, access, ctx, online, &stats));
+        ExecuteAggregate(entry, query, access, ctx, online, &stats));
     query_span.Stop();  // finalize total_nanos before publishing stats
     result.exec_stats = stats;
     RecordQueryMetrics(stats);
@@ -876,7 +915,6 @@ Result<QueryResult> Executor::ExecuteProgressive(
 
 Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
                                                const Query& query,
-                                               ExecutionMode mode,
                                                const AccessPlan* access,
                                                const ExecContext& ctx,
                                                const OnlineRule& online,
@@ -886,13 +924,6 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
   }
   const AggregateExpr& agg = *query.aggregate();
   const QueryOptions& options = ctx.options();
-  if (mode == ExecutionMode::kSampled &&
-      !(std::isfinite(options.sample_fraction) &&
-        options.sample_fraction > 0.0)) {
-    return Status::InvalidArgument(
-        "sample_fraction must be finite and positive");
-  }
-  EXPLOREDB_ASSIGN_OR_RETURN(size_t n, entry->NumRows());
 
   // Resolve the measure column (COUNT may omit it).
   const ColumnVector* measure = nullptr;
@@ -909,6 +940,8 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
   }
 
   QueryResult result;
+  result.approximate =
+      access != nullptr && access->path == AccessPath::kSample;
   const bool tracing = ctx.tracing();
 
   // ---- Grouped aggregates -------------------------------------------------
@@ -922,197 +955,109 @@ Result<QueryResult> Executor::ExecuteAggregate(TableEntry* entry,
     // morsels), and aggregates in place.
     std::vector<uint32_t> selected;
     const std::vector<uint32_t>* positions = &selected;
-    if (mode == ExecutionMode::kSampled) {
-      TraceSpan select_span("select", tracing, &stats->select_nanos);
-      stats->path = AccessPath::kSample;
-      Random rng(42);
-      selected = BernoulliSample(n, options.sample_fraction, &rng);
-      EXPLOREDB_ASSIGN_OR_RETURN(
-          std::vector<const ColumnVector*> cols,
-          FetchConditionColumns(entry, query.where().conjuncts()));
-      stats->rows_scanned += selected.size();
-      Predicate::Refine(query.where().conjuncts(), cols, &selected,
-                        {nullptr, ScansOnCodes(ctx)});
-      result.approximate = true;
-    } else if (access->focus != nullptr && access->residual.empty()) {
+    std::optional<std::pair<uint64_t, uint64_t>> sample;
+    if (access->focus != nullptr && access->residual.empty()) {
       positions = access->focus;
     } else {
+      const uint64_t scanned = stats->rows_scanned;
       EXPLOREDB_ASSIGN_OR_RETURN(
           selected,
           SelectPositions(entry, *access, query.where(), ctx, stats));
+      // A sample that drew every live row is the scan, and groups exactly.
+      const uint64_t drawn = stats->rows_scanned - scanned;
+      if (result.approximate && drawn < access->morsels.live_rows()) {
+        sample.emplace(drawn, access->morsels.live_rows());
+      }
     }
     TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
-    if (result.approximate) {
-      // Sampled mode keeps the value-list accumulator: the sample is small,
-      // and per-group CIs (EstimateMean) need the raw values.
-      struct Acc {
-        std::vector<double> values;
-        uint64_t count = 0;
-      };
-      std::map<std::string, Acc> groups;
-      for (uint32_t row : selected) {
-        Acc& acc = groups[gcol->GetValue(row).ToString()];
-        ++acc.count;
-        if (measure != nullptr) acc.values.push_back(measure->GetDouble(row));
-      }
-      // A fraction above 1 keeps every row once, so it scales like 1.
-      const double fraction = std::min(1.0, options.sample_fraction);
-      for (auto& [key, acc] : groups) {
-        Estimate e;
-        e.confidence = options.confidence;
-        e.sample_size = acc.count;
-        switch (agg.kind) {
-          case AggKind::kCount:
-            e.value = static_cast<double>(acc.count) / fraction;
-            break;
-          case AggKind::kSum: {
-            double s = 0;
-            for (double v : acc.values) s += v;
-            e.value = s / fraction;
-            break;
-          }
-          case AggKind::kAvg:
-            e = EstimateMean(acc.values, options.confidence);
-            break;
-        }
-        result.groups.push_back({key, e});
-      }
-    } else {
-      // Exact modes: typed, morsel-parallel hash aggregation. The group
-      // column's zone map supplies the key range that unlocks the dense
-      // int64 fast path; string keys aggregate over the column's dictionary
-      // codes.
-      std::optional<std::pair<int64_t, int64_t>> key_range;
-      if (gcol->type() == DataType::kInt64) {
-        EXPLOREDB_ASSIGN_OR_RETURN(const ZoneMap* zm, entry->GetZoneMap(gidx));
-        key_range = zm->Int64Range();
-      }
-      EXPLOREDB_ASSIGN_OR_RETURN(
-          result.groups,
-          HashGroupBy(*gcol, measure, agg.kind, options.confidence,
-                      *positions, key_range, ctx, stats));
-      // A scan or focus plan's selection becomes the session's next focus.
-      if (Focus* focus = ctx.focus();
-          focus != nullptr && !access->index() && positions == &selected) {
-        focus->entry = entry;
-        focus->conjuncts = query.where().conjuncts();
-        focus->positions = std::move(selected);
-      }
+    // Typed, morsel-parallel hash aggregation. The group column's zone map
+    // supplies the key range that unlocks the dense int64 fast path; string
+    // keys aggregate over the column's dictionary codes.
+    std::optional<std::pair<int64_t, int64_t>> key_range;
+    if (gcol->type() == DataType::kInt64) {
+      EXPLOREDB_ASSIGN_OR_RETURN(const ZoneMap* zm, entry->GetZoneMap(gidx));
+      key_range = zm->Int64Range();
+    }
+    EXPLOREDB_ASSIGN_OR_RETURN(
+        result.groups,
+        HashGroupBy(*gcol, measure, agg.kind, options.confidence, *positions,
+                    key_range, sample, ctx, stats));
+    // A scan or focus plan's selection becomes the session's next focus.
+    if (Focus* focus = ctx.focus();
+        focus != nullptr && positions == &selected &&
+        (access->path == AccessPath::kScan ||
+         access->path == AccessPath::kFocus)) {
+      focus->entry = entry;
+      focus->conjuncts = query.where().conjuncts();
+      focus->positions = std::move(selected);
     }
     return result;
   }
 
   // ---- Scalar aggregates --------------------------------------------------
-  switch (mode) {
-    case ExecutionMode::kSampled: {
-      stats->path = AccessPath::kSample;
-      Random rng(42);
-      std::vector<uint32_t> sample;
-      std::vector<uint32_t> hits;
-      {
-        TraceSpan select_span("select", tracing, &stats->select_nanos);
-        sample = BernoulliSample(n, options.sample_fraction, &rng);
-        EXPLOREDB_ASSIGN_OR_RETURN(
-            std::vector<const ColumnVector*> cols,
-            FetchConditionColumns(entry, query.where().conjuncts()));
-        stats->rows_scanned += sample.size();
-        hits = sample;
-        Predicate::Refine(query.where().conjuncts(), cols, &hits,
-                          {nullptr, ScansOnCodes(ctx)});
-        result.approximate = true;
-      }
-      TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
-      switch (agg.kind) {
-        case AggKind::kCount:
-          result.scalar = EstimateCount(hits.size(), sample.size(), n,
-                                        options.confidence);
-          break;
-        case AggKind::kSum: {
-          // Every sampled row contributes: its value if it matched, else 0.
-          std::vector<double> contributions;
-          contributions.reserve(sample.size());
-          size_t h = 0;
-          for (uint32_t row : sample) {
-            const bool hit = h < hits.size() && hits[h] == row;
-            contributions.push_back(hit ? measure->GetDouble(row) : 0.0);
-            h += hit;
-          }
-          result.scalar = EstimateSum(contributions, n, options.confidence);
-          break;
-        }
-        case AggKind::kAvg: {
-          std::vector<double> matched;
-          matched.reserve(hits.size());
-          for (uint32_t row : hits) matched.push_back(measure->GetDouble(row));
-          result.scalar = EstimateMean(matched, options.confidence);
-          break;
-        }
-      }
-      return result;
+  // Every access plan runs the fused scan-aggregate, which reduces each
+  // table morsel's selection in one pass without materializing the full
+  // position list (so it leaves the focus as it is).
+  if (access != nullptr) {
+    EXPLOREDB_ASSIGN_OR_RETURN(
+        result.scalar, ScanAggregate(entry, *access, query.where(), measure,
+                                     agg.kind, ctx, stats));
+    return result;
+  }
+
+  // The online loop, the one aggregate without an access plan: materialize
+  // predicate mask + values (one worker per partition), then consume
+  // batches in random order until the caller's rule is met, the deadline
+  // passes or the input runs out. An estimate that narrows the interval
+  // becomes the best so far, and the caller hears of it; the answer is that
+  // best, or the exact estimate at exhaustion. A deadline bounds
+  // refinement: the best comes back approximate rather than failing the
+  // query.
+  stats->path = AccessPath::kOnline;
+  EXPLOREDB_ASSIGN_OR_RETURN(size_t n, entry->NumRows());
+  TraceSpan select_span("select", tracing, &stats->select_nanos);
+  EXPLOREDB_ASSIGN_OR_RETURN(
+      std::vector<const ColumnVector*> cols,
+      FetchConditionColumns(entry, query.where().conjuncts()));
+  OnlineInput input = BuildOnlineInput(
+      query.where().conjuncts(), cols, measure, n, ctx.thread_pool(),
+      std::max<size_t>(1, ctx.morsel_size()), &stats->morsels_dispatched,
+      &stats->threads_used);
+  select_span.Stop();
+  TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
+  OnlineAggregator agg_runner(std::move(input.values),
+                              std::move(input.mask), agg.kind);
+  const size_t batch = std::max<size_t>(n / 100, 64);
+  Estimate best;
+  uint64_t sequence = 0;
+  for (bool first = true; !agg_runner.done(); first = false) {
+    if (ctx.cancelled()) return Status::Cancelled("query cancelled");
+    // Always consume at least one batch: an answer under deadline must be a
+    // real (if coarse) estimate, never the zero-sample degenerate.
+    if (!first && ctx.DeadlineExceeded()) break;
+    TraceSpan round_span("online_round", tracing);
+    // ProcessNext returns the rows actually consumed — the final batch is
+    // usually short, and += batch would overcount it.
+    stats->rows_scanned += agg_runner.ProcessNext(batch);
+    const Estimate current = agg_runner.Current(options.confidence);
+    if (!first && !(current.ci_half_width < best.ci_half_width)) continue;
+    best = current;
+    if (online.deliver != nullptr) {
+      ProgressiveUpdate update;
+      update.estimate = best;
+      update.stats = *stats;  // snapshot mid-flight (phase nanos open)
+      update.sequence = sequence++;
+      (*online.deliver)(update);
     }
-    case ExecutionMode::kOnline: {
-      // Materialize predicate mask + values (one worker per partition), then
-      // consume batches in random order until the caller's rule is met, the
-      // deadline passes or the input runs out. An estimate that narrows the
-      // interval becomes the best so far, and the caller hears of it; the
-      // answer is that best, or the exact estimate at exhaustion. A deadline
-      // bounds refinement: the best comes back approximate rather than
-      // failing the query.
-      stats->path = AccessPath::kOnline;
-      TraceSpan select_span("select", tracing, &stats->select_nanos);
-      EXPLOREDB_ASSIGN_OR_RETURN(
-          std::vector<const ColumnVector*> cols,
-          FetchConditionColumns(entry, query.where().conjuncts()));
-      OnlineInput input = BuildOnlineInput(
-          query.where().conjuncts(), cols, measure, n, ctx.thread_pool(),
-          std::max<size_t>(1, ctx.morsel_size()), &stats->morsels_dispatched,
-          &stats->threads_used);
-      select_span.Stop();
-      TraceSpan agg_span("aggregate", tracing, &stats->aggregate_nanos);
-      OnlineAggregator agg_runner(std::move(input.values),
-                                  std::move(input.mask), agg.kind);
-      const size_t batch = std::max<size_t>(n / 100, 64);
-      Estimate best;
-      uint64_t sequence = 0;
-      for (bool first = true; !agg_runner.done(); first = false) {
-        if (ctx.cancelled()) return Status::Cancelled("query cancelled");
-        // Always consume at least one batch: an answer under deadline must
-        // be a real (if coarse) estimate, never the zero-sample degenerate.
-        if (!first && ctx.DeadlineExceeded()) break;
-        TraceSpan round_span("online_round", tracing);
-        // ProcessNext returns the rows actually consumed — the final batch
-        // is usually short, and += batch would overcount it.
-        stats->rows_scanned += agg_runner.ProcessNext(batch);
-        const Estimate current = agg_runner.Current(options.confidence);
-        if (!first && !(current.ci_half_width < best.ci_half_width)) continue;
-        best = current;
-        if (online.deliver != nullptr) {
-          ProgressiveUpdate update;
-          update.estimate = best;
-          update.stats = *stats;  // snapshot mid-flight (phase nanos open)
-          update.sequence = sequence++;
-          (*online.deliver)(update);
-        }
-        if ((online.absolute > 0 && best.ci_half_width <= online.absolute) ||
-            (online.relative > 0 && RelativeError(best) <= online.relative)) {
-          break;
-        }
-      }
-      result.approximate = !agg_runner.done();
-      result.scalar =
-          result.approximate ? best : agg_runner.Current(options.confidence);
-      return result;
-    }
-    default: {
-      // Every access plan runs the fused scan-aggregate, which reduces each
-      // table morsel's selection in one pass without materializing the full
-      // position list (so it leaves the focus as it is).
-      EXPLOREDB_ASSIGN_OR_RETURN(
-          result.scalar, ScanAggregate(entry, *access, query.where(), measure,
-                                       agg.kind, ctx, stats));
-      return result;
+    if ((online.absolute > 0 && best.ci_half_width <= online.absolute) ||
+        (online.relative > 0 && RelativeError(best) <= online.relative)) {
+      break;
     }
   }
+  result.approximate = !agg_runner.done();
+  result.scalar =
+      result.approximate ? best : agg_runner.Current(options.confidence);
+  return result;
 }
 
 }  // namespace exploredb

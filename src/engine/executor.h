@@ -20,7 +20,7 @@ class Planner;
 /// mode. The executor is where the tutorial's layers meet: selection paths
 /// route through adaptive indexes (cracking), columns stream in through
 /// adaptive loading, and approximate modes answer from samples or online
-/// aggregation. Every exact query runs one AccessPlan, chosen once.
+/// aggregation. All but the online loop run one AccessPlan, chosen once.
 ///
 /// Full-column predicate scans and exact aggregation run morsel-parallel
 /// over the ExecContext's thread pool: columns split into fixed-size morsels
@@ -105,20 +105,21 @@ class Executor {
     }
   };
 
-  /// How one exact query reads its table, chosen once by ChooseAccess: an
-  /// index probe, a refine of the session's focus, or a zone-map-pruned
-  /// scan, with every input its path needs that is not a column. The
-  /// executor runs it; the planner prices it and hands the same plan down.
+  /// How one query reads its table, chosen once by ChooseAccess: an index
+  /// probe, a refine of the session's focus, a zone-map-pruned scan, or a
+  /// uniform sample of that scan's live morsels, with every input its path
+  /// needs that is not a column. The executor runs it; the planner prices
+  /// an exact plan and hands the same plan down.
   struct AccessPlan {
-    /// kScan, kFocus, kCracker or kSorted.
+    /// kScan, kFocus, kCracker, kSorted or kSample.
     AccessPath path = AccessPath::kScan;
     /// The mode that ran: kAuto resolved, every other mode as requested.
     ExecutionMode mode = ExecutionMode::kScan;
-    /// Scan and focus plans; an index plan fills it only when priced, as
-    /// the pruned scan it replaces, and otherwise only `rows` and `morsel`.
+    /// Every plan but an index probe, which fills it only when priced (as
+    /// the pruned scan it replaces), and otherwise only `rows` and `morsel`.
     MorselPlan morsels;
     /// Scan plans: per conjunct, the compressed int64 column its morsel
-    /// filter reads (nullptr: the raw column).
+    /// filter reads (nullptr: the raw column; always, for a sample).
     std::vector<const CompressedInt64Column*> comp;
     /// Scan plans of a scalar aggregate: the compressed int64 measure the
     /// reduce gathers from (nullptr: the raw column).
@@ -141,6 +142,9 @@ class Executor {
     const std::vector<uint32_t>* focus = nullptr;
     std::vector<std::pair<size_t, size_t>> slices;
     uint64_t focus_rows = 0;
+    /// Sample plans: each live morsel keeps each of its rows with this
+    /// probability (Bernoulli), then applies the query's conjuncts.
+    double fraction = 1.0;
 
     bool index() const {
       return path == AccessPath::kCracker || path == AccessPath::kSorted;
@@ -173,12 +177,13 @@ class Executor {
 
   /// The one access-path chooser. Under kCracking or kFullIndex, or kAuto,
   /// a predicate with a two-sided int64 range (ExtractRange) probes an
-  /// index: the sorted index under kFullIndex, else the cracker. Otherwise
-  /// a covering ctx.focus() no larger than the zone-map-pruned scan seeds
-  /// each live morsel, and failing that the pruned scan filters the table.
-  /// Reads the schema, the zone maps and the published compressed columns,
-  /// never a column. An index plan walks no zone map unless `priced`: the
-  /// planner prices a probe at the pruned scan it replaces.
+  /// index: the sorted index under kFullIndex, else the cracker. A kSampled
+  /// aggregate samples the zone-map-pruned scan's live morsels. Otherwise a
+  /// covering ctx.focus() no larger than the pruned scan seeds each live
+  /// morsel, and failing that the pruned scan filters the table. Reads the
+  /// schema, the zone maps and the published compressed columns, never a
+  /// column. An index plan walks no zone map unless `priced`: the planner
+  /// prices a probe at the pruned scan it replaces.
   static Result<AccessPlan> ChooseAccess(TableEntry* entry, const Query& query,
                                          const ExecContext& ctx, bool priced);
 
@@ -191,7 +196,7 @@ class Executor {
 
   /// The positions `where` matches, in row order, by `plan`: its index
   /// probe, or its morsels, morsel-parallel. Records the path's work in
-  /// `stats`.
+  /// `stats`: a sample plan's rows_scanned are the rows it drew.
   Result<std::vector<uint32_t>> SelectPositions(TableEntry* entry,
                                                 const AccessPlan& plan,
                                                 const Predicate& where,
@@ -207,16 +212,15 @@ class Executor {
   /// plan returns the same bits, at any thread count and kernel path. A
   /// scan's compressed measure is gathered out of the compressed
   /// representation (only surviving sub-blocks are decoded) instead of the
-  /// raw array — same values, same accumulation order.
+  /// raw array — same values, same accumulation order. A sample plan also
+  /// keeps each morsel's Moments for EstimateAggregate.
   Result<Estimate> ScanAggregate(TableEntry* entry, const AccessPlan& plan,
                                  const Predicate& where,
                                  const ColumnVector* measure, AggKind kind,
                                  const ExecContext& ctx, ExecStats* stats);
 
-  /// `access` is null exactly for the modes that read their own input: a
-  /// sample, or the online loop's.
+  /// `access` is null exactly for the online loop, which reads its own input.
   Result<QueryResult> ExecuteAggregate(TableEntry* entry, const Query& query,
-                                       ExecutionMode mode,
                                        const AccessPlan* access,
                                        const ExecContext& ctx,
                                        const OnlineRule& online,

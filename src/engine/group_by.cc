@@ -14,10 +14,21 @@ namespace exploredb {
 
 namespace {
 
-/// Per-group running aggregate: enough state for COUNT/SUM/AVG exactly.
+/// Per-group running aggregate of an exact selection: enough state for
+/// COUNT/SUM/AVG exactly. A sample's groups keep Moments instead, which
+/// share its interface: `count`, Add and Merge.
 struct Acc {
   double sum = 0.0;
   uint64_t count = 0;
+
+  void Add(double x) {
+    ++count;
+    sum += x;
+  }
+  void Merge(const Acc& other) {
+    sum += other.sum;
+    count += other.count;
+  }
 };
 
 /// Widest int64 key domain served by the dense-array fast path.
@@ -25,25 +36,6 @@ constexpr uint64_t kDenseDomainLimit = uint64_t{1} << 16;
 /// Total dense accumulator budget across all morsel partials (entries);
 /// beyond it the sparse hash path is cheaper than zero-filling.
 constexpr size_t kDenseBudget = size_t{4} << 20;
-
-Estimate FinishGroup(const Acc& acc, AggKind kind, double confidence) {
-  Estimate e;
-  e.confidence = confidence;
-  e.sample_size = acc.count;
-  switch (kind) {
-    case AggKind::kCount:
-      e.value = static_cast<double>(acc.count);
-      break;
-    case AggKind::kSum:
-      e.value = acc.sum;
-      break;
-    case AggKind::kAvg:
-      e.value = acc.count == 0 ? 0.0
-                               : acc.sum / static_cast<double>(acc.count);
-      break;
-  }
-  return e;
-}
 
 Status InterruptedStatus(const ExecContext& ctx) {
   return ctx.cancelled() ? Status::Cancelled("query cancelled")
@@ -94,13 +86,14 @@ double DoubleFromBits(uint64_t bits) {
   return v;
 }
 
-}  // namespace
-
-Result<std::vector<GroupValue>> HashGroupBy(
-    const ColumnVector& keys, const ColumnVector* measure, AggKind kind,
-    double confidence, const std::vector<uint32_t>& positions,
+/// HashGroupBy over accumulators of type A (Acc or Moments), each group
+/// finished by `finish`.
+template <typename A, typename Finish>
+Result<std::vector<GroupValue>> GroupRows(
+    const ColumnVector& keys, const ColumnVector* measure,
+    const std::vector<uint32_t>& positions,
     std::optional<std::pair<int64_t, int64_t>> key_range,
-    const ExecContext& ctx, ExecStats* stats) {
+    const ExecContext& ctx, ExecStats* stats, const Finish& finish) {
   std::vector<GroupValue> out;
   if (positions.empty()) return out;
 
@@ -122,21 +115,22 @@ Result<std::vector<GroupValue>> HashGroupBy(
   const uint32_t* pos = positions.data();
 
   // Accumulated (display key, aggregate) pairs, order fixed up at the end.
-  std::vector<std::pair<std::string, Acc>> flat;
+  std::vector<std::pair<std::string, A>> flat;
 
   // Dense path shared by dictionary codes and narrow int64 domains:
-  // per-morsel Acc arrays indexed by `code(row)`, folded in morsel order.
-  // `code_array` (non-null for dictionary keys) unlocks the gathered block
-  // loop: codes — and double measures — are fetched through the dispatched
-  // gather kernels a block at a time, then accumulated in the original row
-  // order, so the sums are bit-identical to the row-at-a-time loop.
+  // per-morsel accumulator arrays indexed by `code(row)`, folded in morsel
+  // order. `code_array` (non-null for dictionary keys) unlocks the gathered
+  // block loop: codes — and double measures — are fetched through the
+  // dispatched gather kernels a block at a time, then accumulated in the
+  // original row order, so the sums are bit-identical to the row-at-a-time
+  // loop.
   auto run_dense = [&](size_t span, auto code, auto display,
                        const uint32_t* code_array) -> Status {
     const simd::KernelTable& kt = simd::ActiveKernels();
-    std::vector<std::vector<Acc>> parts = MorselPartials(
-        positions.size(), ctx, stats, std::vector<Acc>(span),
-        [&](size_t begin, size_t end, std::vector<Acc>* t) {
-          Acc* accs = t->data();
+    std::vector<std::vector<A>> parts = MorselPartials(
+        positions.size(), ctx, stats, std::vector<A>(span),
+        [&](size_t begin, size_t end, std::vector<A>* t) {
+          A* accs = t->data();
           if (code_array != nullptr) {
             constexpr size_t kBlock = 128;
             uint32_t code_buf[kBlock];
@@ -146,12 +140,13 @@ Result<std::vector<GroupValue>> HashGroupBy(
               kt.gather_u32(code_array, pos + i, blk, code_buf);
               if (mdbl != nullptr) kt.gather_f64(mdbl, pos + i, blk, val_buf);
               for (uint32_t j = 0; j < blk; ++j) {
-                Acc& a = accs[code_buf[j]];
-                ++a.count;
+                A& a = accs[code_buf[j]];
                 if (mdbl != nullptr) {
-                  a.sum += val_buf[j];
+                  a.Add(val_buf[j]);
                 } else if (has_measure) {
-                  a.sum += measure_at(pos[i + j]);
+                  a.Add(measure_at(pos[i + j]));
+                } else {
+                  ++a.count;
                 }
               }
             }
@@ -159,18 +154,18 @@ Result<std::vector<GroupValue>> HashGroupBy(
           }
           for (size_t i = begin; i < end; ++i) {
             const uint32_t row = pos[i];
-            Acc& a = accs[code(row)];
-            ++a.count;
-            if (has_measure) a.sum += measure_at(row);
+            A& a = accs[code(row)];
+            if (has_measure) {
+              a.Add(measure_at(row));
+            } else {
+              ++a.count;
+            }
           }
         });
     if (ctx.Interrupted()) return InterruptedStatus(ctx);
-    std::vector<Acc> merged(span);
-    for (const std::vector<Acc>& p : parts) {
-      for (size_t k = 0; k < span; ++k) {
-        merged[k].sum += p[k].sum;
-        merged[k].count += p[k].count;
-      }
+    std::vector<A> merged(span);
+    for (const std::vector<A>& p : parts) {
+      for (size_t k = 0; k < span; ++k) merged[k].Merge(p[k]);
     }
     for (size_t k = 0; k < span; ++k) {
       if (merged[k].count != 0) flat.emplace_back(display(k), merged[k]);
@@ -181,15 +176,18 @@ Result<std::vector<GroupValue>> HashGroupBy(
   // Sparse path: per-morsel hash tables over an integral key image.
   auto run_sparse = [&](auto code, auto display) -> Status {
     using Key = decltype(code(uint32_t{0}));
-    using Table = std::unordered_map<Key, Acc>;
+    using Table = std::unordered_map<Key, A>;
     std::vector<Table> parts = MorselPartials(
         positions.size(), ctx, stats, Table{},
         [&](size_t begin, size_t end, Table* t) {
           for (size_t i = begin; i < end; ++i) {
             const uint32_t row = pos[i];
-            Acc& a = (*t)[code(row)];
-            ++a.count;
-            if (has_measure) a.sum += measure_at(row);
+            A& a = (*t)[code(row)];
+            if (has_measure) {
+              a.Add(measure_at(row));
+            } else {
+              ++a.count;
+            }
           }
         });
     if (ctx.Interrupted()) return InterruptedStatus(ctx);
@@ -197,11 +195,7 @@ Result<std::vector<GroupValue>> HashGroupBy(
     // (morsel order) is all that determinism needs.
     Table merged;
     for (const Table& p : parts) {
-      for (const auto& [k, a] : p) {
-        Acc& m = merged[k];
-        m.sum += a.sum;
-        m.count += a.count;
-      }
+      for (const auto& [k, a] : p) merged[k].Merge(a);
     }
     flat.reserve(merged.size());
     for (const auto& [k, a] : merged) flat.emplace_back(display(k), a);
@@ -264,10 +258,29 @@ Result<std::vector<GroupValue>> HashGroupBy(
   std::sort(flat.begin(), flat.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   out.reserve(flat.size());
-  for (const auto& [key, acc] : flat) {
-    out.push_back({key, FinishGroup(acc, kind, confidence)});
-  }
+  for (const auto& [key, acc] : flat) out.push_back({key, finish(acc)});
   return out;
+}
+
+}  // namespace
+
+Result<std::vector<GroupValue>> HashGroupBy(
+    const ColumnVector& keys, const ColumnVector* measure, AggKind kind,
+    double confidence, const std::vector<uint32_t>& positions,
+    std::optional<std::pair<int64_t, int64_t>> key_range,
+    std::optional<std::pair<uint64_t, uint64_t>> sample,
+    const ExecContext& ctx, ExecStats* stats) {
+  if (!sample.has_value()) {
+    return GroupRows<Acc>(
+        keys, measure, positions, key_range, ctx, stats, [&](const Acc& a) {
+          return ExactAggregate(kind, a.sum, a.count, confidence);
+        });
+  }
+  return GroupRows<Moments>(
+      keys, measure, positions, key_range, ctx, stats, [&](const Moments& m) {
+        return EstimateAggregate(kind, m, sample->first, sample->second,
+                                 confidence);
+      });
 }
 
 }  // namespace exploredb

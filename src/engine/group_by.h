@@ -29,11 +29,14 @@ namespace exploredb {
 ///
 /// `measure` may be null (COUNT). `stats` receives morsel dispatch counts;
 /// `confidence` is copied into each group's Estimate. Exact answers carry a
-/// zero CI width.
+/// zero CI width. With a `sample` (drawn, population), `positions` are the
+/// matches among a uniform sample's draws: each group keeps Moments instead
+/// of a sum, and EstimateAggregate finishes it.
 Result<std::vector<GroupValue>> HashGroupBy(
     const ColumnVector& keys, const ColumnVector* measure, AggKind kind,
     double confidence, const std::vector<uint32_t>& positions,
     std::optional<std::pair<int64_t, int64_t>> key_range,
+    std::optional<std::pair<uint64_t, uint64_t>> sample,
     const ExecContext& ctx, ExecStats* stats);
 
 }  // namespace exploredb

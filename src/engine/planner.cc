@@ -272,8 +272,8 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
         scan.compressed);
     const bool exact_fits = exact_cost <= budget_ns * kBudgetHeadroom;
 
-    // Rung 3: uniform-sample estimate sized to the budget (the row-at-a-time
-    // sampled path is priced separately from the vectorized scan).
+    // Rung 3: uniform-sample estimate sized to the budget (a sample plan is
+    // priced per drawn row, apart from the scan's per-live-row rate).
     uint64_t sample_rows = 0;
     double sample_fraction = 0.0;
     double sample_promise = 1.0;

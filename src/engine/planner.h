@@ -28,9 +28,9 @@ class CostModel {
   /// separately from the raw-column rate.
   double ExactCostNs(uint64_t rows, bool compressed = false) const
       EXCLUDES(mu_);
-  /// Predicted wall cost of the row-at-a-time uniform-sample path over
-  /// `rows` sampled rows (drawing the sample is O(rows), so the whole path
-  /// is priced per sampled row).
+  /// Predicted wall cost of a sample plan that draws `rows` rows (each live
+  /// morsel draws its rows in O(rows drawn), so the plan is priced per
+  /// drawn row).
   double SampleCostNs(uint64_t rows) const EXCLUDES(mu_);
   /// Predicted relative CI half-width from `sample_rows` matching rows at
   /// `confidence` (z * cv / sqrt(m), the CLT promise under the current cv).

@@ -2,8 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace exploredb {
+
+const char* AggKindName(AggKind kind) {
+  switch (kind) {
+    case AggKind::kAvg:
+      return "AVG";
+    case AggKind::kSum:
+      return "SUM";
+    case AggKind::kCount:
+      return "COUNT";
+  }
+  return "?";
+}
 
 double RelativeError(const Estimate& e) {
   if (e.ci_half_width == 0.0) return 0.0;
@@ -53,49 +66,101 @@ double ZScore(double confidence) {
   return NormalQuantile(0.5 + confidence / 2.0);
 }
 
+Estimate ExactAggregate(AggKind kind, double sum, uint64_t count,
+                        double confidence) {
+  Estimate e;
+  e.confidence = confidence;
+  e.sample_size = count;
+  switch (kind) {
+    case AggKind::kCount:
+      e.value = static_cast<double>(count);
+      break;
+    case AggKind::kSum:
+      e.value = sum;
+      break;
+    case AggKind::kAvg:
+      e.value = count == 0 ? 0.0 : sum / static_cast<double>(count);
+      break;
+  }
+  return e;
+}
+
 namespace {
 
-void MeanVariance(const std::vector<double>& sample, double* mean,
-                  double* variance) {
-  // Welford's online algorithm for numerical stability.
-  double m = 0.0, m2 = 0.0;
-  size_t n = 0;
-  for (double x : sample) {
-    ++n;
-    double delta = x - m;
-    m += delta / static_cast<double>(n);
-    m2 += delta * (x - m);
-  }
-  *mean = m;
-  *variance = (n > 1) ? m2 / static_cast<double>(n - 1) : 0.0;
+/// Finite-population correction for `n` of `N` rows drawn without
+/// replacement: 0 once the draws cover the population.
+double Fpc(double n, double N) {
+  return (N > 1 && n < N) ? std::sqrt((N - n) / (N - 1)) : 0.0;
 }
 
 }  // namespace
 
-Estimate EstimateMean(const std::vector<double>& sample, double confidence) {
+void Moments::Add(double x) {
+  ++count;
+  const double delta = x - mean;
+  mean += delta / static_cast<double>(count);
+  m2 += delta * (x - mean);
+}
+
+void Moments::Merge(const Moments& other) {
+  if (other.count == 0) return;
+  if (count == 0) {
+    *this = other;
+    return;
+  }
+  const double delta = other.mean - mean;
+  const double share = static_cast<double>(other.count) /
+                       static_cast<double>(count + other.count);
+  mean += delta * share;
+  m2 += other.m2 + delta * delta * static_cast<double>(count) * share;
+  count += other.count;
+}
+
+Estimate EstimateAggregate(AggKind kind, const Moments& matched,
+                           uint64_t drawn, uint64_t population,
+                           double confidence) {
+  if (kind == AggKind::kCount) {
+    return EstimateCount(matched.count, drawn, population, confidence);
+  }
+  // AVG is the matches' mean. SUM scales the mean contribution of every
+  // draw (a match's value, else 0) by the population.
+  Moments m = matched;
+  double scale = 1.0;
+  if (kind == AggKind::kSum) {
+    m.Merge({drawn - matched.count, 0.0, 0.0});
+    scale = static_cast<double>(population);
+  }
   Estimate e;
   e.confidence = confidence;
-  e.sample_size = sample.size();
-  if (sample.empty()) return e;
-  double mean, var;
-  MeanVariance(sample, &mean, &var);
-  e.value = mean;
-  e.ci_half_width =
-      ZScore(confidence) * std::sqrt(var / static_cast<double>(sample.size()));
+  e.sample_size = m.count;
+  e.value = m.mean * scale;
+  if (drawn >= population) return e;
+  if (matched.count == 0 || m.count < 2) {
+    e.ci_half_width = INFINITY;
+    return e;
+  }
+  const double n = static_cast<double>(m.count);
+  e.ci_half_width = ZScore(confidence) * std::sqrt(m.m2 / (n - 1)) /
+                    std::sqrt(n) * scale *
+                    Fpc(static_cast<double>(drawn),
+                        static_cast<double>(population));
   return e;
+}
+
+Estimate EstimateMean(const std::vector<double>& sample, double confidence) {
+  Moments moments;
+  for (double x : sample) moments.Add(x);
+  // An unbounded population: no finite-population correction.
+  return EstimateAggregate(AggKind::kAvg, moments, sample.size(),
+                           std::numeric_limits<uint64_t>::max(), confidence);
 }
 
 Estimate EstimateSum(const std::vector<double>& sample,
                      size_t population_size, double confidence) {
-  Estimate e = EstimateMean(sample, confidence);
-  const double N = static_cast<double>(population_size);
-  const double n = static_cast<double>(sample.size());
-  // Finite-population correction for sampling without replacement.
-  double fpc =
-      (population_size > 1 && n < N) ? std::sqrt((N - n) / (N - 1)) : 0.0;
-  e.value *= N;
-  e.ci_half_width *= N * fpc;
-  return e;
+  Moments moments;
+  for (double x : sample) moments.Add(x);
+  return EstimateAggregate(AggKind::kSum, moments, sample.size(),
+                           population_size, confidence);
 }
 
 Estimate EstimateCount(size_t matches, size_t sample_size,
@@ -123,9 +188,7 @@ Estimate EstimateCount(size_t matches, size_t sample_size,
   const double center = (p + z2n / 2) / (1 + z2n);
   const double spread =
       z / (1 + z2n) * std::sqrt(p * (1 - p) / n + z2n / (4 * n));
-  double fpc =
-      (population_size > 1 && n < N) ? std::sqrt((N - n) / (N - 1)) : 0.0;
-  e.ci_half_width = (std::abs(p - center) + spread) * N * fpc;
+  e.ci_half_width = (std::abs(p - center) + spread) * N * Fpc(n, N);
   return e;
 }
 

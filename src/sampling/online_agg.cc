@@ -1,7 +1,6 @@
 #include "sampling/online_agg.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/metrics.h"
@@ -29,18 +28,6 @@ Counter* RowsCounter() {
 
 }  // namespace
 
-const char* AggKindName(AggKind kind) {
-  switch (kind) {
-    case AggKind::kAvg:
-      return "AVG";
-    case AggKind::kSum:
-      return "SUM";
-    case AggKind::kCount:
-      return "COUNT";
-  }
-  return "?";
-}
-
 OnlineAggregator::OnlineAggregator(std::vector<double> values,
                                    std::vector<uint8_t> mask, AggKind kind,
                                    uint64_t seed)
@@ -53,32 +40,15 @@ OnlineAggregator::OnlineAggregator(std::vector<double> values,
 }
 
 size_t OnlineAggregator::ProcessNext(size_t batch) {
-  size_t consumed = 0;
-  while (consumed < batch && cursor_ < order_.size()) {
-    uint32_t row = order_[cursor_++];
-    ++consumed;
-    bool hit = mask_[row] != 0;
-    matches_ += hit;
-    double x;
-    size_t n;
-    switch (kind_) {
-      case AggKind::kAvg:
-        // Welford over matched values only.
-        if (!hit) continue;
-        x = values_[row];
-        n = matches_;
-        break;
-      case AggKind::kSum:
-        x = hit ? values_[row] : 0.0;
-        n = cursor_;
-        break;
-      case AggKind::kCount:
-      default:
-        continue;  // COUNT's estimate needs only matches_
+  const size_t consumed = std::min(batch, order_.size() - cursor_);
+  for (const size_t end = cursor_ + consumed; cursor_ < end; ++cursor_) {
+    const uint32_t row = order_[cursor_];
+    if (mask_[row] == 0) continue;
+    if (kind_ == AggKind::kCount) {
+      ++matched_.count;
+    } else {
+      matched_.Add(values_[row]);
     }
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n);
-    m2_ += delta * (x - mean_);
   }
   if (consumed > 0) {
     RoundsCounter()->Add();
@@ -88,46 +58,8 @@ size_t OnlineAggregator::ProcessNext(size_t batch) {
 }
 
 Estimate OnlineAggregator::Current(double confidence) const {
-  Estimate e;
-  e.confidence = confidence;
-  e.sample_size = cursor_;
-  const double N = static_cast<double>(order_.size());
-  const double processed = static_cast<double>(cursor_);
-  // Finite-population correction: the interval collapses as we approach a
-  // complete scan, which is the defining UX of online aggregation.
-  double fpc = (N > 1 && processed < N)
-                   ? std::sqrt((N - processed) / (N - 1))
-                   : 0.0;
-  const double z = ZScore(confidence);
-  switch (kind_) {
-    case AggKind::kAvg: {
-      e.value = mean_;
-      if (matches_ > 1) {
-        double sd = std::sqrt(m2_ / static_cast<double>(matches_ - 1));
-        e.ci_half_width =
-            z * sd / std::sqrt(static_cast<double>(matches_)) * fpc;
-      } else {
-        e.ci_half_width = INFINITY;
-      }
-      break;
-    }
-    case AggKind::kSum: {
-      e.value = mean_ * N;
-      if (cursor_ > 1) {
-        double sd = std::sqrt(m2_ / (processed - 1));
-        e.ci_half_width = z * sd / std::sqrt(processed) * N * fpc;
-      } else {
-        e.ci_half_width = INFINITY;
-      }
-      break;
-    }
-    case AggKind::kCount:
-      // The sampled path's estimator. Its Wilson interval keeps a positive
-      // width while every row seen so far matched, where a normal interval
-      // over the 0/1 contributions has none.
-      return EstimateCount(matches_, cursor_, order_.size(), confidence);
-  }
-  return e;
+  return EstimateAggregate(kind_, matched_, cursor_, order_.size(),
+                           confidence);
 }
 
 OnlineInput BuildOnlineInput(const std::vector<Condition>& conditions,

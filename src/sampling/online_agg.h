@@ -11,11 +11,6 @@
 
 namespace exploredb {
 
-/// Aggregates computable online.
-enum class AggKind { kAvg, kSum, kCount };
-
-const char* AggKindName(AggKind kind);
-
 /// Online aggregation [Hellerstein/Haas/Wang, SIGMOD'97; CONTROL project]:
 /// processes the data in random order, maintaining a running estimate whose
 /// confidence interval shrinks as ~1/sqrt(tuples processed). The user can
@@ -35,7 +30,7 @@ class OnlineAggregator {
   /// (0 when exhausted).
   size_t ProcessNext(size_t batch);
 
-  /// Current running estimate; exact (zero CI width) once all rows are seen.
+  /// Current running estimate (EstimateAggregate); exact once all are seen.
   Estimate Current(double confidence = 0.95) const;
 
   bool done() const { return cursor_ >= order_.size(); }
@@ -48,11 +43,7 @@ class OnlineAggregator {
   AggKind kind_;
   std::vector<uint32_t> order_;
   size_t cursor_ = 0;
-
-  // Welford accumulators over the per-row contribution stream.
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  size_t matches_ = 0;
+  Moments matched_;  // the masked-in rows seen so far (COUNT: count only)
 };
 
 /// Materialized inputs for an OnlineAggregator: the measure column widened

@@ -45,31 +45,30 @@ std::vector<uint32_t> SamplePositions(size_t n, size_t k, Random* rng) {
   return out;
 }
 
-std::vector<uint32_t> BernoulliSample(size_t n, double fraction, Random* rng) {
-  std::vector<uint32_t> out;
-  if (!(fraction > 0.0)) return out;  // also NaN
+void BernoulliSample(size_t begin, size_t end, double fraction, Random* rng,
+                     std::vector<uint32_t>* out) {
+  if (!(fraction > 0.0)) return;  // also NaN
   if (fraction >= 1.0) {
-    out.resize(n);
-    for (size_t i = 0; i < n; ++i) out[i] = static_cast<uint32_t>(i);
-    return out;
+    for (size_t row = begin; row < end; ++row) {
+      out->push_back(static_cast<uint32_t>(row));
+    }
+    return;
   }
   // Skip sampling: the gap before the next kept row is Geometric(fraction),
   // drawn by inversion, so the cost is one draw per kept row rather than one
-  // per table row, and every row is still kept independently with
-  // probability `fraction`.
-  out.reserve(static_cast<size_t>(n * fraction * 1.2) + 16);
+  // per row, and every row is still kept independently with probability
+  // `fraction`.
   const double log_skip = std::log1p(-fraction);
-  size_t next = 0;
+  size_t next = begin;
   while (true) {
     const double gap = std::floor(std::log1p(-rng->NextDouble()) / log_skip);
     // Comparing in double first keeps an infinite or oversized gap (a
     // denormal fraction) away from the integer cast.
-    if (!(gap < static_cast<double>(n - next))) break;
+    if (!(gap < static_cast<double>(end - next))) break;
     next += static_cast<size_t>(gap);
-    out.push_back(static_cast<uint32_t>(next));
+    out->push_back(static_cast<uint32_t>(next));
     ++next;
   }
-  return out;
 }
 
 }  // namespace exploredb

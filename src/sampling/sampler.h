@@ -34,11 +34,13 @@ class ReservoirSampler {
 /// when k << n, partial shuffle otherwise). Sorted ascending.
 std::vector<uint32_t> SamplePositions(size_t n, size_t k, Random* rng);
 
-/// Bernoulli sample: includes each position independently with probability
-/// `fraction`. Sorted ascending. Costs O(n * fraction): gaps between kept
-/// positions are drawn from a geometric distribution. A NaN or non-positive
-/// fraction gives an empty sample; a fraction >= 1 gives every position.
-std::vector<uint32_t> BernoulliSample(size_t n, double fraction, Random* rng);
+/// Bernoulli sample of the rows [begin, end): appends each row to *out
+/// independently with probability `fraction`, ascending. Costs
+/// O((end - begin) * fraction): gaps between kept rows are drawn from a
+/// geometric distribution. A NaN or non-positive fraction keeps no row; a
+/// fraction >= 1 keeps every row.
+void BernoulliSample(size_t begin, size_t end, double fraction, Random* rng,
+                     std::vector<uint32_t>* out);
 
 }  // namespace exploredb
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <string>
 
 #include "common/random.h"
 #include "engine/database.h"
@@ -285,39 +288,62 @@ TEST_F(EngineTest, SampledRejectsNonPositiveOrNonFiniteFraction) {
   }
 }
 
+/// The bit pattern of `v`, so that EXPECT_EQ tells -0.0 from 0.0.
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 TEST_F(EngineTest, SampledFractionAtOrAboveOneIsExact) {
   // Double keys that differ only past the sixth decimal stay two groups.
-  Table fine(Schema({{"g", DataType::kDouble}}));
+  Table fine(Schema({{"g", DataType::kDouble}, {"v", DataType::kDouble}}));
+  Random rng(3);
   for (int i = 0; i < 1000; ++i) {
     fine.mutable_column(0)->AppendDouble(i % 2 == 0 ? 0.1234561 : 0.1234564);
+    fine.mutable_column(1)->AppendDouble(rng.NextDouble() / 3.0);
   }
   ASSERT_TRUE(db_.CreateTable("fine", std::move(fine)).ok());
   Executor exec(&db_);
-  const Query scalar = Query::On("events").Aggregate(AggKind::kCount);
-  for (const Query& grouped :
-       {Query::On("events").Aggregate(AggKind::kCount).GroupBy("kind"),
-        Query::On("fine").Aggregate(AggKind::kCount).GroupBy("g")}) {
-    SCOPED_TRACE(*grouped.group_by());
-    auto exact = exec.Execute(grouped);
-    ASSERT_TRUE(exact.ok());
-    for (double f : {1.0, 2.0}) {
-      SCOPED_TRACE(f);
-      ExecContext sampled;
-      sampled.options().mode = ExecutionMode::kSampled;
-      sampled.options().sample_fraction = f;
-      auto s = exec.Execute(scalar, sampled);
-      ASSERT_TRUE(s.ok());
-      EXPECT_DOUBLE_EQ(s.ValueOrDie().scalar->value, 20000.0);
-      EXPECT_DOUBLE_EQ(s.ValueOrDie().scalar->ci_half_width, 0.0);
-      auto g = exec.Execute(grouped, sampled);
-      ASSERT_TRUE(g.ok());
-      ASSERT_EQ(g.ValueOrDie().groups.size(),
-                exact.ValueOrDie().groups.size());
-      for (size_t i = 0; i < g.ValueOrDie().groups.size(); ++i) {
-        EXPECT_EQ(g.ValueOrDie().groups[i].key,
-                  exact.ValueOrDie().groups[i].key);
-        EXPECT_DOUBLE_EQ(g.ValueOrDie().groups[i].value.value,
-                         exact.ValueOrDie().groups[i].value.value);
+  // A fraction of 1 or more draws every live row, so each answer is the
+  // scan's, bit for bit, with width 0.
+  const Predicate window({{0, CompareOp::kLt, Value(int64_t{60'000})}});
+  for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg}) {
+    const bool count = kind == AggKind::kCount;
+    const Query queries[] = {
+        Query::On("events").Aggregate(kind, count ? "" : "value"),
+        Query::On("events").Where(window).Aggregate(kind, count ? "" : "value"),
+        Query::On("events")
+            .Where(window)
+            .Aggregate(kind, count ? "" : "value")
+            .GroupBy("kind"),
+        Query::On("fine").Aggregate(kind, count ? "" : "v").GroupBy("g")};
+    for (const Query& q : queries) {
+      SCOPED_TRACE(std::string(AggKindName(kind)) + " " + q.CacheKey());
+      auto exact = exec.Execute(q);
+      ASSERT_TRUE(exact.ok());
+      for (double f : {1.0, 2.0}) {
+        SCOPED_TRACE(f);
+        ExecContext sampled;
+        sampled.options().mode = ExecutionMode::kSampled;
+        sampled.options().sample_fraction = f;
+        auto s = exec.Execute(q, sampled);
+        ASSERT_TRUE(s.ok());
+        EXPECT_EQ(s.ValueOrDie().stats().path, AccessPath::kSample);
+        if (!q.group_by().has_value()) {
+          EXPECT_EQ(Bits(s.ValueOrDie().scalar->value),
+                    Bits(exact.ValueOrDie().scalar->value));
+          EXPECT_EQ(s.ValueOrDie().scalar->ci_half_width, 0.0);
+          continue;
+        }
+        const std::vector<GroupValue>& got = s.ValueOrDie().groups;
+        const std::vector<GroupValue>& want = exact.ValueOrDie().groups;
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].key, want[i].key);
+          EXPECT_EQ(Bits(got[i].value.value), Bits(want[i].value.value));
+          EXPECT_EQ(got[i].value.ci_half_width, 0.0);
+        }
       }
     }
   }
@@ -391,6 +417,180 @@ TEST_F(EngineTest, SampledGroupByScalesCounts) {
     total += g.value.value;
   }
   EXPECT_NEAR(total, 20000.0, 2500.0);
+}
+
+// ------------------------------------------------- sampled and online intervals
+
+/// `rows` rows: `k` uniform in [0, rows), so a 100-key window matches about
+/// 100 rows, and `v` = 1 + k / rows, so every window sums to about 100.
+class SparseWindowTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kRows = 200'000;
+  void SetUp() override {
+    Table t(Schema({{"k", DataType::kInt64}, {"v", DataType::kDouble}}));
+    Random rng(17);
+    t.Reserve(kRows);
+    for (int64_t i = 0; i < kRows; ++i) {
+      const int64_t k = rng.UniformInt(0, kRows - 1);
+      t.mutable_column(0)->AppendInt64(k);
+      t.mutable_column(1)->AppendDouble(1.0 + static_cast<double>(k) / kRows);
+    }
+    ASSERT_TRUE(db_.CreateTable("t", std::move(t)).ok());
+  }
+  /// `kind` over the 100-key window starting at `lo`.
+  static Query Window(int64_t lo, AggKind kind) {
+    return Query::On("t")
+        .Where(Predicate({{0, CompareOp::kGe, Value(lo)},
+                          {0, CompareOp::kLt, Value(lo + 100)}}))
+        .Aggregate(kind, "v");
+  }
+  Database db_;
+};
+
+// A 1% sample of a window that matches about 100 rows often holds none of
+// them. Its SUM is 0, but the sample has no evidence that the window is
+// empty: the interval is unbounded, and the relative error reads 1.
+TEST_F(SparseWindowTest, SampledSumWithoutMatchesHasNoBound) {
+  Executor exec(&db_);
+  ExecContext sampled;
+  sampled.SetMode(ExecutionMode::kSampled);
+  sampled.options().sample_fraction = 0.01;
+  int empty = 0;
+  for (int64_t w = 0; w < 20; ++w) {
+    const Query q = Window(w * 9'000, AggKind::kSum);
+    SCOPED_TRACE(q.CacheKey());
+    const Estimate e = exec.Execute(q, sampled).ValueOrDie().scalar.value();
+    EXPECT_GT(e.sample_size, 0u);
+    EXPECT_FALSE(std::isnan(e.ci_half_width));
+    if (e.value == 0.0) {
+      ++empty;
+      EXPECT_TRUE(std::isinf(e.ci_half_width));
+      EXPECT_EQ(RelativeError(e), 1.0);
+    } else {
+      EXPECT_TRUE(std::isfinite(e.ci_half_width));
+      EXPECT_GT(e.ci_half_width, 0.0);
+    }
+  }
+  EXPECT_GT(empty, 0);
+}
+
+// An AVG from fewer than two matching rows has no spread to measure.
+TEST_F(SparseWindowTest, SampledAvgFromFewerThanTwoMatchesHasNoBound) {
+  Executor exec(&db_);
+  ExecContext sampled;
+  sampled.SetMode(ExecutionMode::kSampled);
+  sampled.options().sample_fraction = 0.01;
+  int unbounded = 0;
+  for (int64_t w = 0; w < 20; ++w) {
+    const Query q = Window(w * 9'000, AggKind::kAvg);
+    SCOPED_TRACE(q.CacheKey());
+    const Estimate e = exec.Execute(q, sampled).ValueOrDie().scalar.value();
+    // An AVG's sample size is its matching rows.
+    if (e.sample_size < 2) {
+      ++unbounded;
+      EXPECT_TRUE(std::isinf(e.ci_half_width));
+    } else {
+      EXPECT_TRUE(std::isfinite(e.ci_half_width));
+    }
+  }
+  EXPECT_GT(unbounded, 0);
+}
+
+// The online loop's first batch (1% of the rows) often holds no matching
+// row. Its SUM is 0 with an unbounded interval, so the loop reads on
+// instead of stopping at 0 +- 0 under an absolute error budget.
+TEST_F(SparseWindowTest, OnlineSumNeverStopsOnAnEmptyBatch) {
+  Executor exec(&db_);
+  ExecContext online;
+  online.SetMode(ExecutionMode::kOnline);
+  online.options().error_budget = 5.0;
+  for (int64_t w = 0; w < 20; ++w) {
+    const Query q = Window(w * 9'000, AggKind::kSum);
+    SCOPED_TRACE(q.CacheKey());
+    const double truth = exec.Execute(q).ValueOrDie().scalar->value;
+    ASSERT_GT(truth, 0.0);
+    const QueryResult r = exec.Execute(q, online).ValueOrDie();
+    EXPECT_GT(r.stats().rows_scanned, static_cast<uint64_t>(kRows / 100));
+    EXPECT_GT(r.scalar->value, 0.0);
+    EXPECT_LE(r.scalar->ci_half_width, 5.0);
+  }
+}
+
+/// A seeded table of `rows` rows: `k` uniform in [0, 1000), a group key
+/// `g` of four strings with shares 1/2, 1/4, 1/8 and 1/8, and a skewed
+/// measure `v` = exp(N(0, 1) / 2).
+Table CoverageTable(uint64_t seed) {
+  Table t(Schema({{"k", DataType::kInt64},
+                  {"g", DataType::kString},
+                  {"v", DataType::kDouble}}));
+  Random rng(seed);
+  const char* const kGroups[] = {"a", "a", "a", "a", "b", "b", "c", "d"};
+  constexpr int kRows = 8'000;
+  t.Reserve(kRows);
+  for (int i = 0; i < kRows; ++i) {
+    t.mutable_column(0)->AppendInt64(rng.UniformInt(0, 999));
+    t.mutable_column(1)->AppendString(kGroups[rng.Uniform(8)]);
+    t.mutable_column(2)->AppendDouble(std::exp(rng.NextGaussian() / 2));
+  }
+  return t;
+}
+
+// Property: over 200 data seeds, the 95% intervals of sampled grouped
+// COUNT, SUM and AVG, and of scalar SUM and AVG, hold the exact answer in at
+// least 90% of cases.
+TEST(SampledCoverageTest, IntervalsHoldTheExactAnswer) {
+  constexpr int kSeeds = 200;
+  struct Tally {
+    int covered = 0;
+    int total = 0;
+  };
+  // Scalar SUM, scalar AVG, grouped COUNT, grouped SUM, grouped AVG.
+  Tally tallies[5];
+  const Predicate where({{0, CompareOp::kLt, Value(int64_t{600})}});
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    Database db;
+    ASSERT_TRUE(db.CreateTable("t", CoverageTable(1000 + seed)).ok());
+    Executor exec(&db);
+    ExecContext sampled;
+    sampled.SetMode(ExecutionMode::kSampled);
+    sampled.options().sample_fraction = 0.1;
+    int slot = 0;
+    for (bool grouped : {false, true}) {
+      for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg}) {
+        if (!grouped && kind == AggKind::kCount) continue;
+        Query q = Query::On("t").Where(where).Aggregate(
+            kind, kind == AggKind::kCount ? "" : "v");
+        if (grouped) q.GroupBy("g");
+        Tally& tally = tallies[slot++];
+        const QueryResult exact = exec.Execute(q).ValueOrDie();
+        const QueryResult approx = exec.Execute(q, sampled).ValueOrDie();
+        ASSERT_TRUE(approx.approximate);
+        if (!grouped) {
+          ++tally.total;
+          tally.covered += std::abs(approx.scalar->value -
+                                    exact.scalar->value) <=
+                           approx.scalar->ci_half_width;
+          continue;
+        }
+        // A group the sample missed has no interval to check.
+        for (const GroupValue& want : exact.groups) {
+          for (const GroupValue& got : approx.groups) {
+            if (got.key != want.key) continue;
+            ++tally.total;
+            tally.covered += std::abs(got.value.value - want.value.value) <=
+                             got.value.ci_half_width;
+          }
+        }
+      }
+    }
+  }
+  const char* const kNames[] = {"SUM", "AVG", "grouped COUNT", "grouped SUM",
+                                "grouped AVG"};
+  for (int i = 0; i < 5; ++i) {
+    SCOPED_TRACE(kNames[i]);
+    ASSERT_GE(tallies[i].total, kSeeds);
+    EXPECT_GE(tallies[i].covered, 0.9 * tallies[i].total);
+  }
 }
 
 // ---------------------------------------------------------------- raw-backed

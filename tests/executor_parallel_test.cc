@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -585,6 +586,90 @@ TEST(ExactBitsTest, EveryExactPlanReturnsTheSameBits) {
         scan.SetMode(ExecutionMode::kScan);
         ASSERT_TRUE(session.Execute(widest, scan).ok());
         check("focus", session.Execute(q, scan), AccessPath::kFocus);
+      }
+    }
+  }
+}
+
+/// 200,000 rows: `k` uniform in [0, 1e6), group keys of each type derived
+/// from it (`s` one of 8 strings, `g` = k mod 8, `d` one of 5 doubles) and
+/// the heavy-tailed measure `v` of HeavyTailTable.
+Table SampledTable() {
+  Table t(Schema({{"k", DataType::kInt64},
+                  {"s", DataType::kString},
+                  {"g", DataType::kInt64},
+                  {"d", DataType::kDouble},
+                  {"v", DataType::kDouble}}));
+  const char* const kCarriers[] = {"AA", "B6", "DL", "F9",
+                                   "HA", "NK", "UA", "WN"};
+  Random rng(2);
+  constexpr size_t kRows = 200'000;
+  t.Reserve(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    const int64_t k = rng.UniformInt(0, 999'999);
+    const double v = std::exp(6.0 * rng.NextGaussian());
+    t.mutable_column(0)->AppendInt64(k);
+    t.mutable_column(1)->AppendString(kCarriers[k % 8]);
+    t.mutable_column(2)->AppendInt64(k % 8);
+    t.mutable_column(3)->AppendDouble(0.1 * static_cast<double>(k % 5));
+    t.mutable_column(4)->AppendDouble(rng.Uniform(2) == 0 ? v : -v);
+  }
+  return t;
+}
+
+// A sample plan draws each table morsel's rows from a seed of its own and
+// merges its partials in morsel order, so a sampled answer (value, width,
+// sample size, group keys) is the same at any thread count, per morsel
+// size.
+TEST(SampledBitsTest, SampledAnswersAreTheSameAtAnyThreadCount) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", SampledTable()).ok());
+  Executor exec(&db);
+  const Predicate window({{0, CompareOp::kGe, Value(int64_t{100'000})},
+                          {0, CompareOp::kLt, Value(int64_t{700'000})}});
+  for (size_t morsel : {ExecContext::kDefaultMorselSize, size_t{1000}}) {
+    for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg}) {
+      for (const char* group : {"", "s", "g", "d"}) {
+        Query q = Query::On("t").Where(window).Aggregate(
+            kind, kind == AggKind::kCount ? "" : "v");
+        if (*group != '\0') q.GroupBy(group);
+        std::optional<QueryResult> want;
+        for (size_t threads : {1u, 2u, 8u}) {
+          SCOPED_TRACE(std::string(AggKindName(kind)) + " by '" + group +
+                       "' morsel=" + std::to_string(morsel) +
+                       " threads=" + std::to_string(threads));
+          ThreadPool pool(threads);
+          ExecContext ctx = ParallelCtx(&pool, morsel);
+          ctx.SetMode(ExecutionMode::kSampled);
+          ctx.options().sample_fraction = 0.05;
+          Result<QueryResult> got = exec.Execute(q, ctx);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const QueryResult& r = got.ValueOrDie();
+          EXPECT_TRUE(r.approximate);
+          EXPECT_EQ(r.stats().path, AccessPath::kSample);
+          if (!want.has_value()) {
+            want = r;
+            continue;
+          }
+          auto same = [](const Estimate& a, const Estimate& b) {
+            EXPECT_EQ(std::memcmp(&a.value, &b.value, sizeof(double)), 0)
+                << a.value << " against " << b.value;
+            EXPECT_EQ(std::memcmp(&a.ci_half_width, &b.ci_half_width,
+                                  sizeof(double)),
+                      0)
+                << a.ci_half_width << " against " << b.ci_half_width;
+            EXPECT_EQ(a.sample_size, b.sample_size);
+          };
+          if (*group == '\0') {
+            same(*r.scalar, *want->scalar);
+            continue;
+          }
+          ASSERT_EQ(r.groups.size(), want->groups.size());
+          for (size_t i = 0; i < r.groups.size(); ++i) {
+            EXPECT_EQ(r.groups[i].key, want->groups[i].key);
+            same(r.groups[i].value, want->groups[i].value);
+          }
+        }
       }
     }
   }

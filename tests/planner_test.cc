@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -193,6 +194,47 @@ TEST(PlannerTest, HopelessBudgetStillAnswersApproximately) {
   ASSERT_TRUE(r.ValueOrDie().scalar.has_value());
   EXPECT_GT(r.ValueOrDie().scalar->sample_size, 0u);
   EXPECT_EQ(r.ValueOrDie().stats().planner_choice, PlannerChoice::kSample);
+}
+
+TEST(PlannerTest, SampledGroupedSumReportsEveryGroupsInterval) {
+  // 8 groups of a uniform measure. With the exact rate pinned high, the
+  // budgeted grouped SUM runs on the sample rung: every group's sum is an
+  // estimate with a positive width, and the answer's achieved error is its
+  // worst group's relative error, not 0.
+  Database db;
+  {
+    Table t(Schema({{"g", DataType::kString}, {"v", DataType::kDouble}}));
+    const char* const kGroups[] = {"a", "b", "c", "d", "e", "f", "g", "h"};
+    Random rng(11);
+    constexpr int kRows = 200'000;
+    t.Reserve(kRows);
+    for (int i = 0; i < kRows; ++i) {
+      t.mutable_column(0)->AppendString(kGroups[rng.Uniform(8)]);
+      t.mutable_column(1)->AppendDouble(rng.NextDouble() * 100);
+    }
+    ASSERT_TRUE(db.CreateTable("t", std::move(t)).ok());
+  }
+  Executor executor(&db);
+  executor.planner().cost_model().SetExactNsPerRowForTest(1e9);
+  ExecContext budgeted;
+  budgeted.SetBudget({.latency = milliseconds(50)});
+  auto r = executor.Execute(
+      Query::On("t").Aggregate(AggKind::kSum, "v").GroupBy("g"), budgeted);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryResult& result = r.ValueOrDie();
+  EXPECT_EQ(result.stats().planner_choice, PlannerChoice::kSample);
+  EXPECT_EQ(result.stats().path, AccessPath::kSample);
+  EXPECT_TRUE(result.approximate);
+  ASSERT_EQ(result.groups.size(), 8u);
+  double worst = 0.0;
+  for (const GroupValue& g : result.groups) {
+    SCOPED_TRACE(g.key);
+    EXPECT_GT(g.value.ci_half_width, 0.0);
+    EXPECT_TRUE(std::isfinite(g.value.ci_half_width));
+    worst = std::max(worst, RelativeError(g.value));
+  }
+  EXPECT_GT(result.stats().achieved_error, 0.0);
+  EXPECT_EQ(result.stats().achieved_error, worst);
 }
 
 TEST(PlannerTest, RescuedPlanCountsTheAbandonedAttempt) {

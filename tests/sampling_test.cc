@@ -71,9 +71,16 @@ TEST(SamplePositionsTest, LargeFractionPath) {
   EXPECT_EQ(uniq.size(), 60u);
 }
 
+/// BernoulliSample of the rows [0, n), as a new vector.
+std::vector<uint32_t> Bernoulli(size_t n, double fraction, Random* rng) {
+  std::vector<uint32_t> out;
+  BernoulliSample(0, n, fraction, rng, &out);
+  return out;
+}
+
 TEST(BernoulliTest, FractionRoughlyHonored) {
   Random rng(7);
-  auto s = BernoulliSample(100000, 0.1, &rng);
+  auto s = Bernoulli(100000, 0.1, &rng);
   EXPECT_NEAR(static_cast<double>(s.size()), 10000.0, 400.0);
   EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
 }
@@ -87,22 +94,21 @@ TEST(BernoulliTest, EdgeFractions) {
                            std::numeric_limits<double>::quiet_NaN()};
   for (double f : kEmpty) {
     SCOPED_TRACE(f);
-    EXPECT_TRUE(BernoulliSample(100, f, &rng).empty());
+    EXPECT_TRUE(Bernoulli(100, f, &rng).empty());
   }
   const double kAll[] = {1.0, 2.0, std::numeric_limits<double>::infinity()};
   for (double f : kAll) {
     SCOPED_TRACE(f);
-    std::vector<uint32_t> all = BernoulliSample(100, f, &rng);
+    std::vector<uint32_t> all = Bernoulli(100, f, &rng);
     ASSERT_EQ(all.size(), 100u);
     for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(all[i], i);
   }
   // A denormal fraction keeps (almost surely) nothing, and its huge gaps
   // must not overflow the position arithmetic.
   EXPECT_TRUE(
-      BernoulliSample(1'000'000, std::numeric_limits<double>::denorm_min(),
-                      &rng)
+      Bernoulli(1'000'000, std::numeric_limits<double>::denorm_min(), &rng)
           .empty());
-  EXPECT_TRUE(BernoulliSample(0, 0.5, &rng).empty());
+  EXPECT_TRUE(Bernoulli(0, 0.5, &rng).empty());
 }
 
 // Positions are strictly increasing (so sorted and distinct) and in [0, n).
@@ -129,7 +135,7 @@ TEST(BernoulliTest, SortedInRangeAndBinomialSize) {
   for (const Case& c : kCases) {
     SCOPED_TRACE(::testing::Message() << "n=" << c.n << " p=" << c.p);
     Random rng(23);
-    std::vector<uint32_t> s = BernoulliSample(c.n, c.p, &rng);
+    std::vector<uint32_t> s = Bernoulli(c.n, c.p, &rng);
     const double mean = static_cast<double>(c.n) * c.p;
     const double sd = std::sqrt(mean * (1 - c.p));
     EXPECT_NEAR(static_cast<double>(s.size()), mean, 5 * sd);
@@ -151,7 +157,7 @@ TEST(BernoulliTest, EndPositionsKeptAtRateP) {
   int first = 0, last = 0;
   for (int seed = 0; seed < kSeeds; ++seed) {
     Random rng(seed);
-    std::vector<uint32_t> s = BernoulliSample(kN, kP, &rng);
+    std::vector<uint32_t> s = Bernoulli(kN, kP, &rng);
     first += !s.empty() && s.front() == 0;
     last += !s.empty() && s.back() == kN - 1;
   }
@@ -165,7 +171,7 @@ TEST(BernoulliTest, MeanGapIsGeometric) {
   for (double p : {0.01, 0.5}) {
     SCOPED_TRACE(p);
     Random rng(31);
-    std::vector<uint32_t> s = BernoulliSample(2'000'000, p, &rng);
+    std::vector<uint32_t> s = Bernoulli(2'000'000, p, &rng);
     ASSERT_GT(s.size(), 1000u);
     // Rows skipped between consecutive kept rows ~ Geometric(p), mean
     // (1-p)/p and standard deviation sqrt(1-p)/p.
@@ -180,9 +186,23 @@ TEST(BernoulliTest, MeanGapIsGeometric) {
 
 TEST(BernoulliTest, SameSeedSameSample) {
   Random a(99), b(99), c(100);
-  std::vector<uint32_t> sa = BernoulliSample(100'000, 0.02, &a);
-  EXPECT_EQ(sa, BernoulliSample(100'000, 0.02, &b));
-  EXPECT_NE(sa, BernoulliSample(100'000, 0.02, &c));
+  std::vector<uint32_t> sa = Bernoulli(100'000, 0.02, &a);
+  EXPECT_EQ(sa, Bernoulli(100'000, 0.02, &b));
+  EXPECT_NE(sa, Bernoulli(100'000, 0.02, &c));
+}
+
+TEST(BernoulliTest, RangeDrawAppendsShiftedRows) {
+  // Rows [begin, end) draw the gaps rows [0, end - begin) would, shifted by
+  // begin, after what *out already holds.
+  Random a(5), b(5);
+  const std::vector<uint32_t> base = Bernoulli(10'000, 0.05, &a);
+  std::vector<uint32_t> out = {7};
+  BernoulliSample(70'000, 80'000, 0.05, &b, &out);
+  ASSERT_EQ(out.size(), base.size() + 1);
+  EXPECT_EQ(out[0], 7u);
+  for (size_t i = 0; i < base.size(); ++i) {
+    EXPECT_EQ(out[i + 1], base[i] + 70'000);
+  }
 }
 
 // ---------------------------------------------------------------- estimators

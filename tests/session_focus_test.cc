@@ -347,6 +347,17 @@ TEST(SessionFocusTest, ApproximateModesSelectionsAndExplainLeaveTheFocus) {
   Result<std::string> explain = session.ExplainAnalyze(Summed(kWide), scan);
   ASSERT_TRUE(explain.ok());
   EXPECT_NE(explain.ValueOrDie().find("path=scan"), std::string::npos);
+  // A budgeted grouped query the focus covers, whose exact plan (a refine
+  // of ~22K focus rows at the seeded 1 ns/row) does not fit 10 us: the
+  // sample rung answers it from the table's rows.
+  std::vector<Condition> narrower = kWide;
+  narrower.push_back({kS, CompareOp::kNe, Value("ZZ")});
+  ExecContext budgeted;
+  budgeted.SetBudget({.latency = std::chrono::microseconds(10)});
+  QueryResult rung = session.Execute(Grouped(narrower), budgeted).ValueOrDie();
+  EXPECT_EQ(rung.stats().planner_choice, PlannerChoice::kSample);
+  EXPECT_EQ(rung.stats().path, AccessPath::kSample);
+  EXPECT_TRUE(rung.approximate);
 
   // None of them released the focus: an exact aggregate still refines it,
   // and says so in its Summary and its journal record.
