@@ -138,25 +138,37 @@ void BM_ParallelFullScan(benchmark::State& state) {
 BENCHMARK(BM_ParallelFullScan)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+/// Wall nanoseconds per iteration of a benchmark loop timed from t0 to t1.
+double NsPerOp(std::chrono::steady_clock::time_point t0,
+               std::chrono::steady_clock::time_point t1, uint64_t iterations) {
+  if (iterations == 0) return 0.0;
+  return static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                 .count()) /
+         static_cast<double>(iterations);
+}
+
 /// Projection of a map-window selection through Executor::Project: two int64
 /// columns and one double of a 5M-row table at 4.8K sorted random positions,
 /// the shape of a panned window's rows. Iterations cycle through 256 such
 /// selections, whose ~240 MB of touched cache lines exceed the last-level
-/// cache, so loads miss cache and TLB as a live window's do. Arg =
-/// worker-thread count (0 = no pool, the serial path).
+/// cache, so loads miss cache and TLB as a live window's do. The table is
+/// built through ColumnVector's own allocation (Reserve, then appends), as
+/// a loaded table's columns are. Arg = worker-thread count (0 = no pool,
+/// the serial path).
 void BM_ProjectGather(benchmark::State& state) {
   static Database* db = [] {
     const size_t n = bench::ScaledRows(5'000'000);
     Table t(Schema({{"lon", DataType::kInt64},
                     {"air_time", DataType::kInt64},
                     {"dep_delay", DataType::kDouble}}));
-    *t.mutable_column(0)->mutable_int64_data() =
-        bench::RandomInts(n, 1'000'000, 21);
-    *t.mutable_column(1)->mutable_int64_data() = bench::RandomInts(n, 600, 22);
-    Random rng(23);
-    std::vector<double> delay(n);
-    for (double& d : delay) d = rng.NextDouble() * 120 - 20;
-    *t.mutable_column(2)->mutable_double_data() = std::move(delay);
+    t.Reserve(n);
+    Random rng(21);
+    for (size_t i = 0; i < n; ++i) {
+      t.mutable_column(0)->AppendInt64(rng.UniformInt(0, 999'999));
+      t.mutable_column(1)->AppendInt64(rng.UniformInt(0, 599));
+      t.mutable_column(2)->AppendDouble(rng.NextDouble() * 120 - 20);
+    }
     auto* d = new Database();
     if (!d->CreateTable("flights", std::move(t)).ok()) std::abort();
     return d;
@@ -180,17 +192,115 @@ void BM_ProjectGather(benchmark::State& state) {
   ExecContext ctx;
   ctx.SetThreadPool(pool.get());
   size_t next = 0;
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     const std::vector<uint32_t>& positions = windows[next++ % windows.size()];
     auto rows = Executor::Project(entry, select, positions, ctx);
     if (!rows.ok()) std::abort();
     benchmark::DoNotOptimize(rows.ValueOrDie().column(2).double_data().data());
   }
+  const auto t1 = std::chrono::steady_clock::now();
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(windows[0].size()) * 3);
+  bench::ReportJson("project_gather_threads_" + std::to_string(threads),
+                    state.iterations(), NsPerOp(t0, t1, state.iterations()),
+                    {{"positions", static_cast<double>(windows[0].size())}});
 }
 BENCHMARK(BM_ProjectGather)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
+
+/// A converged cracker's window select: Executor::ExecuteSelection under
+/// kCracking over a 5M-row int64 column of 1M keys, whose 256 windows of
+/// 1,000 keys (~5K rows, a panned map window's shape) are cracked before
+/// timing, so every timed read answers under the cracker's shared lock:
+/// two index lookups, the row-id copy and the sort into row order. No
+/// pool; the probe is serial.
+void BM_CrackerWindowSelect(benchmark::State& state) {
+  const size_t n = bench::ScaledRows(5'000'000);
+  const int64_t keys = static_cast<int64_t>(n / 5);
+  const int64_t width = std::max<int64_t>(1, keys / 1000);
+  static Database* db = [&] {
+    Table t(Schema({{"lon", DataType::kInt64}}));
+    t.Reserve(n);
+    Random rng(31);
+    for (size_t i = 0; i < n; ++i) {
+      t.mutable_column(0)->AppendInt64(rng.UniformInt(0, keys - 1));
+    }
+    auto* d = new Database();
+    if (!d->CreateTable("map", std::move(t)).ok()) std::abort();
+    return d;
+  }();
+  static const std::vector<Query> windows = [&] {
+    Random rng(32);
+    std::vector<Query> w;
+    for (int i = 0; i < 256; ++i) {
+      const int64_t lo = rng.UniformInt(0, keys - width);
+      w.push_back(Query::On("map").Where(
+          Predicate({{0, CompareOp::kGe, Value(lo)},
+                     {0, CompareOp::kLt, Value(lo + width)}})));
+    }
+    return w;
+  }();
+  Executor exec(db);
+  ExecContext ctx;
+  ctx.SetThreadPool(nullptr).SetMode(ExecutionMode::kCracking);
+  for (const Query& q : windows) {
+    if (!exec.ExecuteSelection(q, ctx).ok()) std::abort();
+  }
+  size_t next = 0;
+  uint64_t rows = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    auto r = exec.ExecuteSelection(windows[next++ % windows.size()], ctx);
+    if (!r.ok()) std::abort();
+    rows += r.ValueOrDie().positions.size();
+    benchmark::DoNotOptimize(r.ValueOrDie().positions.data());
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  const double rows_per_op =
+      state.iterations() == 0 ? 0.0
+                              : static_cast<double>(rows) /
+                                    static_cast<double>(state.iterations());
+  state.counters["rows"] = benchmark::Counter(rows_per_op);
+  bench::ReportJson("cracker_window_select", state.iterations(),
+                    NsPerOp(t0, t1, state.iterations()),
+                    {{"rows_per_op", rows_per_op}});
+}
+BENCHMARK(BM_CrackerWindowSelect)->UseRealTime()->Unit(
+    benchmark::kMicrosecond);
+
+/// The crossover behind kRadixSortCutoff: one index answer of Arg0 row ids
+/// drawn uniformly from a 5M-row table, as a cracker piece holds them,
+/// ordered by std::sort (Arg1 = 0) or by RadixSortPositions (Arg1 = 1).
+/// Iterations cycle through 256 such answers and copy each before sorting,
+/// on both sides.
+void BM_SortPositions(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  const bool radix = state.range(1) != 0;
+  Random rng(41);
+  std::vector<std::vector<uint32_t>> answers(256, std::vector<uint32_t>(n));
+  for (std::vector<uint32_t>& answer : answers) {
+    for (uint32_t& p : answer) p = static_cast<uint32_t>(rng.Uniform(5'000'000));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    std::vector<uint32_t> positions = answers[next++ % answers.size()];
+    if (radix) {
+      RadixSortPositions(&positions);
+    } else {
+      std::sort(positions.begin(), positions.end());
+    }
+    benchmark::DoNotOptimize(positions.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_SortPositions)->Apply([](benchmark::internal::Benchmark* b) {
+  for (int64_t n : {64, 128, 160, 192, 256, 512}) {
+    b->Args({n, 0});
+    b->Args({n, 1});
+  }
+});
 
 /// Zone-map pruned selective scan: a clustered (sorted) int64 column where
 /// the predicate window selects ~1% of rows, so nearly every morsel's
@@ -237,17 +347,10 @@ void BM_ZoneMapSelectiveScan(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(rows));
   state.counters["rows_scanned"] =
       benchmark::Counter(static_cast<double>(rows) / state.iterations());
-  const double ns_per_op =
-      state.iterations() == 0
-          ? 0.0
-          : static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()) /
-                static_cast<double>(state.iterations());
   bench::ReportJson(
       std::string("zone_map_scan_") +
           (state.range(0) != 0 ? "pruned" : "unpruned"),
-      state.iterations(), ns_per_op,
+      state.iterations(), NsPerOp(t0, t1, state.iterations()),
       {{"rows_scanned_per_op",
         state.iterations() == 0
             ? 0.0
@@ -308,13 +411,7 @@ void BM_JournalOverheadWindowCount(benchmark::State& state) {
     benchmark::DoNotOptimize(r.ValueOrDie().scalar->value);
   }
   const auto t1 = std::chrono::steady_clock::now();
-  const double ns_per_op =
-      state.iterations() == 0
-          ? 0.0
-          : static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()) /
-                static_cast<double>(state.iterations());
+  const double ns_per_op = NsPerOp(t0, t1, state.iterations());
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(n));
   if (journal_on) {
@@ -467,13 +564,7 @@ void FilterKernelBench(benchmark::State& state, simd::SimdPath path,
   const auto t1 = std::chrono::steady_clock::now();
   state.SetItemsProcessed(state.iterations() * n);
   state.counters["matches"] = static_cast<double>(matches);
-  const double ns_per_op =
-      state.iterations() == 0
-          ? 0.0
-          : static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()) /
-                static_cast<double>(state.iterations());
+  const double ns_per_op = NsPerOp(t0, t1, state.iterations());
   bench::ReportJson(
       std::string("simd_filter_") + label + "_sel" +
           std::to_string(state.range(0)),
@@ -514,13 +605,7 @@ void MaskedSumBench(benchmark::State& state, simd::SimdPath path,
   }
   const auto t1 = std::chrono::steady_clock::now();
   state.SetItemsProcessed(state.iterations() * count);
-  const double ns_per_op =
-      state.iterations() == 0
-          ? 0.0
-          : static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()) /
-                static_cast<double>(state.iterations());
+  const double ns_per_op = NsPerOp(t0, t1, state.iterations());
   bench::ReportJson(
       std::string("simd_masked_sum_") + label + "_sel" +
           std::to_string(state.range(0)),

@@ -138,6 +138,13 @@ EpochCrackerColumn::ReadStats EpochCrackerColumn::RangeSelectInto(
   return rs;
 }
 
+size_t EpochCrackerColumn::SpanRows(int64_t lo, int64_t hi) const {
+  if (lo >= hi) return 0;
+  ReaderMutexLock lock(mutex_);
+  const CrackerIndex& index = column_.index();
+  return index.FindPiece(hi - 1).end - index.FindPiece(lo).begin;
+}
+
 CrackingStats EpochCrackerColumn::stats() const {
   ReaderMutexLock lock(mutex_);
   return column_.stats();

@@ -100,6 +100,12 @@ class EpochCrackerColumn {
 
   size_t size() const { return size_; }
 
+  /// The rows a read of [lo, hi) covers in the current epoch: from the
+  /// start of the piece holding lo to the end of the piece holding hi - 1,
+  /// so what it cracks and what it returns (0 for an empty range). Taken
+  /// under the shared lock.
+  size_t SpanRows(int64_t lo, int64_t hi) const EXCLUDES(mutex_);
+
   /// Snapshot of the underlying cracker's counters (taken under the lock).
   CrackingStats stats() const EXCLUDES(mutex_);
 

@@ -117,6 +117,14 @@ Result<const SortedIndex*> TableEntry::GetSortedIndex(size_t idx) {
                         });
 }
 
+const EpochCrackerColumn* TableEntry::PublishedCracker(size_t idx) const {
+  return idx < slots_.size() ? slots_[idx].cracker.Published() : nullptr;
+}
+
+const SortedIndex* TableEntry::PublishedSortedIndex(size_t idx) const {
+  return idx < slots_.size() ? slots_[idx].sorted_index.Published() : nullptr;
+}
+
 Result<const ZoneMap*> TableEntry::GetZoneMap(size_t idx) {
   EXPLOREDB_ASSIGN_OR_RETURN(DataType type, ColumnType(idx));
   if (type == DataType::kString) {

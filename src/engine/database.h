@@ -66,6 +66,11 @@ class TableEntry {
   /// Lazily created fully sorted index over an int64 column.
   Result<const SortedIndex*> GetSortedIndex(size_t idx) EXCLUDES(mu_);
 
+  /// The cracker or sorted index over column `idx` once published, else
+  /// nullptr (also past the schema); never builds one.
+  const EpochCrackerColumn* PublishedCracker(size_t idx) const;
+  const SortedIndex* PublishedSortedIndex(size_t idx) const;
+
   /// Lazily built per-zone min/max synopsis over a numeric column; scans
   /// consult it to skip morsels a predicate cannot match.
   Result<const ZoneMap*> GetZoneMap(size_t idx) EXCLUDES(mu_);

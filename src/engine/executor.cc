@@ -8,6 +8,7 @@
 #include <limits>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -310,13 +311,27 @@ Result<std::vector<uint32_t>> ProbeIndex(TableEntry* entry,
     candidates = index->RangeSelect(plan.lo, plan.hi);
     stats->rows_scanned += candidates.size();
   }
-  std::sort(candidates.begin(), candidates.end());
+  SortPositions(&candidates);
   if (plan.residual.empty()) return candidates;
   EXPLOREDB_ASSIGN_OR_RETURN(std::vector<const ColumnVector*> cols,
                              FetchConditionColumns(entry, plan.residual));
   stats->rows_scanned += candidates.size();
   Predicate::Refine(plan.residual, cols, &candidates, {nullptr, plan.codes});
   return candidates;
+}
+
+/// The rows an index plan's probe reads once its index is published (see
+/// AccessPlan::probe_rows); nullopt while it is unbuilt.
+std::optional<uint64_t> PublishedProbeRows(const TableEntry& entry,
+                                           const AccessPlan& plan) {
+  if (plan.path == AccessPath::kCracker) {
+    const EpochCrackerColumn* cracker = entry.PublishedCracker(plan.column);
+    if (cracker == nullptr) return std::nullopt;
+    return cracker->SpanRows(plan.lo, plan.hi);
+  }
+  const SortedIndex* index = entry.PublishedSortedIndex(plan.column);
+  if (index == nullptr) return std::nullopt;
+  return index->RangeCount(plan.lo, plan.hi);
 }
 
 /// Cuts the ascending `positions` into one slice [first, last) per table
@@ -383,6 +398,48 @@ bool FoldsIntoRange(const Condition& c, const Schema& schema) {
 constexpr size_t kProjectGrain = 1024;
 
 }  // namespace
+
+void RadixSortPositions(std::vector<uint32_t>* positions) {
+  const size_t n = positions->size();
+  if (n < 2) return;
+  constexpr int kBits = 12;
+  constexpr uint32_t kRadix = uint32_t{1} << kBits;
+  constexpr int kDigits = 3;  // 36 bits cover a uint32_t
+  // One read counts all three digits; each pass then scatters by one.
+  std::vector<uint32_t> counts(kDigits * kRadix, 0);
+  for (const uint32_t p : *positions) {
+    ++counts[p & (kRadix - 1)];
+    ++counts[kRadix + ((p >> kBits) & (kRadix - 1))];
+    ++counts[2 * kRadix + (p >> (2 * kBits))];
+  }
+  std::vector<uint32_t> scatter(n);
+  uint32_t* from = positions->data();
+  uint32_t* to = scatter.data();
+  for (int d = 0; d < kDigits; ++d) {
+    uint32_t* count = counts.data() + d * kRadix;
+    const int shift = d * kBits;
+    // A digit every position shares leaves the order as it is.
+    if (count[(from[0] >> shift) & (kRadix - 1)] == n) continue;
+    uint32_t offset = 0;
+    for (uint32_t b = 0; b < kRadix; ++b) {
+      offset += std::exchange(count[b], offset);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t p = from[i];
+      to[count[(p >> shift) & (kRadix - 1)]++] = p;
+    }
+    std::swap(from, to);
+  }
+  if (from != positions->data()) positions->swap(scatter);
+}
+
+void SortPositions(std::vector<uint32_t>* positions) {
+  if (positions->size() < kRadixSortCutoff) {
+    std::sort(positions->begin(), positions->end());
+  } else {
+    RadixSortPositions(positions);
+  }
+}
 
 Executor::Executor(Database* db)
     : db_(db), planner_(std::make_unique<Planner>(db, this)) {}
@@ -489,7 +546,10 @@ Result<Executor::AccessPlan> Executor::ChooseAccess(TableEntry* entry,
   }
   EXPLOREDB_RETURN_NOT_OK(
       PlanMorsels(entry, where.conjuncts(), plan.comp, ctx, &plan.morsels));
-  if (plan.index()) return plan;
+  if (plan.index()) {
+    plan.probe_rows = PublishedProbeRows(*entry, plan);
+    return plan;
+  }
   auto on_codes = [&](const Condition& c) {
     return plan.codes && ServedByCodes(c, schema.field(c.column).type);
   };

@@ -255,8 +255,9 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     // Session before the planner runs. The plan is the executor's own, the
     // one the rung runs, and is priced by the rows it reads: a focus plan
     // by the focus rows it refines (none when no conjunct is left to
-    // apply), a scan by its live rows. An index probe is priced as the
-    // zone-map-pruned scan it replaces.
+    // apply), a scan by its live rows, and an index probe by the rows of
+    // its published index it reads, at the raw scan rate. An unbuilt index
+    // is priced as the zone-map-pruned scan it replaces.
     ExecContext exact_ctx = ctx;
     exact_ctx.SetMode(ExecutionMode::kAuto);
     exact_ctx.SetDeadline(deadline);
@@ -267,9 +268,12 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
     const auto n = static_cast<uint64_t>(scan.rows);
     const uint64_t live_rows = scan.live_rows();
     uint32_t plans = 1;
-    const double exact_cost = cost_model_.ExactCostNs(
-        access.focus != nullptr ? access.focus_rows : live_rows,
-        scan.compressed);
+    const double exact_cost =
+        access.focus != nullptr
+            ? cost_model_.ExactCostNs(access.focus_rows, scan.compressed)
+        : access.probe_rows.has_value()
+            ? cost_model_.ExactCostNs(*access.probe_rows)
+            : cost_model_.ExactCostNs(live_rows, scan.compressed);
     const bool exact_fits = exact_cost <= budget_ns * kBudgetHeadroom;
 
     // Rung 3: uniform-sample estimate sized to the budget (a sample plan is
@@ -464,10 +468,12 @@ Result<QueryResult> Planner::Execute(const Query& query, const ExecContext& ctx,
       }
       stats.achieved_error = worst;
     }
-    // A run seeded by the focus refined it instead of scanning, so it says
-    // nothing about the scan rate.
+    // Only a scan measures the scan rate. A focus run refined the focus
+    // instead of scanning, and an index run's fixed cost (plan, sort,
+    // per-slice reduce) spread over a narrow answer would inflate the rate
+    // every budgeted scan is priced at.
     if (stats.planner_choice == PlannerChoice::kExact &&
-        stats.path != AccessPath::kFocus) {
+        stats.path == AccessPath::kScan) {
       cost_model_.ObserveExact(stats.rows_scanned, run_nanos,
                                stats.compressed_morsels > 0);
     } else if (stats.planner_choice == PlannerChoice::kSample) {

@@ -1,10 +1,52 @@
 #include "storage/column.h"
 
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
+
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 
 #include "common/check.h"
 
 namespace exploredb {
+
+namespace {
+
+/// Buffers from this size on are advised as huge-page candidates.
+constexpr size_t kAdviseBytes = size_t{4} << 20;
+/// A transparent huge page on x86-64 (and arm64 with 4 KB base pages).
+constexpr uintptr_t kHugePageBytes = uintptr_t{2} << 20;
+
+/// Gives `*data` room for at least `n` elements. A new buffer of at least
+/// 4 MB has its 2 MB-aligned interior advised as a transparent-huge-page
+/// candidate before anything is written to it, so a random gather pays no
+/// 4 KB page walk per load and first touch faults 2 MB at a time. Advice
+/// only: it is skipped where MADV_HUGEPAGE is undefined, and the kernel
+/// ignores it when THP is `never`.
+template <typename T>
+void ReserveAdvised(std::vector<T>* data, size_t n) {
+  if (n <= data->capacity()) return;
+  std::vector<T> fresh;
+  fresh.reserve(n);
+#ifdef MADV_HUGEPAGE
+  const size_t bytes = n * sizeof(T);
+  if (bytes >= kAdviseBytes) {
+    const auto addr = reinterpret_cast<uintptr_t>(fresh.data());
+    const uintptr_t begin =
+        (addr + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+    const uintptr_t end = (addr + bytes) & ~(kHugePageBytes - 1);
+    if (begin < end) {
+      madvise(reinterpret_cast<void*>(begin), end - begin, MADV_HUGEPAGE);
+    }
+  }
+#endif
+  fresh.insert(fresh.end(), data->begin(), data->end());
+  data->swap(fresh);
+}
+
+}  // namespace
 
 uint32_t StringDictionary::Hash(std::string_view s) {
   return static_cast<uint32_t>(std::hash<std::string_view>{}(s));
@@ -91,11 +133,11 @@ ColumnVector::ColumnVector(DataType type)
                              : nullptr) {}
 
 ColumnVector::ColumnVector(const ColumnVector& other)
-    : type_(other.type_),
-      int64_data_(other.int64_data_),
-      double_data_(other.double_data_),
-      codes_(other.codes_),
-      dict_(other.dict_) {
+    : type_(other.type_), dict_(other.dict_) {
+  Reserve(other.size());
+  int64_data_.assign(other.int64_data_.begin(), other.int64_data_.end());
+  double_data_.assign(other.double_data_.begin(), other.double_data_.end());
+  codes_.assign(other.codes_.begin(), other.codes_.end());
   if (dict_ != nullptr) dict_->MarkShared();
 }
 
@@ -116,7 +158,16 @@ size_t ColumnVector::size() const {
   return 0;
 }
 
+template <typename T>
+void ColumnVector::Grow(std::vector<T>* data) {
+  ReserveAdvised(data, std::max<size_t>(1, 2 * data->size()));
+}
+
+template void ColumnVector::Grow(std::vector<int64_t>* data);
+template void ColumnVector::Grow(std::vector<double>* data);
+
 void ColumnVector::AppendString(std::string_view v) {
+  if (codes_.size() == codes_.capacity()) Grow(&codes_);
   if (dict_->shared()) {
     // Copy on write: a dictionary another column holds stays as it is.
     if (std::optional<uint32_t> code = dict_->Find(v)) {
@@ -136,10 +187,10 @@ Status ColumnVector::Append(const Value& v) {
   }
   switch (type_) {
     case DataType::kInt64:
-      int64_data_.push_back(v.int64());
+      AppendInt64(v.int64());
       break;
     case DataType::kDouble:
-      double_data_.push_back(v.dbl());
+      AppendDouble(v.dbl());
       break;
     case DataType::kString:
       AppendString(v.str());
@@ -170,13 +221,13 @@ double ColumnVector::GetDouble(size_t row) const {
 void ColumnVector::Reserve(size_t n) {
   switch (type_) {
     case DataType::kInt64:
-      int64_data_.reserve(n);
+      ReserveAdvised(&int64_data_, n);
       break;
     case DataType::kDouble:
-      double_data_.reserve(n);
+      ReserveAdvised(&double_data_, n);
       break;
     case DataType::kString:
-      codes_.reserve(n);
+      ReserveAdvised(&codes_, n);
       break;
   }
 }
@@ -192,12 +243,15 @@ ColumnVector ColumnVector::GatherTarget(size_t n) const {
   ColumnVector out(type_, dict_);
   switch (type_) {
     case DataType::kInt64:
+      ReserveAdvised(&out.int64_data_, n);
       out.int64_data_.resize(n);
       break;
     case DataType::kDouble:
+      ReserveAdvised(&out.double_data_, n);
       out.double_data_.resize(n);
       break;
     case DataType::kString:
+      ReserveAdvised(&out.codes_, n);
       out.codes_.resize(n);
       dict_->MarkShared();
       break;

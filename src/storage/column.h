@@ -112,7 +112,10 @@ class StringCells {
 /// A single typed column stored contiguously. The unit of work for the
 /// adaptive-indexing (cracking) and layout subsystems. A string column is
 /// one uint32 code per row plus a StringDictionary, filled as rows are
-/// appended; copies and gathers share the dictionary.
+/// appended; copies and gathers share the dictionary. Every buffer of at
+/// least 4 MB the column allocates (a copy, Reserve, append growth, a
+/// gather target) is advised as a transparent-huge-page candidate before
+/// its first write.
 class ColumnVector {
  public:
   explicit ColumnVector(DataType type);
@@ -128,8 +131,14 @@ class ColumnVector {
   Status Append(const Value& v);
 
   /// Typed appends (no dispatch); caller must match the column type.
-  void AppendInt64(int64_t v) { int64_data_.push_back(v); }
-  void AppendDouble(double v) { double_data_.push_back(v); }
+  void AppendInt64(int64_t v) {
+    if (int64_data_.size() == int64_data_.capacity()) Grow(&int64_data_);
+    int64_data_.push_back(v);
+  }
+  void AppendDouble(double v) {
+    if (double_data_.size() == double_data_.capacity()) Grow(&double_data_);
+    double_data_.push_back(v);
+  }
   void AppendString(std::string_view v);
 
   /// Dynamically typed cell read.
@@ -167,6 +176,10 @@ class ColumnVector {
  private:
   ColumnVector(DataType type, std::shared_ptr<StringDictionary> dict)
       : type_(type), dict_(std::move(dict)) {}
+
+  /// Doubles a full buffer's capacity, as push_back would.
+  template <typename T>
+  static void Grow(std::vector<T>* data);
 
   DataType type_;
   std::vector<int64_t> int64_data_;

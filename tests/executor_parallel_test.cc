@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -498,6 +500,95 @@ TEST_F(ParallelExecutorTest, CrackingWindowBuildsOnlyItsCracker) {
   EXPECT_EQ(builds->Value() - before, 1u);
   ASSERT_TRUE(exec.Execute(WindowQuery(40000, 45000), ctx).ok());
   EXPECT_EQ(builds->Value() - before, 1u);
+}
+
+// ---- index answers ----------------------------------------------------------
+
+// SortPositions and the radix sort alone agree with std::sort at every size
+// around the comparison cutoff and at largest values that take one, two and
+// three radix passes, on random, sorted and reversed input.
+TEST(SortPositionsTest, MatchesStdSort) {
+  const size_t sizes[] = {0,
+                          1,
+                          2,
+                          kRadixSortCutoff - 1,
+                          kRadixSortCutoff,
+                          kRadixSortCutoff + 1,
+                          5'700,
+                          1'000'000};
+  const uint32_t largest[] = {(1u << 12) - 1, (1u << 24) - 1, 1u << 24,
+                              UINT32_MAX};
+  Random rng(11);
+  auto check = [](std::vector<uint32_t> positions, const std::string& at) {
+    std::vector<uint32_t> want = positions;
+    std::sort(want.begin(), want.end());
+    std::vector<uint32_t> radix = positions;
+    RadixSortPositions(&radix);
+    EXPECT_EQ(radix, want) << "radix " << at;
+    SortPositions(&positions);
+    EXPECT_EQ(positions, want) << at;
+  };
+  for (const size_t n : sizes) {
+    for (const uint32_t max : largest) {
+      std::vector<uint32_t> positions(n);
+      for (uint32_t& p : positions) {
+        p = static_cast<uint32_t>(rng.Uniform(uint64_t{max} + 1));
+      }
+      if (n > 0) positions[rng.Uniform(n)] = max;
+      check(positions, "n=" + std::to_string(n) + " max=" +
+                           std::to_string(max));
+    }
+    std::vector<uint32_t> sorted(n);
+    for (size_t i = 0; i < n; ++i) {
+      sorted[i] = static_cast<uint32_t>(i * 4099);
+    }
+    check(sorted, "sorted n=" + std::to_string(n));
+    check({sorted.rbegin(), sorted.rend()}, "reversed n=" + std::to_string(n));
+  }
+}
+
+// Cracker and sorted-index windows wider than the radix cutoff, with and
+// without a residual, return the scan's positions and rows at any thread
+// count, whether the cracker cracks or answers converged.
+TEST_F(ParallelExecutorTest, IndexWindowsMatchScanAcrossThreadCounts) {
+  const Predicate window = WindowQuery(20000, 30000).where();
+  const Predicate residual(
+      {window.conjuncts()[0], window.conjuncts()[1],
+       {2, CompareOp::kNe, Value("beta")}});
+  for (const Predicate& where : {window, residual}) {
+    const Query q = Query::On("events").Where(where);
+    ExecContext scan;
+    scan.SetThreadPool(nullptr).SetMode(ExecutionMode::kScan);
+    auto want = Executor(&db_).Execute(q, scan);
+    ASSERT_TRUE(want.ok());
+    ASSERT_GT(want.ValueOrDie().positions.size(), kRadixSortCutoff);
+    for (ExecutionMode mode :
+         {ExecutionMode::kCracking, ExecutionMode::kFullIndex}) {
+      for (size_t threads : {1u, 2u, 8u}) {
+        const std::string at = std::string(ExecutionModeName(mode)) +
+                               " conjuncts=" +
+                               std::to_string(where.conjuncts().size()) +
+                               " threads=" + std::to_string(threads);
+        ThreadPool pool(threads);
+        ExecContext ctx = ParallelCtx(&pool);
+        ctx.SetMode(mode);
+        Executor exec(&db_);
+        // The first cracking run cracks; every later one reads converged.
+        for (int run = 0; run < 2; ++run) {
+          auto got = exec.Execute(q, ctx);
+          ASSERT_TRUE(got.ok()) << at;
+          EXPECT_EQ(got.ValueOrDie().stats().path,
+                    mode == ExecutionMode::kCracking ? AccessPath::kCracker
+                                                     : AccessPath::kSorted)
+              << at;
+          EXPECT_EQ(got.ValueOrDie().positions, want.ValueOrDie().positions)
+              << at << " run=" << run;
+          ExpectSameRows(*got.ValueOrDie().rows, *want.ValueOrDie().rows,
+                         at + " run=" + std::to_string(run));
+        }
+      }
+    }
+  }
 }
 
 /// 737,000 rows: `k` uniform in [0, 1e6), `g` = k mod 8, and `v` a

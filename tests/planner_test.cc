@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -561,6 +562,101 @@ TEST(PlannerTest, ExactScanIsPricedAtTheRowsItScans) {
               static_cast<int64_t>(3 * stats.rows_scanned));
     EXPECT_NE(stats.Summary().find("predicted="), std::string::npos);
   }
+}
+
+/// 2M rows: `k` uniform over 1M keys and a measure `v`, the shape of a
+/// map's cracked coordinate.
+std::unique_ptr<Database> KeysDb() {
+  constexpr int64_t kRows = 2'000'000;
+  Table t(Schema({{"k", DataType::kInt64}, {"v", DataType::kDouble}}));
+  t.Reserve(kRows);
+  Random rng(13);
+  for (int64_t i = 0; i < kRows; ++i) {
+    t.mutable_column(0)->AppendInt64(rng.UniformInt(0, 999'999));
+    t.mutable_column(1)->AppendDouble(rng.NextDouble());
+  }
+  auto db = std::make_unique<Database>();
+  EXPECT_TRUE(db->CreateTable("keys", std::move(t)).ok());
+  return db;
+}
+
+/// SUM(v) over the 100-key window [lo, lo + 100) of KeysDb's `k`.
+Query KeysWindowSum(int64_t lo) {
+  return Query::On("keys")
+      .Where(Predicate({{0, CompareOp::kGe, Value(lo)},
+                        {0, CompareOp::kLt, Value(lo + 100)}}))
+      .Aggregate(AggKind::kSum, "v");
+}
+
+// An index probe is priced at the rows its published index reads. After
+// 100 cracked windows over a 2M-row column, a budgeted SUM over a 100-key
+// window reads a few pieces, so it runs exact on the cracker; priced as the
+// 2M-row scan it replaces, every one went to the sample rung. The pinned
+// rate makes the scan's price 2.5x the affordable 0.8 s, like a 2 ms
+// budget at 1 ns per row, without a wall-clock deadline a slow run could
+// miss. Index runs leave the rate as pinned, so every window is priced at
+// it.
+TEST(PlannerTest, IndexProbeIsPricedAtTheRowsItReads) {
+  std::unique_ptr<Database> db = KeysDb();
+  Random rng(14);
+  Executor executor(db.get());
+  ExecContext cracking;
+  cracking.SetMode(ExecutionMode::kCracking);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(
+        executor.Execute(KeysWindowSum(rng.UniformInt(0, 999'900)), cracking)
+            .ok());
+  }
+  CostModel& model = executor.planner().cost_model();
+  model.SetExactNsPerRowForTest(1000.0);
+  ExecContext budgeted;
+  budgeted.SetBudget({.latency = seconds(1)});
+  for (int i = 0; i < 100; ++i) {
+    const Query q = KeysWindowSum(rng.UniformInt(0, 999'900));
+    auto r = executor.Execute(q, budgeted);
+    ASSERT_TRUE(r.ok());
+    const ExecStats& stats = r.ValueOrDie().stats();
+    EXPECT_EQ(stats.planner_choice, PlannerChoice::kExact) << "window " << i;
+    EXPECT_EQ(stats.path, AccessPath::kCracker);
+    EXPECT_LT(stats.predicted_nanos, 800'000'000) << "window " << i;
+    EXPECT_EQ(model.exact_ns_per_row(), 1000.0) << "window " << i;
+    EXPECT_FALSE(r.ValueOrDie().approximate);
+    auto exact = executor.Execute(q, cracking);
+    ASSERT_TRUE(exact.ok());
+    EXPECT_EQ(r.ValueOrDie().scalar->value,
+              exact.ValueOrDie().scalar->value);
+  }
+}
+
+// Only scans calibrate the scan rate. A cracked window's run is mostly
+// fixed cost (plan, sort, per-slice reduce) over a few thousand rows; fed
+// to the scan rate, twenty such runs raised it more than threefold, so a
+// budgeted scan that fit its budget could be priced over it and sent to an
+// approximate rung.
+TEST(PlannerTest, IndexRunsLeaveTheScanRateAlone) {
+  std::unique_ptr<Database> db = KeysDb();
+  Random rng(15);
+  Executor executor(db.get());
+  ExecContext cracking;
+  cracking.SetMode(ExecutionMode::kCracking);
+  ASSERT_TRUE(executor.Execute(KeysWindowSum(0), cracking).ok());
+  const CostModel& model = executor.planner().cost_model();
+  const double scan_rate = model.exact_ns_per_row();
+  ExecContext budgeted;
+  budgeted.SetBudget({.latency = seconds(1)});
+  for (int i = 0; i < 20; ++i) {
+    auto r = executor.Execute(KeysWindowSum(rng.UniformInt(0, 999'900)),
+                              budgeted);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.ValueOrDie().stats().planner_choice, PlannerChoice::kExact);
+    EXPECT_EQ(r.ValueOrDie().stats().path, AccessPath::kCracker);
+  }
+  EXPECT_EQ(model.exact_ns_per_row(), scan_rate);
+  auto r = executor.Execute(Query::On("keys").Aggregate(AggKind::kSum, "v"),
+                            budgeted);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.ValueOrDie().stats().planner_choice, PlannerChoice::kExact);
+  EXPECT_EQ(r.ValueOrDie().stats().path, AccessPath::kScan);
 }
 
 TEST(PlannerTest, CostModelSkipsInfiniteIntervals) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "storage/csv.h"
@@ -106,6 +109,70 @@ TEST(ColumnTest, GetDoubleWidens) {
 }
 
 // ---------------------------------------------------------------- Table
+
+// A buffer of 4 MB or more is advised as a huge-page candidate before its
+// first write. Append growth, Reserve followed by appends, a copy and a
+// gather each cross that size and read back cell by cell, for every type.
+TEST(ColumnTest, BuffersAcrossTheHugePageThresholdReadBack) {
+  const std::vector<std::string> names = {"ash", "birch", "cedar", "elm",
+                                          "fir", "oak", "pine"};
+  for (DataType type :
+       {DataType::kInt64, DataType::kDouble, DataType::kString}) {
+    const size_t threshold =
+        (size_t{4} << 20) / (type == DataType::kString ? 4 : 8);
+    for (size_t n : {threshold - 1, threshold + 1}) {
+      SCOPED_TRACE(std::string(DataTypeName(type)) + " n=" +
+                   std::to_string(n));
+      ColumnVector grown(type);
+      ColumnVector reserved(type);
+      reserved.Reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        for (ColumnVector* col : {&grown, &reserved}) {
+          switch (type) {
+            case DataType::kInt64:
+              col->AppendInt64(static_cast<int64_t>(i * 7919));
+              break;
+            case DataType::kDouble:
+              col->AppendDouble(static_cast<double>(i) * 0.5);
+              break;
+            case DataType::kString:
+              col->AppendString(names[i % names.size()]);
+              break;
+          }
+        }
+      }
+      std::vector<uint32_t> reversed(n);
+      for (size_t i = 0; i < n; ++i) {
+        reversed[i] = static_cast<uint32_t>(n - 1 - i);
+      }
+      ColumnVector copy(grown);
+      ColumnVector gathered = grown.Gather(reversed);
+      for (const ColumnVector* col : {&grown, &reserved, &copy, &gathered}) {
+        ASSERT_EQ(col->size(), n);
+        for (size_t r = 0; r < n; ++r) {
+          const size_t i = col == &gathered ? n - 1 - r : r;
+          bool same = false;
+          switch (type) {
+            case DataType::kInt64:
+              same = col->int64_data()[r] == static_cast<int64_t>(i * 7919);
+              break;
+            case DataType::kDouble:
+              same = col->double_data()[r] == static_cast<double>(i) * 0.5;
+              break;
+            case DataType::kString:
+              same = col->string_data()[r] == names[i % names.size()];
+              break;
+          }
+          ASSERT_TRUE(same) << "row " << r;
+        }
+      }
+      if (type == DataType::kString) {
+        EXPECT_EQ(&copy.dictionary(), &grown.dictionary());
+        EXPECT_EQ(&gathered.dictionary(), &grown.dictionary());
+      }
+    }
+  }
+}
 
 TEST(TableTest, AppendRowChecksArity) {
   Table t(TestSchema());
